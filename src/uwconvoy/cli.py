@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +26,13 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {raw!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uwconvoy",
@@ -36,9 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--annotations", required=True)
     p_eval.add_argument("--predictions", required=True)
     group = p_eval.add_mutually_exclusive_group(required=True)
-    group.add_argument("--threshold", type=float)
+    group.add_argument("--threshold", type=_finite_float)
     group.add_argument("--auto-threshold", action="store_true")
-    p_eval.add_argument("--fps", type=float, help="sequence frame rate for track statistics")
+    p_eval.add_argument("--fps", type=_finite_float, help="sequence frame rate for track statistics")
     p_eval.add_argument("--report-dir", help="write CSV reports into this directory")
 
     p_sim = sub.add_parser("sim", help="run the convoy simulation")
@@ -79,7 +87,9 @@ def _cmd_eval(args) -> int:
         threshold = args.threshold
     results = evaluation.classify_frames(annotations, predictions, threshold)
     report = evaluation.metrics_summary(results)
-    tracks = evaluation.track_statistics(results, args.fps) if args.fps else None
+    tracks = None
+    if args.fps is not None:
+        tracks = evaluation.track_statistics(results, args.fps)
     sys.stdout.write(fileio.format_metrics_text(report, tracks))
     if args.report_dir:
         out = Path(args.report_dir)

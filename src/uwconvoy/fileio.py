@@ -9,15 +9,14 @@ it came from.
 from __future__ import annotations
 
 import math
-import re
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, get_type_hints
 
 import numpy as np
 
 from .evaluation import HistogramReport, MetricsReport, TrackStats
 from .geometry import Annotation, BoundingBox, IntensityGrid
-from .mdpm import MdpmConfig
 from .servo import ServoConfig
 from .sim import (
     CameraModel,
@@ -26,7 +25,6 @@ from .sim import (
     Pose,
     SimTrace,
     TargetModel,
-    TrajectoryScript,
     depth_script,
     forward_script,
     turn_script,
@@ -64,15 +62,6 @@ def format_annotations(annotations: Sequence[Annotation]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _split_row(line: str, line_no: int, n_fields: int) -> list[str]:
-    parts = line.split(",")
-    if len(parts) != n_fields:
-        raise DataFormatError(
-            f"line {line_no}: expected {n_fields} fields, got {len(parts)}"
-        )
-    return parts
-
-
 def _parse_float(raw: str, line_no: int, name: str) -> float:
     try:
         v = float(raw)
@@ -91,17 +80,25 @@ def _parse_box(parts: list[str], line_no: int, confidence: float) -> BoundingBox
         raise DataFormatError(f"line {line_no}: {exc}") from None
 
 
-def parse_annotations(text: str) -> list[Annotation]:
-    """Parse an annotation file; frames must be strictly increasing."""
+def _frame_rows(text: str, header: str) -> Iterator[tuple[int, int, list[str]]]:
+    """Yield (line_no, frame, fields) for each row of a frame-indexed CSV.
+
+    Checks the header and the field count, skips blank lines, and requires
+    strictly increasing frame indices.
+    """
     lines = text.splitlines()
-    if not lines or lines[0].strip() != ANNOTATION_HEADER:
-        raise DataFormatError(f"line 1: expected header {ANNOTATION_HEADER!r}")
-    annotations = []
+    if not lines or lines[0].strip() != header:
+        raise DataFormatError(f"line 1: expected header {header!r}")
+    n_fields = header.count(",") + 1
     prev_frame = -1
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = _split_row(line, line_no, 6)
+        parts = line.split(",")
+        if len(parts) != n_fields:
+            raise DataFormatError(
+                f"line {line_no}: expected {n_fields} fields, got {len(parts)}"
+            )
         try:
             frame = int(parts[0])
         except ValueError:
@@ -111,6 +108,13 @@ def parse_annotations(text: str) -> list[Annotation]:
                 f"line {line_no}: frame {frame} not after frame {prev_frame}"
             )
         prev_frame = frame
+        yield line_no, frame, parts
+
+
+def parse_annotations(text: str) -> list[Annotation]:
+    """Parse an annotation file; frames must be strictly increasing."""
+    annotations = []
+    for line_no, frame, parts in _frame_rows(text, ANNOTATION_HEADER):
         if parts[1] == "1":
             box = _parse_box(parts[2:6], line_no, confidence=1.0)
             annotations.append(Annotation(frame, True, box))
@@ -147,24 +151,8 @@ def parse_predictions(text: str) -> list[tuple[int, BoundingBox | None]]:
 
     The parsed box carries the row's confidence in its p field.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != PREDICTION_HEADER:
-        raise DataFormatError(f"line 1: expected header {PREDICTION_HEADER!r}")
     predictions: list[tuple[int, BoundingBox | None]] = []
-    prev_frame = -1
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = _split_row(line, line_no, 6)
-        try:
-            frame = int(parts[0])
-        except ValueError:
-            raise DataFormatError(f"line {line_no}: bad frame index {parts[0]!r}") from None
-        if frame <= prev_frame:
-            raise DataFormatError(
-                f"line {line_no}: frame {frame} not after frame {prev_frame}"
-            )
-        prev_frame = frame
+    for line_no, frame, parts in _frame_rows(text, PREDICTION_HEADER):
         confidence = _parse_float(parts[1], line_no, "confidence")
         if not 0.0 <= confidence <= 1.0:
             raise DataFormatError(
@@ -181,64 +169,108 @@ def parse_predictions(text: str) -> list[tuple[int, BoundingBox | None]]:
 # ---------------------------------------------------------------------------
 # config files
 
-def _parse_occlusions(raw: str, line_no: int) -> tuple[tuple[float, float], ...]:
+@dataclass
+class ToolConfig:
+    """Bundle of the configs assembled from one config file."""
+
+    convoy: ConvoyConfig = field(default_factory=ConvoyConfig)
+    frame_rate: float = 15.0
+
+    def __post_init__(self):
+        if self.frame_rate <= 0:
+            raise ValueError("frame_rate must be positive")
+
+
+def _parse_int(raw: str, line_no: int, key: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise DataFormatError(f"line {line_no}: key {key} needs an integer, got {raw!r}") from None
+
+
+def _parse_occlusions(raw: str, line_no: int, key: str) -> tuple[tuple[float, float], ...]:
     intervals = []
     for chunk in raw.split(","):
-        m = re.fullmatch(r"\s*([0-9.eE+-]+):([0-9.eE+-]+)\s*", chunk)
-        if not m:
+        bounds = chunk.split(":")
+        if len(bounds) != 2:
             raise DataFormatError(
                 f"line {line_no}: occlusions must be start:end pairs, got {chunk!r}"
             )
-        intervals.append((float(m.group(1)), float(m.group(2))))
+        intervals.append(tuple(_parse_float(b, line_no, key) for b in bounds))
     return tuple(intervals)
 
 
-_INT_KEYS = {
-    "sim.seed",
-    "sim.image_width",
-    "sim.image_height",
-    "mdpm.window_size",
-    "mdpm.buffer_length",
-    "mdpm.prune_count",
+# leader script kind -> (builder, its argument, the config key that sets it)
+_SCRIPTS = {
+    "forward": (forward_script, "speed", "sim.script_speed"),
+    "turn_in_place": (turn_script, "rate", "sim.script_rate"),
+    "depth_change": (depth_script, "speed", "sim.script_speed"),
 }
-_STR_KEYS = {"sim.script", "sim.occlusions"}
-_FLOAT_KEYS = {
-    "sim.duration", "sim.physics_rate", "sim.detector_rate", "sim.frame_rate",
-    "sim.script_speed", "sim.script_rate",
-    "sim.leader_x", "sim.leader_y", "sim.leader_z", "sim.leader_yaw",
-    "sim.follower_x", "sim.follower_y", "sim.follower_z", "sim.follower_yaw",
-    "sim.current_x", "sim.current_y", "sim.current_z",
-    "sim.camera_hfov", "sim.camera_aspect",
-    "sim.target_length", "sim.target_height",
-    "sim.gait_frequency", "sim.gait_jitter",
-    "sim.noiseless",
-    "servo.desired_area", "servo.command_rate", "servo.loss_timeout",
-    "servo.yaw_kp", "servo.yaw_ki", "servo.yaw_kd",
-    "servo.depth_gain", "servo.speed_gain",
-    "servo.yaw_rate_limit", "servo.vertical_speed_limit", "servo.forward_speed_limit",
-    "mdpm.band_low", "mdpm.band_high", "mdpm.band_step",
-    "mdpm.threshold_factor", "mdpm.amplitude_threshold", "mdpm.motion_sigma",
-    "detector_noise.miss_prob_small", "detector_noise.miss_prob_base",
-    "detector_noise.small_area", "detector_noise.center_sigma",
-    "detector_noise.scale_sigma", "detector_noise.confidence_sigma",
-    "detector_noise.false_positive_prob",
+
+
+def _parse_script(raw: str, line_no: int, key: str) -> str:
+    if raw not in _SCRIPTS:
+        raise DataFormatError(f"line {line_no}: unknown {key} {raw!r}")
+    return raw
+
+
+def _field_key(cls: type, name: str, parse=None):
+    """Table entry for a key that sets one dataclass field; unless given,
+    the parser follows the field's annotation."""
+    if parse is None:
+        parse = {int: _parse_int, float: _parse_float}[get_type_hints(cls)[name]]
+    return parse, cls, name
+
+
+# config key -> (parser, dataclass, field). A key that sets one field names
+# its dataclass; an absent key leaves that field at its default. Keys with a
+# dataclass of None are read by the special cases in parse_config.
+CONFIG_KEYS = {
+    **{f"servo.{f.name}": _field_key(ServoConfig, f.name) for f in fields(ServoConfig)},
+    **{
+        f"detector_noise.{f.name}": _field_key(DetectorNoise, f.name)
+        for f in fields(DetectorNoise)
+    },
+    **{
+        f"sim.{name}": _field_key(ConvoyConfig, name)
+        for name in ("duration", "physics_rate", "detector_rate", "seed")
+    },
+    "sim.occlusions": _field_key(ConvoyConfig, "occlusions", _parse_occlusions),
+    "sim.frame_rate": _field_key(ToolConfig, "frame_rate"),
+    "sim.camera_hfov": _field_key(CameraModel, "horizontal_fov"),
+    "sim.camera_aspect": _field_key(CameraModel, "aspect"),
+    "sim.image_width": _field_key(CameraModel, "image_width"),
+    "sim.image_height": _field_key(CameraModel, "image_height"),
+    "sim.target_length": _field_key(TargetModel, "body_length"),
+    "sim.target_height": _field_key(TargetModel, "body_height"),
+    "sim.gait_frequency": _field_key(TargetModel, "gait_frequency"),
+    "sim.gait_jitter": _field_key(TargetModel, "gait_jitter"),
+    "sim.script": (_parse_script, None, None),
+    **{
+        f"sim.{name}": (_parse_float, None, None)
+        for name in (
+            "script_speed", "script_rate", "noiseless",
+            "leader_x", "leader_y", "leader_z", "leader_yaw",
+            "follower_x", "follower_y", "follower_z", "follower_yaw",
+            "current_x", "current_y", "current_z",
+        )
+    },
 }
-KNOWN_KEYS = _INT_KEYS | _STR_KEYS | _FLOAT_KEYS
 
 
-class ToolConfig:
-    """Bundle of the per-module configs assembled from one config file."""
-
-    def __init__(self, convoy: ConvoyConfig, mdpm: MdpmConfig, frame_rate: float):
-        self.convoy = convoy
-        self.mdpm = mdpm
-        self.frame_rate = frame_rate
+def _pose(values: dict[str, object], who: str, base: Pose) -> Pose:
+    """base with the sim.<who>_x/y/z/yaw keys that are present applied."""
+    position = tuple(
+        values.get(f"sim.{who}_{axis}", v) for axis, v in zip("xyz", base.position)
+    )
+    return replace(base, position=position, yaw=values.get(f"sim.{who}_yaw", base.yaw))
 
 
 def parse_config(text: str) -> ToolConfig:
-    """Parse key=value config lines into the simulator/servo/mdpm configs.
+    """Parse key=value config lines into the simulator and servo configs.
 
     Unknown keys are rejected with their line number; '#' starts a comment.
+    Absent keys take the defaults of the dataclasses they set.
     """
     values: dict[str, object] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -248,136 +280,50 @@ def parse_config(text: str) -> ToolConfig:
         if "=" not in line:
             raise DataFormatError(f"line {line_no}: expected key=value, got {raw_line!r}")
         key, raw_value = (part.strip() for part in line.split("=", 1))
-        if key not in KNOWN_KEYS:
+        if key not in CONFIG_KEYS:
             raise DataFormatError(f"line {line_no}: unknown config key {key!r}")
         if key in values:
             raise DataFormatError(f"line {line_no}: duplicate config key {key!r}")
-        if key in _INT_KEYS:
+        parse, cls, name = CONFIG_KEYS[key]
+        values[key] = parse(raw_value, line_no, key)
+        if cls is not None:
+            # each dataclass invariant involves one field, so the value can
+            # be checked alone, where its line number is known
             try:
-                values[key] = int(raw_value)
-            except ValueError:
-                raise DataFormatError(
-                    f"line {line_no}: key {key} needs an integer, got {raw_value!r}"
-                ) from None
-        elif key in _FLOAT_KEYS:
-            values[key] = _parse_float(raw_value, line_no, key)
-        elif key == "sim.occlusions":
-            values[key] = _parse_occlusions(raw_value, line_no)
-        else:
-            values[key] = raw_value
+                cls(**{name: values[key]})
+            except ValueError as exc:
+                raise DataFormatError(f"line {line_no}: invalid {key}: {exc}") from None
 
-    def take(key: str, default):
-        return values.get(key, default)
+    def set_fields(cls: type) -> dict[str, object]:
+        return {
+            name: values[key]
+            for key, (_, c, name) in CONFIG_KEYS.items()
+            if c is cls and key in values
+        }
 
-    try:
-        servo = ServoConfig(
-            desired_area=take("servo.desired_area", 0.5),
-            command_rate=take("servo.command_rate", 10.0),
-            loss_timeout=take("servo.loss_timeout", 2.0),
-            yaw_kp=take("servo.yaw_kp", ServoConfig.yaw_kp),
-            yaw_ki=take("servo.yaw_ki", ServoConfig.yaw_ki),
-            yaw_kd=take("servo.yaw_kd", ServoConfig.yaw_kd),
-            depth_gain=take("servo.depth_gain", ServoConfig.depth_gain),
-            speed_gain=take("servo.speed_gain", ServoConfig.speed_gain),
-            yaw_rate_limit=take("servo.yaw_rate_limit", ServoConfig.yaw_rate_limit),
-            vertical_speed_limit=take(
-                "servo.vertical_speed_limit", ServoConfig.vertical_speed_limit
-            ),
-            forward_speed_limit=take(
-                "servo.forward_speed_limit", ServoConfig.forward_speed_limit
-            ),
-        )
-        camera = CameraModel(
-            horizontal_fov=take("sim.camera_hfov", math.pi / 2),
-            aspect=take("sim.camera_aspect", 4.0 / 3.0),
-            image_width=take("sim.image_width", 320),
-            image_height=take("sim.image_height", 240),
-        )
-        target = TargetModel(
-            body_length=take("sim.target_length", 0.65),
-            body_height=take("sim.target_height", 0.30),
-            gait_frequency=take("sim.gait_frequency", 2.0),
-            gait_jitter=take("sim.gait_jitter", 0.0),
-        )
-        leader_pose = Pose(
-            position=(
-                take("sim.leader_x", 2.0),
-                take("sim.leader_y", 0.0),
-                take("sim.leader_z", 0.0),
-            ),
-            yaw=take("sim.leader_yaw", 0.0),
-        )
-        follower_pose = Pose(
-            position=(
-                take("sim.follower_x", 0.0),
-                take("sim.follower_y", 0.0),
-                take("sim.follower_z", 0.0),
-            ),
-            yaw=take("sim.follower_yaw", 0.0),
-        )
-        script = _build_script(
-            str(take("sim.script", "forward")),
-            take("sim.script_speed", 0.6),
-            take("sim.script_rate", 0.3),
-            leader_pose,
-        )
-        if take("sim.noiseless", 0.0):
-            noise = DetectorNoise.noiseless()
-        else:
-            noise = DetectorNoise(
-                miss_prob_small=take("detector_noise.miss_prob_small", DetectorNoise.miss_prob_small),
-                miss_prob_base=take("detector_noise.miss_prob_base", DetectorNoise.miss_prob_base),
-                small_area=take("detector_noise.small_area", DetectorNoise.small_area),
-                center_sigma=take("detector_noise.center_sigma", DetectorNoise.center_sigma),
-                scale_sigma=take("detector_noise.scale_sigma", DetectorNoise.scale_sigma),
-                confidence_sigma=take("detector_noise.confidence_sigma", DetectorNoise.confidence_sigma),
-                false_positive_prob=take(
-                    "detector_noise.false_positive_prob", DetectorNoise.false_positive_prob
-                ),
-            )
-        convoy = ConvoyConfig(
-            duration=take("sim.duration", 60.0),
-            physics_rate=take("sim.physics_rate", 50.0),
-            detector_rate=take("sim.detector_rate", 7.0),
-            seed=take("sim.seed", 0),
-            script=script,
-            initial_follower=follower_pose,
-            servo=servo,
-            camera=camera,
-            target=target,
-            detector_noise=noise,
-            occlusions=take("sim.occlusions", ()),
-            current=(
-                take("sim.current_x", 0.0),
-                take("sim.current_y", 0.0),
-                take("sim.current_z", 0.0),
-            ),
-        )
-        mdpm = MdpmConfig(
-            window_size=take("mdpm.window_size", 30),
-            buffer_length=take("mdpm.buffer_length", 10),
-            prune_count=take("mdpm.prune_count", 10),
-            band=(take("mdpm.band_low", 1.0), take("mdpm.band_high", 3.0)),
-            band_step=take("mdpm.band_step", 0.1),
-            threshold_factor=take("mdpm.threshold_factor", 6.0),
-            amplitude_threshold=take("mdpm.amplitude_threshold", None),
-            motion_sigma=take("mdpm.motion_sigma", 1.0),
-        )
-    except ValueError as exc:
-        if isinstance(exc, DataFormatError):
-            raise
-        raise DataFormatError(f"invalid config value: {exc}") from None
-    return ToolConfig(convoy, mdpm, take("sim.frame_rate", 15.0))
-
-
-def _build_script(kind: str, speed: float, rate: float, start: Pose) -> TrajectoryScript:
-    if kind == "forward":
-        return forward_script(speed, start)
-    if kind == "turn_in_place":
-        return turn_script(rate, start)
-    if kind == "depth_change":
-        return depth_script(speed, start)
-    raise DataFormatError(f"unknown sim.script {kind!r}")
+    default = ConvoyConfig()
+    builder, arg, arg_key = _SCRIPTS[values.get("sim.script", default.script.kind)]
+    script = builder(
+        start_pose=_pose(values, "leader", default.script.start_pose),
+        **({arg: values[arg_key]} if arg_key in values else {}),
+    )
+    if values.get("sim.noiseless"):
+        noise = DetectorNoise.noiseless()
+    else:
+        noise = DetectorNoise(**set_fields(DetectorNoise))
+    convoy = ConvoyConfig(
+        script=script,
+        initial_follower=_pose(values, "follower", default.initial_follower),
+        servo=ServoConfig(**set_fields(ServoConfig)),
+        camera=CameraModel(**set_fields(CameraModel)),
+        target=TargetModel(**set_fields(TargetModel)),
+        detector_noise=noise,
+        current=tuple(
+            values.get(f"sim.current_{axis}", v) for axis, v in zip("xyz", default.current)
+        ),
+        **set_fields(ConvoyConfig),
+    )
+    return ToolConfig(convoy, **set_fields(ToolConfig))
 
 
 # ---------------------------------------------------------------------------
@@ -537,18 +483,14 @@ def format_metrics_text(report: MetricsReport, tracks: TrackStats | None = None)
     return "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
 
 
-def _csv_cell(v: float | None) -> str:
-    return "" if v is None else _fmt(v)
-
-
 def format_metrics_csv(report: MetricsReport) -> str:
     header = "n_images,n_tp,n_tn,n_fp,n_fn,accuracy,precision,recall,avg_iou,lfr,fps"
     row = ",".join(
         [
             str(report.n_images), str(report.n_tp), str(report.n_tn),
             str(report.n_fp), str(report.n_fn),
-            _fmt(report.accuracy), _csv_cell(report.precision), _csv_cell(report.recall),
-            _csv_cell(report.avg_iou), _csv_cell(report.lfr), _csv_cell(report.fps),
+            _fmt(report.accuracy), _fmt_opt(report.precision), _fmt_opt(report.recall),
+            _fmt_opt(report.avg_iou), _fmt_opt(report.lfr), _fmt_opt(report.fps),
         ]
     )
     return header + "\n" + row + "\n"

@@ -68,6 +68,10 @@ class CameraModel:
             raise ValueError(f"horizontal_fov {self.horizontal_fov} outside (0, pi)")
         if self.aspect <= 0:
             raise ValueError("aspect must be positive")
+        if self.image_width <= 0 or self.image_height <= 0:
+            raise ValueError(
+                f"image size {self.image_width}x{self.image_height} must be positive"
+            )
 
     @property
     def vertical_fov(self) -> float:
@@ -463,6 +467,11 @@ class ConvoyConfig:
         for name in ("physics_rate", "detector_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        for start, end in self.occlusions:
+            if not start < end:
+                raise ValueError(f"occlusion {start}:{end} must end after it starts")
 
 
 def _occluded(t: float, occlusions: tuple[tuple[float, float], ...]) -> bool:
@@ -519,6 +528,8 @@ def run_convoy(config: ConvoyConfig) -> SimTrace:
 
 def _trace_frame_records(trace: SimTrace, fps: float):
     """Yield (frame_index, record, frame_time) sampling the trace at fps."""
+    if not 0.0 < fps < math.inf:
+        raise ValueError(f"fps must be positive and finite, got {fps}")
     records = trace.records
     if not records:
         return

@@ -105,6 +105,22 @@ def test_eval_auto_threshold(eval_files, capsys):
     assert "selected threshold: 0.900000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "extra, code",
+    [
+        (["--threshold", "nan"], 1),
+        (["--threshold", "inf"], 1),
+        (["--threshold", "0.5", "--fps", "0"], 2),
+        (["--threshold", "0.5", "--fps", "nan"], 1),
+    ],
+)
+def test_eval_rejects_meaningless_threshold_and_fps(eval_files, capsys, extra, code):
+    ann_path, pred_path = eval_files
+    argv = ["eval", "--annotations", str(ann_path), "--predictions", str(pred_path)]
+    assert run_cli(argv + extra) == code
+    assert capsys.readouterr().err
+
+
 def test_usage_errors():
     assert run_cli([]) == 1
     assert run_cli(["bogus"]) == 1

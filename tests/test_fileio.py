@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwconvoy.evaluation import MetricsReport
 from uwconvoy.fileio import (
+    CONFIG_KEYS,
     DataFormatError,
+    ToolConfig,
     format_annotations,
     format_metrics_csv,
     format_metrics_text,
@@ -18,7 +22,7 @@ from uwconvoy.fileio import (
     write_pgm,
 )
 from uwconvoy.geometry import Annotation, BoundingBox, IntensityGrid
-from uwconvoy.sim import ConvoyConfig, run_convoy
+from uwconvoy.sim import ConvoyConfig, depth_script, run_convoy
 
 
 def test_parse_annotations_header_only():
@@ -116,7 +120,6 @@ sim.leader_x = 2.0
 sim.occlusions = 1.0:2.0,3.5:4.0
 servo.desired_area = 0.5
 servo.speed_gain = 12.0
-mdpm.window_size = 30
 detector_noise.center_sigma = 0.05
 """
 
@@ -127,7 +130,6 @@ def test_parse_config_good():
     assert config.convoy.seed == 42
     assert config.convoy.occlusions == ((1.0, 2.0), (3.5, 4.0))
     assert config.convoy.servo.speed_gain == 12.0
-    assert config.mdpm.window_size == 30
     assert config.convoy.detector_noise.center_sigma == 0.05
 
 
@@ -152,6 +154,56 @@ def test_parse_config_noiseless_switch():
     config = parse_config("sim.noiseless = 1\n")
     assert config.convoy.detector_noise.center_sigma == 0.0
     assert config.convoy.detector_noise.miss_prob_base == 0.0
+
+
+def test_parse_config_absent_keys_take_dataclass_defaults():
+    assert parse_config("# nothing set\n") == ToolConfig()
+
+
+def test_parse_config_depth_change_keeps_its_own_default_speed():
+    script = parse_config("sim.script = depth_change\n").convoy.script
+    assert script.kind == "depth_change"
+    assert script.speed == depth_script().speed
+
+
+def test_parse_config_rejects_mdpm_keys():
+    with pytest.raises(DataFormatError, match="line 2: unknown config key 'mdpm.window_size'"):
+        parse_config("sim.seed = 1\nmdpm.window_size = 30\n")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "sim.occlusions = 1:e",
+        "sim.occlusions = 5:1",
+        "sim.occlusions = 1:2,2:2",
+        "sim.image_width = 0",
+        "sim.image_height = 0",
+        "sim.frame_rate = 0",
+        "sim.frame_rate = -3",
+        "sim.script = banana",
+        "sim.seed = -1",
+    ],
+)
+def test_parse_config_rejects_bad_value_naming_its_line(line):
+    with pytest.raises(DataFormatError, match="^line 2: "):
+        parse_config(f"# run\n{line}\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    key=st.sampled_from(sorted(CONFIG_KEYS)),
+    value=st.sampled_from(["nan", "inf", "-inf", "-1", "0", "banana", ""])
+    | st.floats().map(str)
+    | st.integers(-(10**6), 10**6).map(str),
+    blank_lines=st.integers(0, 3),
+)
+def test_parse_config_corrupted_value_parses_or_names_its_line(key, value, blank_lines):
+    line_no = blank_lines + 1
+    try:
+        parse_config("\n" * blank_lines + f"{key} = {value}\n")
+    except DataFormatError as exc:
+        assert str(exc).startswith(f"line {line_no}: ")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from uwconvoy.sim import (
     DetectorNoise,
     FootageScene,
     Pose,
+    SimTrace,
     TargetModel,
     TrajectoryScript,
     composite_script,
@@ -22,6 +23,7 @@ from uwconvoy.sim import (
     run_convoy,
     render_trace_frames,
     step_follower,
+    trace_annotations,
     turn_script,
     wrap_angle,
 )
@@ -438,3 +440,10 @@ def test_render_trace_frames_deterministic():
     assert len(a) == len(b) == 15  # trace ends at t = 0.98; frames 0/15 .. 14/15
     for fa, fb in zip(a, b):
         assert np.array_equal(fa.samples, fb.samples)
+
+
+@pytest.mark.parametrize("fps", [0.0, -3.0, math.inf])
+def test_trace_sampling_rejects_fps_that_never_advances(fps):
+    # the check runs before the sampling loop, so an empty trace suffices
+    with pytest.raises(ValueError, match="fps"):
+        trace_annotations(SimTrace([]), fps)
