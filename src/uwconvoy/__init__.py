@@ -26,13 +26,9 @@ from .losses import (
 from .mdpm import (
     MdpmConfig,
     MdpmTracker,
-    MotionDirection,
     SpectralDetection,
     SubWindowGrid,
     detect_periodic_target,
-    dtft_amplitude,
-    enumerate_directions,
-    hmm_prune,
 )
 from .servo import (
     ControlCommand,
@@ -66,7 +62,6 @@ from .evaluation import (
     TrackStats,
     classify_frames,
     histogram_report,
-    measure_fps,
     metrics_summary,
     select_threshold,
     track_statistics,

@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_mdpm = sub.add_parser("mdpm", help="detect periodic motion over a frame directory")
     p_mdpm.add_argument("--frames", required=True, help="directory of PGM frames")
-    p_mdpm.add_argument("--fps", type=float, required=True)
+    p_mdpm.add_argument("--fps", type=_finite_float, required=True)
     p_mdpm.add_argument("--out", required=True, help="prediction CSV path")
 
     p_servo = sub.add_parser("servo-sim", help="convoy run with a servo error summary")

@@ -11,9 +11,8 @@ positives. Ratio metrics with empty denominators are reported as None
 from __future__ import annotations
 
 import statistics
-import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -289,20 +288,6 @@ def histogram_report(
         tn_runs=tuple(int(v) for v in tn_hist),
         fn_runs=tuple(int(v) for v in fn_run_hist),
     )
-
-
-def measure_fps(detector: Callable[[object], object], frames: Sequence[object]) -> float:
-    """Median frames-per-second of the detector over five batch runs."""
-    if not frames:
-        raise ValueError("no frames to measure")
-    rates = []
-    for _ in range(5):
-        start = time.perf_counter()
-        for frame in frames:
-            detector(frame)
-        elapsed = max(time.perf_counter() - start, 1e-9)
-        rates.append(len(frames) / elapsed)
-    return statistics.median(rates)
 
 
 def confidence_iou_correlation(results: Sequence[FrameResult]) -> float | None:

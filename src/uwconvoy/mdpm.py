@@ -9,12 +9,16 @@ proportional to the normalized squared intensity change observed along the
 direction. The surviving directions are scanned for high spectral amplitude
 in the gait band; a sufficiently strong in-band peak localizes the target
 at the direction's terminal sub-window.
+
+Every step runs as one array pipeline over all candidate directions at
+once. ``MdpmTracker`` feeds it frame by frame; ``detect_periodic_target`` is
+the one-shot form over a fresh tracker.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -65,15 +69,6 @@ class SubWindowGrid:
         )
 
 
-@dataclass(eq=False)
-class MotionDirection:
-    """A candidate motion hypothesis: one sub-window per buffered frame."""
-
-    window_path: tuple[int, ...]
-    intensity_series: np.ndarray
-    likelihood: float = 0.0
-
-
 @dataclass(frozen=True)
 class SpectralDetection:
     """A periodic-motion hit: winning sub-window, peak frequency, strength."""
@@ -110,24 +105,6 @@ class MdpmConfig:
             raise ValueError("band_step must be positive")
         if self.motion_sigma <= 0:
             raise ValueError("motion_sigma must be positive")
-
-
-def dtft_amplitude(series: Sequence[float], sample_rate: float, frequency: float) -> float:
-    """Spectral amplitude of a mean-removed series at one frequency.
-
-    Mean removal suppresses the DC term so constant series score 0 at every
-    frequency.
-    """
-    s = np.asarray(series, dtype=float)
-    if s.ndim != 1 or s.size < 2:
-        raise ValueError("series must hold at least 2 samples")
-    if not 0.0 < frequency < sample_rate / 2.0:
-        raise ValueError(
-            f"frequency {frequency} outside (0, Nyquist={sample_rate / 2.0})"
-        )
-    centered = s - s.mean()
-    t = np.arange(s.size)
-    return float(abs(np.sum(centered * np.exp(-2j * np.pi * frequency * t / sample_rate))))
 
 
 @lru_cache(maxsize=32)
@@ -168,17 +145,22 @@ def _emission_log_scores(series: np.ndarray) -> np.ndarray:
     return np.log((q + _EMISSION_EPS) / (top + _EMISSION_EPS)).sum(axis=1)
 
 
-def _path_order(likelihood: np.ndarray, paths: np.ndarray) -> np.ndarray:
-    """Indices by descending likelihood; ties by lowest terminal window then
-    lexicographic path (the input is pre-sorted lexicographically)."""
-    return np.lexsort((np.arange(len(likelihood)), paths[:, -1], -likelihood))
+def _ranked_paths(
+    means: np.ndarray, sigma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Score every candidate path over buffered cell means (T, rows, cols).
 
-
-def _gather_series(means: np.ndarray, paths: np.ndarray) -> np.ndarray:
-    """Intensity series per path, shape (n_paths, T)."""
-    t = np.arange(means.shape[0])
-    flat_means = means.reshape(means.shape[0], -1)
-    return flat_means[t[None, :], paths].astype(float)
+    Returns the paths (lexicographic order), their intensity series, their
+    log-likelihoods, and the path indices by descending likelihood; ties go
+    to the lowest terminal window, then the lexicographically first path.
+    """
+    length, rows, cols = means.shape
+    paths = _candidate_paths(rows, cols, length)
+    series = means.reshape(length, -1)[np.arange(length)[None, :], paths].astype(float)
+    scores = _transition_log_scores(paths, cols, sigma)
+    scores = scores + _emission_log_scores(series)
+    order = np.lexsort((np.arange(len(scores)), paths[:, -1], -scores))
+    return paths, series, scores, order
 
 
 def _frame_cell_means(samples: np.ndarray, grid: SubWindowGrid) -> np.ndarray:
@@ -186,65 +168,6 @@ def _frame_cell_means(samples: np.ndarray, grid: SubWindowGrid) -> np.ndarray:
     ws = grid.window_size
     cropped = samples[: grid.rows * ws, : grid.columns * ws]
     return cropped.reshape(grid.rows, ws, grid.columns, ws).mean(axis=(1, 3))
-
-
-def _check_buffer(frames: Sequence[IntensityGrid]) -> tuple[int, int]:
-    if not frames:
-        raise ValueError("empty frame buffer")
-    w, h = frames[0].width, frames[0].height
-    for f in frames[1:]:
-        if (f.width, f.height) != (w, h):
-            raise ValueError(
-                f"mismatched frame dimensions: {f.width}x{f.height} vs {w}x{h}"
-            )
-    return w, h
-
-
-def enumerate_directions(
-    frames: Sequence[IntensityGrid], grid: SubWindowGrid | None = None
-) -> list[MotionDirection]:
-    """Candidate motion directions with their captured intensity series.
-
-    Every direction steps through spatially adjacent (or identical)
-    sub-windows, one per buffered frame.
-    """
-    w, h = _check_buffer(frames)
-    if grid is None:
-        grid = SubWindowGrid.for_frame(w, h)
-    means = np.stack([_frame_cell_means(f.samples, grid) for f in frames])
-    paths = _candidate_paths(grid.rows, grid.columns, len(frames))
-    series = _gather_series(means, paths)
-    return [
-        MotionDirection(tuple(int(i) for i in paths[d]), series[d])
-        for d in range(paths.shape[0])
-    ]
-
-
-def hmm_prune(
-    directions: Sequence[MotionDirection],
-    prune_count: int,
-    grid: SubWindowGrid,
-    motion_sigma: float = 1.0,
-) -> list[MotionDirection]:
-    """Keep the most likely directions, sorted by descending path likelihood.
-
-    Likelihood combines Gaussian transition weights over cell displacement
-    with emission weights on the squared intensity changes along the path;
-    the grid maps flat window indices back onto cells.
-    """
-    if not directions:
-        raise ValueError("no directions to prune")
-    if prune_count < 1:
-        raise ValueError("prune_count must be >= 1")
-    paths = np.array([d.window_path for d in directions])
-    series = np.stack([np.asarray(d.intensity_series, dtype=float) for d in directions])
-    scores = _transition_log_scores(paths, grid.columns, motion_sigma)
-    scores = scores + _emission_log_scores(series)
-    order = _path_order(scores, paths)
-    return [
-        replace(directions[i], likelihood=float(scores[i]))
-        for i in order[:prune_count]
-    ]
 
 
 def _band_frequencies(config: MdpmConfig, sample_rate: float) -> np.ndarray:
@@ -265,31 +188,6 @@ def _amplitude_matrix(series: np.ndarray, sample_rate: float, freqs: np.ndarray)
     return np.abs(centered @ kernel)
 
 
-def detect_periodic_target(
-    buffer: Sequence[IntensityGrid], config: MdpmConfig = MdpmConfig()
-) -> SpectralDetection | None:
-    """Locate a periodically moving target in the buffered frames.
-
-    Scans the pruned directions over the configured band on a fixed
-    frequency grid and reports the strongest peak if it clears the
-    threshold. Ties break toward the lowest terminal window index, then the
-    lowest frequency. Buffers longer than the configured length use the
-    most recent frames; shorter buffers are an error.
-    """
-    if len(buffer) < config.buffer_length:
-        raise ValueError(
-            f"buffer holds {len(buffer)} frames, need {config.buffer_length}"
-        )
-    if config.buffer_length < 2:
-        raise ValueError("detection needs a buffer of at least 2 frames")
-    frames = list(buffer)[-config.buffer_length:]
-    w, h = _check_buffer(frames)
-    grid = SubWindowGrid.for_frame(w, h, config.window_size)
-    means = np.stack([_frame_cell_means(f.samples, grid) for f in frames])
-    timestamps = np.array([f.timestamp for f in frames])
-    return _detect_from_means(means, timestamps, grid, config)
-
-
 def _detect_from_means(
     means: np.ndarray, timestamps: np.ndarray, grid: SubWindowGrid, config: MdpmConfig
 ) -> SpectralDetection | None:
@@ -298,11 +196,7 @@ def _detect_from_means(
         raise ValueError("frame timestamps must be strictly increasing")
     sample_rate = (len(timestamps) - 1) / span
 
-    paths = _candidate_paths(grid.rows, grid.columns, means.shape[0])
-    series = _gather_series(means, paths)
-    scores = _transition_log_scores(paths, grid.columns, config.motion_sigma)
-    scores = scores + _emission_log_scores(series)
-    order = _path_order(scores, paths)
+    paths, series, _, order = _ranked_paths(means, config.motion_sigma)
     survivors = order[: config.prune_count]
 
     freqs = _band_frequencies(config, sample_rate)
@@ -371,3 +265,26 @@ class MdpmTracker:
             self._grid,
             self.config,
         )
+
+
+def detect_periodic_target(
+    buffer: Sequence[IntensityGrid], config: MdpmConfig = MdpmConfig()
+) -> SpectralDetection | None:
+    """Locate a periodically moving target in the buffered frames.
+
+    Scans the pruned directions over the configured band on a fixed
+    frequency grid and reports the strongest peak if it clears the
+    threshold. Ties break toward the lowest terminal window index, then the
+    lowest frequency. Buffers longer than the configured length use the
+    most recent frames; shorter buffers are an error.
+    """
+    if len(buffer) < config.buffer_length:
+        raise ValueError(
+            f"buffer holds {len(buffer)} frames, need {config.buffer_length}"
+        )
+    if config.buffer_length < 2:
+        raise ValueError("detection needs a buffer of at least 2 frames")
+    tracker = MdpmTracker(config)
+    for frame in list(buffer)[-config.buffer_length:]:
+        detection = tracker.push(frame)
+    return detection

@@ -1,7 +1,7 @@
 """Independent reference computations used to freeze expected test values.
 
 Everything here deliberately avoids the library's own code paths: pixel
-counting for overlap, straight-line trigonometry for losses, exhaustive
+counting for overlap, straight-line trigonometry for losses, plain-loop
 path enumeration for direction scoring, and ray sampling for projection.
 """
 
@@ -57,6 +57,23 @@ def straight_line_rrolo(pred, truth_box, present, weights) -> float:
     loss += a_coord * ((math.sqrt(tw) - math.sqrt(w)) ** 2 + (math.sqrt(th) - math.sqrt(h)) ** 2)
     loss += a_obj * (overlap - p) ** 2
     return loss
+
+
+def straight_line_paths(rows: int, cols: int, length: int) -> list[tuple[int, ...]]:
+    """Every straight sub-window path, one cell step per frame at a velocity
+    in {-1, 0, 1}^2 and clamped at the grid border; deduplicated, sorted."""
+    paths = set()
+    for r0 in range(rows):
+        for c0 in range(cols):
+            for dr in (-1, 0, 1):
+                for dc in (-1, 0, 1):
+                    path = []
+                    for t in range(length):
+                        r = min(max(r0 + t * dr, 0), rows - 1)
+                        c = min(max(c0 + t * dc, 0), cols - 1)
+                        path.append(r * cols + c)
+                    paths.add(tuple(path))
+    return sorted(paths)
 
 
 def all_adjacent_paths(rows: int, cols: int, length: int) -> list[tuple[int, ...]]:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from uwconvoy.fileio import (
     parse_predictions,
     write_frame_dir,
 )
-from uwconvoy.geometry import Annotation, BoundingBox
+from uwconvoy.geometry import Annotation, BoundingBox, IntensityGrid
 from uwconvoy.mdpm import MdpmConfig
 from uwconvoy.sim import FootageScene, Pose, TargetModel
 
@@ -205,6 +207,47 @@ def test_mdpm_subcommand(tmp_path):
     assert all(box is None for _, box in rows[:warmup])
     hits = [box for _, box in rows[warmup:] if box is not None]
     assert len(hits) > len(rows[warmup:]) * 0.8
+
+
+# SHA-256 of the predictions that `sim --seed 3` footage (6 s, 90 frames, 81
+# boxed) gives through `mdpm --fps 15`; frozen so a refactor of the detector
+# has to keep its output bytes.
+GOLDEN_PREDICTIONS_SHA256 = "d6805d1c1b2e0b4189127f7002cb7f6a4f459d59b4c2237afbb55dbf3ca89008"
+
+
+def test_sim_mdpm_predictions_golden_hash(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("sim.duration = 6\n")
+    frames_dir = tmp_path / "frames"
+    assert run_cli(
+        [
+            "sim",
+            "--config", str(config),
+            "--out", str(tmp_path / "trace.csv"),
+            "--seed", "3",
+            "--frames-out", str(frames_dir),
+        ]
+    ) == 0
+    predictions = tmp_path / "predictions.csv"
+    assert run_cli(
+        ["mdpm", "--frames", str(frames_dir), "--fps", "15", "--out", str(predictions)]
+    ) == 0
+    data = predictions.read_bytes()
+    rows = parse_predictions(data.decode())
+    assert (len(rows), sum(box is not None for _, box in rows)) == (90, 81)
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_PREDICTIONS_SHA256
+
+
+@pytest.mark.parametrize("fps, code", [("nan", 1), ("inf", 1), ("0", 2)])
+def test_mdpm_rejects_meaningless_fps(tmp_path, capsys, fps, code):
+    rng = np.random.default_rng(5)
+    frames = [IntensityGrid(60, 60, rng.uniform(0, 1, (60, 60)), i / 15.0) for i in range(12)]
+    frame_dir = tmp_path / "frames"
+    write_frame_dir(frames, frame_dir)
+    out = tmp_path / "detections.csv"
+    assert run_cli(["mdpm", "--frames", str(frame_dir), "--fps", fps, "--out", str(out)]) == code
+    assert capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_servo_sim_subcommand(tmp_path, capsys):

@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from uwconvoy.evaluation import (
     classify_frames,
     confidence_iou_correlation,
     histogram_report,
-    measure_fps,
     metrics_summary,
     select_threshold,
     track_statistics,
@@ -261,22 +258,7 @@ def test_histogram_rejects_bad_bins():
 
 
 # ---------------------------------------------------------------------------
-# fps and correlation
-
-def test_measure_fps_noop_detector():
-    fps = measure_fps(lambda frame: None, list(range(100)))
-    assert fps > 0 and np.isfinite(fps)
-
-
-def test_measure_fps_sleepy_detector():
-    fps = measure_fps(lambda frame: time.sleep(0.01), list(range(20)))
-    assert fps == pytest.approx(100.0, abs=20.0)
-
-
-def test_measure_fps_empty_rejected():
-    with pytest.raises(ValueError):
-        measure_fps(lambda frame: None, [])
-
+# correlation
 
 def test_confidence_iou_correlation():
     results = [

@@ -1,20 +1,29 @@
-import math
+import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwconvoy.geometry import IntensityGrid
 from uwconvoy.mdpm import (
     MdpmConfig,
     MdpmTracker,
     SubWindowGrid,
+    _amplitude_matrix,
+    _band_frequencies,
+    _candidate_paths,
+    _frame_cell_means,
+    _ranked_paths,
     detect_periodic_target,
-    dtft_amplitude,
-    enumerate_directions,
-    hmm_prune,
 )
 
-from oracles import all_adjacent_paths, reference_dft_amplitude, score_path
+from oracles import (
+    all_adjacent_paths,
+    reference_dft_amplitude,
+    score_path,
+    straight_line_paths,
+)
 
 
 def frames_from_cells(cell_values: np.ndarray, window_size: int = 10, fps: float = 15.0):
@@ -29,21 +38,33 @@ def frames_from_cells(cell_values: np.ndarray, window_size: int = 10, fps: float
     return frames
 
 
+def amplitude(series, sample_rate: float, frequency: float) -> float:
+    """The detector's spectral amplitude of one series at one frequency."""
+    row = np.asarray(series, dtype=float)[None, :]
+    return float(_amplitude_matrix(row, sample_rate, np.array([frequency]))[0, 0])
+
+
+def ranked(cells: np.ndarray, sigma: float = 1.0):
+    """Ranked candidate paths as tuples, with their series and scores."""
+    paths, series, scores, order = _ranked_paths(cells, sigma)
+    return [(tuple(paths[i].tolist()), series[i], float(scores[i])) for i in order]
+
+
 # ---------------------------------------------------------------------------
 # dtft
 
 def test_dtft_constant_series_is_zero_everywhere():
     series = np.full(32, 0.7)
     for f in (1.0, 1.5, 2.9):
-        assert dtft_amplitude(series, 15.0, f) == pytest.approx(0.0, abs=1e-12)
+        assert amplitude(series, 15.0, f) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dtft_integer_period_sine_peak():
     fs, n = 15.0, 150
     series = np.sin(2 * np.pi * 2.0 * np.arange(n) / fs)
-    assert dtft_amplitude(series, fs, 2.0) == pytest.approx(75.0, abs=1e-6)
+    assert amplitude(series, fs, 2.0) == pytest.approx(75.0, abs=1e-6)
     scan = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
-    amps = [dtft_amplitude(series, fs, f) for f in scan]
+    amps = _amplitude_matrix(series[None, :], fs, scan)[0]
     assert scan[int(np.argmax(amps))] == 2.0
 
 
@@ -51,7 +72,7 @@ def test_dtft_matches_reference_sum():
     rng = np.random.default_rng(1)
     series = rng.uniform(0, 1, 24)
     for f in (1.0, 2.2, 3.0):
-        assert dtft_amplitude(series, 15.0, f) == pytest.approx(
+        assert amplitude(series, 15.0, f) == pytest.approx(
             reference_dft_amplitude(series, 15.0, f), abs=1e-9
         )
 
@@ -59,18 +80,20 @@ def test_dtft_matches_reference_sum():
 def test_dtft_offset_invariance_and_linearity():
     rng = np.random.default_rng(2)
     series = rng.uniform(0, 1, 20)
-    base = dtft_amplitude(series, 15.0, 2.0)
-    assert dtft_amplitude(series + 0.35, 15.0, 2.0) == pytest.approx(base, abs=1e-9)
-    assert dtft_amplitude(series * 3.0, 15.0, 2.0) == pytest.approx(3.0 * base, rel=1e-12)
+    base = amplitude(series, 15.0, 2.0)
+    assert amplitude(series + 0.35, 15.0, 2.0) == pytest.approx(base, abs=1e-9)
+    assert amplitude(series * 3.0, 15.0, 2.0) == pytest.approx(3.0 * base, rel=1e-12)
 
 
 def test_dtft_preconditions():
-    with pytest.raises(ValueError):
-        dtft_amplitude([0.5], 15.0, 2.0)
-    with pytest.raises(ValueError):
-        dtft_amplitude([0.5, 0.6], 15.0, 0.0)
-    with pytest.raises(ValueError):
-        dtft_amplitude([0.5, 0.6], 15.0, 7.5)  # at Nyquist
+    # a single frame holds no frequency: detection needs two
+    frames = frames_from_cells(np.full((1, 3, 3), 0.5))
+    with pytest.raises(ValueError, match="at least 2 frames"):
+        detect_periodic_target(frames, MdpmConfig(buffer_length=1))
+    with pytest.raises(ValueError, match="Nyquist"):
+        _band_frequencies(MdpmConfig(band=(1.0, 7.5)), 15.0)
+    with pytest.raises(ValueError, match="band"):
+        MdpmConfig(band=(0.0, 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -94,33 +117,32 @@ def test_grid_rejects_tiny_frames():
 
 
 # ---------------------------------------------------------------------------
-# enumerate_directions
+# candidate paths
 
 def test_single_frame_buffer_gives_single_window_paths():
-    frames = frames_from_cells(np.full((1, 3, 3), 0.5))
-    grid = SubWindowGrid.for_frame(30, 30, 10)
-    directions = enumerate_directions(frames, grid)
-    assert len(directions) == 9
-    assert sorted(d.window_path for d in directions) == [(i,) for i in range(9)]
-    assert all(d.intensity_series.shape == (1,) for d in directions)
+    directions = ranked(np.full((1, 3, 3), 0.5))
+    assert sorted(path for path, _, _ in directions) == [(i,) for i in range(9)]
+    assert all(series.shape == (1,) for _, series, _ in directions)
 
 
 def test_uniform_frames_give_constant_series():
     frames = frames_from_cells(np.full((10, 3, 4), 0.5))
     grid = SubWindowGrid.for_frame(40, 30, 10)
-    for d in enumerate_directions(frames, grid):
-        assert np.all(d.intensity_series == 0.5)
+    means = np.stack([_frame_cell_means(f.samples, grid) for f in frames])
+    _, series, _, _ = _ranked_paths(means, 1.0)
+    assert series.shape == (len(_candidate_paths(3, 4, 10)), 10)
+    assert np.all(series == 0.5)
 
 
-def test_paths_satisfy_adjacency_invariant():
-    frames = frames_from_cells(np.full((10, 4, 5), 0.3))
-    grid = SubWindowGrid.for_frame(50, 40, 10)
-    for d in enumerate_directions(frames, grid):
-        assert len(d.window_path) == len(d.intensity_series) == 10
-        for a, b in zip(d.window_path, d.window_path[1:]):
-            ra, ca = divmod(a, grid.columns)
-            rb, cb = divmod(b, grid.columns)
-            assert abs(ra - rb) <= 1 and abs(ca - cb) <= 1
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    length=st.integers(1, 10),
+)
+def test_candidate_paths_match_straight_line_oracle(rows, cols, length):
+    paths = _candidate_paths(rows, cols, length)
+    assert [tuple(p) for p in paths.tolist()] == straight_line_paths(rows, cols, length)
 
 
 def _moving_blob_cells(length: int, cols: int, background=0.4, bright=0.95, dim=0.15):
@@ -132,38 +154,33 @@ def _moving_blob_cells(length: int, cols: int, background=0.4, bright=0.95, dim=
 
 
 def test_blob_following_series_has_largest_variance():
-    cells = _moving_blob_cells(10, 10)
-    frames = frames_from_cells(cells)
-    grid = SubWindowGrid.for_frame(100, 10, 10)
-    directions = {d.window_path: d for d in enumerate_directions(frames, grid)}
-    follower = directions[tuple(range(10))]
-    follower_var = float(np.var(follower.intensity_series))
-    for path, d in directions.items():
+    directions = {path: series for path, series, _ in ranked(_moving_blob_cells(10, 10))}
+    follower_var = float(np.var(directions[tuple(range(10))]))
+    for path, series in directions.items():
         if len(set(path)) == 1:  # static paths
-            assert float(np.var(d.intensity_series)) < follower_var
+            assert float(np.var(series)) < follower_var
 
 
 def test_mismatched_frame_dimensions_rejected():
     a = IntensityGrid(30, 30, np.zeros((30, 30)), 0.0)
     b = IntensityGrid(40, 30, np.zeros((30, 40)), 0.1)
-    with pytest.raises(ValueError):
-        enumerate_directions([a, b], SubWindowGrid.for_frame(30, 30, 10))
-    with pytest.raises(ValueError):
-        enumerate_directions([], SubWindowGrid.for_frame(30, 30, 10))
+    with pytest.raises(ValueError, match="dimensions"):
+        detect_periodic_target([a, b], MdpmConfig(window_size=10, buffer_length=2))
+    with pytest.raises(ValueError, match="buffer holds 0 frames"):
+        detect_periodic_target([], MdpmConfig(window_size=10, buffer_length=2))
 
 
 # ---------------------------------------------------------------------------
-# hmm_prune
+# path ranking and pruning
 
 def test_prune_keeps_all_when_p_large():
-    frames = frames_from_cells(_moving_blob_cells(3, 3))
-    grid = SubWindowGrid.for_frame(30, 10, 10)
-    directions = enumerate_directions(frames, grid)
-    pruned = hmm_prune(directions, len(directions) + 5, grid)
-    assert len(pruned) == len(directions)
-    likes = [d.likelihood for d in pruned]
+    directions = ranked(_moving_blob_cells(3, 3))
+    assert len(directions) == len(_candidate_paths(1, 3, 3))
+    likes = [score for _, _, score in directions]
     assert likes == sorted(likes, reverse=True)
-    assert {d.window_path for d in pruned} == {d.window_path for d in directions}
+    assert {path for path, _, _ in directions} == {
+        tuple(p) for p in _candidate_paths(1, 3, 3).tolist()
+    }
 
 
 def test_prune_winner_matches_exhaustive_oracle_on_3x3():
@@ -172,13 +189,9 @@ def test_prune_winner_matches_exhaustive_oracle_on_3x3():
     cells[0, 0, 0] = 0.95
     cells[1, 1, 1] = 0.15
     cells[2, 2, 2] = 0.95
-    frames = frames_from_cells(cells)
-    grid = SubWindowGrid.for_frame(30, 30, 10)
-    directions = enumerate_directions(frames, grid)
-
-    winner = hmm_prune(directions, 1, grid)[0]
+    winner_path, _, winner_likelihood = ranked(cells)[0]
     follower_path = (0, 4, 8)
-    assert winner.window_path == follower_path
+    assert winner_path == follower_path
 
     # oracle: score every 8-adjacent path (not just the straight candidates)
     flat = cells.reshape(3, 9)
@@ -193,28 +206,22 @@ def test_prune_winner_matches_exhaustive_oracle_on_3x3():
     }
     oracle_best = max(scores, key=lambda p: (scores[p], -p[-1]))
     assert oracle_best == follower_path
-    assert winner.likelihood == pytest.approx(scores[follower_path], abs=1e-9)
+    assert winner_likelihood == pytest.approx(scores[follower_path], abs=1e-9)
 
 
 def test_prune_tie_order_on_identical_series():
-    frames = frames_from_cells(np.full((5, 3, 3), 0.5))
-    grid = SubWindowGrid.for_frame(30, 30, 10)
-    directions = enumerate_directions(frames, grid)
-    pruned = hmm_prune(directions, 4, grid)
+    directions = ranked(np.full((5, 3, 3), 0.5))
     # stay-in-place paths tie at the top; lowest window indices win
-    assert [d.window_path for d in pruned] == [
+    assert [path for path, _, _ in directions[:4]] == [
         (0,) * 5, (1,) * 5, (2,) * 5, (3,) * 5
     ]
 
 
 def test_prune_rejects_empty_and_bad_p():
-    frames = frames_from_cells(np.full((3, 3, 3), 0.5))
-    grid = SubWindowGrid.for_frame(30, 30, 10)
-    directions = enumerate_directions(frames, grid)
-    with pytest.raises(ValueError):
-        hmm_prune([], 1, grid)
-    with pytest.raises(ValueError):
-        hmm_prune(directions, 0, grid)
+    with pytest.raises(ValueError, match="prune_count"):
+        MdpmConfig(prune_count=0)
+    with pytest.raises(ValueError, match="buffer_length"):
+        MdpmConfig(buffer_length=0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,36 +269,92 @@ def test_detect_oscillating_cell():
     assert det.bbox.y <= cy <= det.bbox.y + det.bbox.h
 
 
-def test_detect_matches_public_op_composition():
-    frames = oscillating_cell_frames(seed=3, phase=2.1)
-    config = MdpmConfig()
-    det = detect_periodic_target(frames, config)
-
-    grid = SubWindowGrid.for_frame(320, 240, config.window_size)
-    directions = enumerate_directions(frames, grid)
-    survivors = hmm_prune(directions, config.prune_count, grid, config.motion_sigma)
+def oracle_scan(frames, config):
+    """Ranked directions, scan frequencies and every amplitude, from the
+    oracles alone: plain-loop path enumeration, `score_path` ranking and
+    plain-sum amplitudes over block-mean cell intensities."""
+    ws = config.window_size
+    rows, cols = frames[0].height // ws, frames[0].width // ws
+    means = [
+        [
+            float(f.samples[r * ws:(r + 1) * ws, c * ws:(c + 1) * ws].mean())
+            for r in range(rows)
+            for c in range(cols)
+        ]
+        for f in frames
+    ]
+    paths = straight_line_paths(rows, cols, len(frames))
+    series = {p: [means[t][cell] for t, cell in enumerate(p)] for p in paths}
+    top_change = max(
+        (s1 - s0) ** 2 for s in series.values() for s0, s1 in zip(s, s[1:])
+    )
+    score = {
+        p: score_path(p, series[p], cols, config.motion_sigma, top_change)
+        for p in paths
+    }
+    ranking = sorted(paths, key=lambda p: (-score[p], p[-1], p))
     fs = (len(frames) - 1) / (frames[-1].timestamp - frames[0].timestamp)
     scan = [
         round(config.band[0] + k * config.band_step, 10)
         for k in range(int(round((config.band[1] - config.band[0]) / config.band_step)) + 1)
     ]
-    all_amps = [
-        dtft_amplitude(d.intensity_series, fs, f) for d in directions for f in scan
-    ]
-    threshold = config.threshold_factor * float(np.median(all_amps))
-    best = max(
-        ((d, f) for d in survivors for f in scan),
-        key=lambda pair: (
-            dtft_amplitude(pair[0].intensity_series, fs, pair[1]),
-            -pair[0].window_path[-1],
-            -pair[1],
-        ),
+    amp = {(p, f): reference_dft_amplitude(series[p], fs, f) for p in paths for f in scan}
+    return ranking, scan, amp
+
+
+def oracle_best(ranking, scan, amp, prune_count):
+    """Strongest (path, frequency) among the top directions; ties go to the
+    lowest terminal window, then the lowest frequency."""
+    return max(
+        ((p, f) for p in ranking[:prune_count] for f in scan),
+        key=lambda pair: (amp[pair], -pair[0][-1], -pair[1]),
     )
-    best_amp = dtft_amplitude(best[0].intensity_series, fs, best[1])
-    assert det is not None and best_amp > threshold
-    assert det.window_index == best[0].window_path[-1]
+
+
+def test_detect_matches_public_op_composition():
+    """Detection equals the scoring rule composed from the oracles alone."""
+    frames = oscillating_cell_frames(seed=3, phase=2.1)
+    config = MdpmConfig()
+    det = detect_periodic_target(frames, config)
+
+    ranking, scan, amp = oracle_scan(frames, config)
+    median = statistics.median(amp.values())
+    best = oracle_best(ranking, scan, amp, config.prune_count)
+    assert det is not None and amp[best] > config.threshold_factor * median
+    assert det.window_index == best[0][-1]
     assert det.peak_frequency == pytest.approx(best[1], abs=1e-9)
-    assert det.amplitude == pytest.approx(best_amp, abs=1e-9)
+    assert det.amplitude == pytest.approx(amp[best], abs=1e-9)
+
+    # the threshold is the factor times the median over every candidate
+    ratio = amp[best] / median
+    assert detect_periodic_target(frames, replace(config, threshold_factor=ratio * 1.001)) is None
+    assert detect_periodic_target(frames, replace(config, threshold_factor=ratio * 0.999))
+
+
+def test_detect_prune_count_matches_oracle_ranking():
+    """Only the top prune_count directions compete for the peak."""
+    frames = oscillating_cell_frames(amplitude=0.0, noise=0.05, seed=4)
+    config = MdpmConfig(amplitude_threshold=0.0)
+    ranking, scan, amp = oracle_scan(frames, config)
+    winners = set()
+    for prune_count in (1, 2, 4, 8, 16, 32):
+        best = oracle_best(ranking, scan, amp, prune_count)
+        det = detect_periodic_target(frames, replace(config, prune_count=prune_count))
+        assert det is not None and det.window_index == best[0][-1]
+        assert det.peak_frequency == pytest.approx(best[1], abs=1e-9)
+        assert det.amplitude == pytest.approx(amp[best], abs=1e-9)
+        winners.add(best)
+    assert len(winners) > 2  # the prune count changes the winning direction
+
+
+def test_detect_amplitude_tie_goes_to_lowest_window():
+    # two cells carry the same oscillation: their static paths tie exactly
+    cells = np.full((10, 8, 10), 0.4)
+    wave = 0.5 + 0.3 * np.sin(2 * np.pi * 2.0 * np.arange(10) / 15.0)
+    cells[:, 5, 7] = wave
+    cells[:, 2, 3] = wave
+    det = detect_periodic_target(frames_from_cells(cells, window_size=30))
+    assert det is not None and det.window_index == 2 * 10 + 3
 
 
 def test_detect_noise_only_rarely_fires():
