@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, fileio
-from .mdpm import MdpmTracker
+from .mdpm import MdpmConfig, MdpmTracker, _band_frequencies
 from .sim import FootageScene, run_convoy, render_trace_frames, trace_annotations
 
 USAGE_ERROR = 1
@@ -131,8 +131,18 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_mdpm(args) -> int:
+    config = MdpmConfig()
+    try:
+        _band_frequencies(config, args.fps)
+    except ValueError as exc:
+        raise ValueError(f"--fps {args.fps:g} is too low: {exc}") from None
     frames = fileio.load_frame_dir(args.frames, args.fps)
-    tracker = MdpmTracker()
+    if len(frames) < config.buffer_length:
+        raise fileio.DataFormatError(
+            f"{args.frames} holds {len(frames)} frames; detection needs "
+            f"at least {config.buffer_length}"
+        )
+    tracker = MdpmTracker(config)
     rows = []
     for i, frame in enumerate(frames):
         detection = tracker.push(frame)

@@ -288,19 +288,3 @@ def histogram_report(
         tn_runs=tuple(int(v) for v in tn_hist),
         fn_runs=tuple(int(v) for v in fn_run_hist),
     )
-
-
-def confidence_iou_correlation(results: Sequence[FrameResult]) -> float | None:
-    """Pearson correlation between confidence and overlap across TPs.
-
-    None when fewer than two TPs exist or either series is constant.
-    """
-    pairs = [
-        (r.prediction.p, r.iou) for r in results if r.classification == "TP"
-    ]
-    if len(pairs) < 2:
-        return None
-    conf, overlap = np.asarray(pairs).T
-    if conf.std() == 0 or overlap.std() == 0:
-        return None
-    return float(np.corrcoef(conf, overlap)[0, 1])

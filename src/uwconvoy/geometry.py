@@ -12,9 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Slack for float round-off in the x+w <= 1 style checks only; coordinates
-# themselves are validated against exact bounds.
-_SUM_EPS = 1e-9
+# Slack for float round-off in the per-field [0, 1] checks.
+_FIELD_EPS = 1e-9
+# Slack in the x+w <= 1 and y+h <= 1 checks: the file formats round each
+# field to 6 decimals, up to 5e-7, so a box that touches the right or bottom
+# edge can read back up to 1e-6 past it; float round-off comes on top.
+_SUM_EPS = 1e-6 + _FIELD_EPS
 
 
 @dataclass(frozen=True)
@@ -32,15 +35,12 @@ class BoundingBox:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"box field {name} is not finite: {v!r}")
-            if not -_SUM_EPS <= v <= 1.0 + _SUM_EPS:
+            if not -_FIELD_EPS <= v <= 1.0 + _FIELD_EPS:
                 raise ValueError(f"box field {name} out of [0,1]: {v!r}")
         if self.x + self.w > 1.0 + _SUM_EPS:
             raise ValueError(f"box exceeds right edge: x+w = {self.x + self.w!r}")
         if self.y + self.h > 1.0 + _SUM_EPS:
             raise ValueError(f"box exceeds bottom edge: y+h = {self.y + self.h!r}")
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.x, self.y, self.w, self.h, self.p)
 
 
 @dataclass(frozen=True)

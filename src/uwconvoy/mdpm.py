@@ -28,6 +28,10 @@ from .geometry import BoundingBox, IntensityGrid
 
 # Floor inside emission logs so zero-change steps stay finite.
 _EMISSION_EPS = 1e-12
+# Spacing of the scanned frequency grid across the gait band, Hz.
+_BAND_STEP = 0.1
+# Width of the Gaussian transition weights over cell displacement, in cells.
+_MOTION_SIGMA = 1.0
 
 
 @dataclass(frozen=True)
@@ -41,7 +45,7 @@ class SubWindowGrid:
     frame_height: int
 
     @classmethod
-    def for_frame(cls, frame_width: int, frame_height: int, window_size: int = 30) -> "SubWindowGrid":
+    def for_frame(cls, frame_width: int, frame_height: int, window_size: int) -> "SubWindowGrid":
         if window_size <= 0:
             raise ValueError(f"window_size must be positive, got {window_size}")
         cols = frame_width // window_size
@@ -52,10 +56,6 @@ class SubWindowGrid:
                 f"{window_size}px sub-window"
             )
         return cls(window_size, cols, rows, frame_width, frame_height)
-
-    @property
-    def cell_count(self) -> int:
-        return self.rows * self.columns
 
     def cell_bbox(self, index: int, confidence: float = 1.0) -> BoundingBox:
         """Normalized box covering one sub-window of the original frame."""
@@ -85,26 +85,21 @@ class MdpmConfig:
     buffer_length: int = 10
     prune_count: int = 10
     band: tuple[float, float] = (1.0, 3.0)
-    band_step: float = 0.1
     # Detection fires when the best in-band amplitude exceeds
     # threshold_factor times the median scanned amplitude over all candidate
     # directions; amplitude_threshold, when set, overrides with an absolute
     # level.
     threshold_factor: float = 6.0
     amplitude_threshold: float | None = None
-    motion_sigma: float = 1.0
 
     def __post_init__(self):
-        if self.buffer_length < 1:
-            raise ValueError("buffer_length must be >= 1")
+        # a spectrum needs at least two samples
+        if self.buffer_length < 2:
+            raise ValueError(f"buffer_length must be >= 2, got {self.buffer_length}")
         if self.prune_count < 1:
             raise ValueError("prune_count must be >= 1")
         if not 0 < self.band[0] < self.band[1]:
             raise ValueError(f"invalid frequency band {self.band}")
-        if self.band_step <= 0:
-            raise ValueError("band_step must be positive")
-        if self.motion_sigma <= 0:
-            raise ValueError("motion_sigma must be positive")
 
 
 @lru_cache(maxsize=32)
@@ -125,11 +120,11 @@ def _candidate_paths(rows: int, cols: int, length: int) -> np.ndarray:
     return np.unique(flat, axis=0)
 
 
-def _transition_log_scores(paths: np.ndarray, cols: int, sigma: float) -> np.ndarray:
+def _transition_log_scores(paths: np.ndarray, cols: int) -> np.ndarray:
     """Sum of Gaussian displacement log-weights along each path."""
     rows_idx, cols_idx = np.divmod(paths, cols)
     d2 = np.diff(rows_idx, axis=1) ** 2 + np.diff(cols_idx, axis=1) ** 2
-    return -d2.sum(axis=1) / (2.0 * sigma * sigma)
+    return -d2.sum(axis=1) / (2.0 * _MOTION_SIGMA * _MOTION_SIGMA)
 
 
 def _emission_log_scores(series: np.ndarray) -> np.ndarray:
@@ -138,16 +133,12 @@ def _emission_log_scores(series: np.ndarray) -> np.ndarray:
     Normalization is by the largest squared step change over the whole
     candidate set, so scores are comparative within one buffer.
     """
-    if series.shape[1] < 2:
-        return np.zeros(series.shape[0])
     q = np.diff(series, axis=1) ** 2
     top = q.max()
     return np.log((q + _EMISSION_EPS) / (top + _EMISSION_EPS)).sum(axis=1)
 
 
-def _ranked_paths(
-    means: np.ndarray, sigma: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _ranked_paths(means: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Score every candidate path over buffered cell means (T, rows, cols).
 
     Returns the paths (lexicographic order), their intensity series, their
@@ -157,7 +148,7 @@ def _ranked_paths(
     length, rows, cols = means.shape
     paths = _candidate_paths(rows, cols, length)
     series = means.reshape(length, -1)[np.arange(length)[None, :], paths].astype(float)
-    scores = _transition_log_scores(paths, cols, sigma)
+    scores = _transition_log_scores(paths, cols)
     scores = scores + _emission_log_scores(series)
     order = np.lexsort((np.arange(len(scores)), paths[:, -1], -scores))
     return paths, series, scores, order
@@ -176,8 +167,8 @@ def _band_frequencies(config: MdpmConfig, sample_rate: float) -> np.ndarray:
         raise ValueError(
             f"band {config.band} reaches Nyquist for sample rate {sample_rate}"
         )
-    n = int(math.floor((hi - lo) / config.band_step + 1e-9))
-    return lo + config.band_step * np.arange(n + 1)
+    n = int(math.floor((hi - lo) / _BAND_STEP + 1e-9))
+    return lo + _BAND_STEP * np.arange(n + 1)
 
 
 def _amplitude_matrix(series: np.ndarray, sample_rate: float, freqs: np.ndarray) -> np.ndarray:
@@ -191,12 +182,11 @@ def _amplitude_matrix(series: np.ndarray, sample_rate: float, freqs: np.ndarray)
 def _detect_from_means(
     means: np.ndarray, timestamps: np.ndarray, grid: SubWindowGrid, config: MdpmConfig
 ) -> SpectralDetection | None:
-    span = timestamps[-1] - timestamps[0]
-    if span <= 0 or np.any(np.diff(timestamps) <= 0):
+    if np.any(np.diff(timestamps) <= 0):
         raise ValueError("frame timestamps must be strictly increasing")
-    sample_rate = (len(timestamps) - 1) / span
+    sample_rate = (len(timestamps) - 1) / (timestamps[-1] - timestamps[0])
 
-    paths, series, _, order = _ranked_paths(means, config.motion_sigma)
+    paths, series, _, order = _ranked_paths(means)
     survivors = order[: config.prune_count]
 
     freqs = _band_frequencies(config, sample_rate)
@@ -282,8 +272,6 @@ def detect_periodic_target(
         raise ValueError(
             f"buffer holds {len(buffer)} frames, need {config.buffer_length}"
         )
-    if config.buffer_length < 2:
-        raise ValueError("detection needs a buffer of at least 2 frames")
     tracker = MdpmTracker(config)
     for frame in list(buffer)[-config.buffer_length:]:
         detection = tracker.push(frame)

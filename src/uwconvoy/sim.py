@@ -24,6 +24,9 @@ from .geometry import Annotation, BoundingBox, IntensityGrid, clip_box_to_image,
 from .servo import STOP_COMMAND, ControlCommand, ServoConfig, ServoState, servo_update
 
 _PITCH_LIMIT = math.pi / 2 - 1e-6
+# Footage intensities of the background and of the leader's body.
+_BACKGROUND = 0.4
+_BODY_INTENSITY = 0.85
 
 
 def wrap_angle(a: float) -> float:
@@ -105,67 +108,43 @@ class TargetModel:
 
 @dataclass(frozen=True)
 class TrajectoryScript:
-    """Closed-form leader motion: forward, turn_in_place, depth_change, or a
-    composite sequence of timed segments."""
+    """Closed-form leader motion: forward, turn_in_place or depth_change."""
 
     kind: str
     speed: float = 0.0  # m/s for forward, m/s vertical for depth_change
     rate: float = 0.0  # rad/s for turn_in_place
-    duration: float = math.inf  # finite only inside composites
-    segments: tuple["TrajectoryScript", ...] = ()
     start_pose: Pose = field(default_factory=Pose)
 
     def __post_init__(self):
-        if self.kind not in ("forward", "turn_in_place", "depth_change", "composite"):
+        if self.kind not in ("forward", "turn_in_place", "depth_change"):
             raise ValueError(f"unknown trajectory script {self.kind!r}")
-        if self.kind == "composite" and not all(
-            math.isfinite(s.duration) and s.duration > 0 for s in self.segments
-        ):
-            raise ValueError("composite segments need finite positive durations")
 
 
-def forward_script(speed: float = 0.6, start_pose: Pose = Pose(), duration: float = math.inf) -> TrajectoryScript:
-    return TrajectoryScript("forward", speed=speed, start_pose=start_pose, duration=duration)
+def forward_script(speed: float = 0.6, start_pose: Pose = Pose()) -> TrajectoryScript:
+    return TrajectoryScript("forward", speed=speed, start_pose=start_pose)
 
 
-def turn_script(rate: float = 0.3, start_pose: Pose = Pose(), duration: float = math.inf) -> TrajectoryScript:
-    return TrajectoryScript("turn_in_place", rate=rate, start_pose=start_pose, duration=duration)
+def turn_script(rate: float = 0.3, start_pose: Pose = Pose()) -> TrajectoryScript:
+    return TrajectoryScript("turn_in_place", rate=rate, start_pose=start_pose)
 
 
-def depth_script(speed: float = -0.1, start_pose: Pose = Pose(), duration: float = math.inf) -> TrajectoryScript:
-    return TrajectoryScript("depth_change", speed=speed, start_pose=start_pose, duration=duration)
+def depth_script(speed: float = -0.1, start_pose: Pose = Pose()) -> TrajectoryScript:
+    return TrajectoryScript("depth_change", speed=speed, start_pose=start_pose)
 
 
-def composite_script(segments: tuple[TrajectoryScript, ...], start_pose: Pose = Pose()) -> TrajectoryScript:
-    return TrajectoryScript("composite", segments=tuple(segments), start_pose=start_pose)
-
-
-def _advance_pose(script: TrajectoryScript, start: Pose, t: float) -> Pose:
+def leader_trajectory(script: TrajectoryScript, t: float) -> Pose:
+    """Leader pose at time t >= 0."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    start = script.start_pose
     if script.kind == "forward":
         pos = np.asarray(start.position) + start.forward() * script.speed * t
         return replace(start, position=tuple(pos))
     if script.kind == "turn_in_place":
         return replace(start, yaw=wrap_angle(start.yaw + script.rate * t))
-    if script.kind == "depth_change":
-        x, y, z = start.position
-        return replace(start, position=(x, y, z + script.speed * t))
-    raise ValueError(f"unknown trajectory script {script.kind!r}")
-
-
-def leader_trajectory(script: TrajectoryScript, t: float) -> Pose:
-    """Leader pose at time t >= 0; composites hold the final pose when done."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    pose = script.start_pose
-    if script.kind != "composite":
-        return _advance_pose(script, pose, t)
-    remaining = t
-    for seg in script.segments:
-        if remaining < seg.duration:
-            return _advance_pose(seg, pose, remaining)
-        pose = _advance_pose(seg, pose, seg.duration)
-        remaining -= seg.duration
-    return pose
+    # depth_change, the one kind left that TrajectoryScript admits
+    x, y, z = start.position
+    return replace(start, position=(x, y, z + script.speed * t))
 
 
 def step_follower(pose: Pose, cmd: ControlCommand, dt: float) -> Pose:
@@ -290,8 +269,6 @@ class FootageScene:
         camera: CameraModel = CameraModel(),
         target: TargetModel = TargetModel(),
         rng: np.random.Generator | None = None,
-        background: float = 0.4,
-        body_intensity: float = 0.85,
         flipper_range: tuple[float, float] = (0.15, 0.95),
         noise_sigma: float = 0.02,
         gait_phase0: float | None = None,
@@ -299,8 +276,6 @@ class FootageScene:
         self.camera = camera
         self.target = target
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.background = background
-        self.body_intensity = body_intensity
         self.flipper_range = flipper_range
         self.noise_sigma = noise_sigma
         phase0 = (
@@ -320,7 +295,7 @@ class FootageScene:
 
     def render(self, leader: Pose, follower: Pose, t: float) -> IntensityGrid:
         cam = self.camera
-        img = np.full((cam.image_height, cam.image_width), self.background)
+        img = np.full((cam.image_height, cam.image_width), _BACKGROUND)
         if self.noise_sigma > 0:
             img += self.rng.normal(0.0, self.noise_sigma, img.shape)
         phase = self._gait.at(t)
@@ -328,7 +303,7 @@ class FootageScene:
         body = project_bbox(cam, follower, leader, self.target)
         if body is not None:
             x0, x1, y0, y1 = self._pixel_rect(body)
-            img[y0:y1, x0:x1] = self.body_intensity
+            img[y0:y1, x0:x1] = _BODY_INTENSITY
             flipper = _project_rect(
                 cam,
                 follower,
@@ -378,7 +353,10 @@ class DetectorNoise:
 
     @classmethod
     def noiseless(cls) -> "DetectorNoise":
-        return cls(0.0, 0.0, 0.20, 0.0, 0.0, 0.0, 0.0)
+        return cls(
+            miss_prob_small=0.0, miss_prob_base=0.0, center_sigma=0.0,
+            scale_sigma=0.0, confidence_sigma=0.0, false_positive_prob=0.0,
+        )
 
 
 def noisy_detector(
@@ -438,9 +416,6 @@ class TraceRecord:
 class SimTrace:
     records: list[TraceRecord]
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 @dataclass(frozen=True)
 class ConvoyConfig:
@@ -449,7 +424,7 @@ class ConvoyConfig:
     detector_rate: float = 7.0
     seed: int = 0
     script: TrajectoryScript = field(
-        default_factory=lambda: forward_script(0.6, Pose(position=(2.0, 0.0, 0.0)))
+        default_factory=lambda: forward_script(start_pose=Pose(position=(2.0, 0.0, 0.0)))
     )
     initial_follower: Pose = field(default_factory=Pose)
     servo: ServoConfig = field(default_factory=ServoConfig)
@@ -544,9 +519,7 @@ def _trace_frame_records(trace: SimTrace, fps: float):
         i += 1
 
 
-def render_trace_frames(
-    trace: SimTrace, scene: FootageScene, fps: float = 15.0
-) -> list[IntensityGrid]:
+def render_trace_frames(trace: SimTrace, scene: FootageScene, fps: float) -> list[IntensityGrid]:
     """Replay a trace into footage at the given frame rate.
 
     Each frame samples the most recent trace record at or before its
@@ -558,7 +531,7 @@ def render_trace_frames(
     ]
 
 
-def trace_annotations(trace: SimTrace, fps: float = 15.0) -> list[Annotation]:
+def trace_annotations(trace: SimTrace, fps: float) -> list[Annotation]:
     """Ground-truth annotations aligned with render_trace_frames output."""
     return [
         Annotation(i, record.true_box is not None, record.true_box)

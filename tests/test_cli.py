@@ -238,15 +238,58 @@ def test_sim_mdpm_predictions_golden_hash(tmp_path):
     assert hashlib.sha256(data).hexdigest() == GOLDEN_PREDICTIONS_SHA256
 
 
-@pytest.mark.parametrize("fps, code", [("nan", 1), ("inf", 1), ("0", 2)])
-def test_mdpm_rejects_meaningless_fps(tmp_path, capsys, fps, code):
+# SHA-256 of the `sim --seed 3` trace CSV (6 s) for each leader script;
+# frozen so a rewrite of the leader trajectory has to keep its output bytes.
+GOLDEN_TRACE_SHA256 = {
+    "forward": "d13bcd762b662b6adcf6f76f3f9e3467754ace41ee06c26e09856c5caa6eef41",
+    "turn_in_place": "9447d9de6ac7aaabd3146f11589d06095920a19b244f2d8eaf863c21df0adfb9",
+    "depth_change": "75f21bc249d3e2cbca06ebabd6e12ef9dfe80b9bfbeb2b183ed686bbcc6d441e",
+}
+
+
+@pytest.mark.parametrize("script", sorted(GOLDEN_TRACE_SHA256))
+def test_sim_trace_golden_hash(tmp_path, script):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"sim.duration = 6\nsim.script = {script}\n")
+    trace = tmp_path / "trace.csv"
+    assert run_cli(
+        ["sim", "--config", str(config), "--out", str(trace), "--seed", "3"]
+    ) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256[script]
+
+
+def _noise_frame_dir(tmp_path, count):
     rng = np.random.default_rng(5)
-    frames = [IntensityGrid(60, 60, rng.uniform(0, 1, (60, 60)), i / 15.0) for i in range(12)]
+    frames = [IntensityGrid(60, 60, rng.uniform(0, 1, (60, 60)), i / 15.0) for i in range(count)]
     frame_dir = tmp_path / "frames"
     write_frame_dir(frames, frame_dir)
+    return frame_dir
+
+
+@pytest.mark.parametrize("fps, code", [("nan", 1), ("inf", 1), ("0", 2)])
+def test_mdpm_rejects_meaningless_fps(tmp_path, capsys, fps, code):
+    frame_dir = _noise_frame_dir(tmp_path, 12)
     out = tmp_path / "detections.csv"
     assert run_cli(["mdpm", "--frames", str(frame_dir), "--fps", fps, "--out", str(out)]) == code
     assert capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "count, fps, message",
+    [
+        (5, "15", "holds 5 frames"),  # less than one detection buffer
+        (9, "15", "holds 9 frames"),
+        (9, "5", "--fps 5"),  # the 1-3 Hz band reaches Nyquist
+        (12, "5", "--fps 5"),
+        (12, "6", "--fps 6"),
+    ],
+)
+def test_mdpm_rejects_input_it_cannot_detect_on(tmp_path, capsys, count, fps, message):
+    frame_dir = _noise_frame_dir(tmp_path, count)
+    out = tmp_path / "detections.csv"
+    assert run_cli(["mdpm", "--frames", str(frame_dir), "--fps", fps, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,7 +6,6 @@ from uwconvoy.evaluation import (
     FrameResult,
     ThresholdNotFoundError,
     classify_frames,
-    confidence_iou_correlation,
     histogram_report,
     metrics_summary,
     select_threshold,
@@ -255,18 +254,3 @@ def test_histogram_rejects_bad_bins():
         histogram_report([], area_edges=(0.5,))
     with pytest.raises(ValueError):
         histogram_report([], area_edges=(0.5, 0.2))
-
-
-# ---------------------------------------------------------------------------
-# correlation
-
-def test_confidence_iou_correlation():
-    results = [
-        FrameResult(i, ann(i), boxed(conf), "TP", overlap)
-        for i, (conf, overlap) in enumerate(
-            [(0.9, 0.85), (0.7, 0.6), (0.5, 0.45), (0.3, 0.2)]
-        )
-    ]
-    r = confidence_iou_correlation(results)
-    assert r is not None and r > 0.95
-    assert confidence_iou_correlation(results[:1]) is None

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uwconvoy.evaluation import MetricsReport
@@ -104,6 +106,48 @@ def test_prediction_round_trip_random():
             predictions.append((frame, None))
     text = format_predictions(predictions)
     assert parse_predictions(text) == predictions
+    assert format_predictions(parse_predictions(text)) == text
+
+
+# A coordinate that is exact in 6 decimals or lies halfway between two of
+# them (a rounding tie when written), or any float in [0, 1].
+_UNIT = st.one_of(st.integers(0, 2_000_000).map(lambda k: k / 2_000_000), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _boxes(draw, confidence):
+    """Boxes inside the image; about half touch the right or bottom edge."""
+    x, y = draw(_UNIT), draw(_UNIT)
+    w = draw(st.just(1.0 - x) | st.floats(0.0, 1.0 - x))
+    h = draw(st.just(1.0 - y) | st.floats(0.0, 1.0 - y))
+    return BoundingBox(x, y, w, h, draw(confidence))
+
+
+@st.composite
+def _increasing_frames(draw, value):
+    """(frame, value) rows with strictly increasing frame indices."""
+    gaps_and_values = draw(st.lists(st.tuples(st.integers(1, 3), value), max_size=20))
+    frames = np.cumsum([gap for gap, _ in gaps_and_values]) - 1
+    return [(int(f), v) for f, (_, v) in zip(frames, gaps_and_values)]
+
+
+# written 0.499997,0.000000,0.500004,...: x+w reads back 1e-6 past the edge
+EDGE_BOX = BoundingBox(0.4999965, 0.0, 0.5000035, 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@example(rows=[(0, EDGE_BOX), (2, None)])
+@given(rows=_increasing_frames(st.none() | _boxes(st.just(1.0))))
+def test_annotations_format_parse_format_is_byte_stable(rows):
+    text = format_annotations([Annotation(f, box is not None, box) for f, box in rows])
+    assert format_annotations(parse_annotations(text)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@example(rows=[(0, replace(EDGE_BOX, p=0.0)), (1, None), (3, replace(EDGE_BOX, p=1.0))])
+@given(rows=_increasing_frames(st.none() | _boxes(st.just(0.0) | st.just(1.0) | st.floats(0.0, 1.0))))
+def test_predictions_format_parse_format_is_byte_stable(rows):
+    text = format_predictions(rows)
     assert format_predictions(parse_predictions(text)) == text
 
 

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ def test_iou_partial_overlap_analytic():
     b = BoundingBox(0.2, 0.2, 0.4, 0.4)
     expected = 0.04 / 0.28
     assert iou(a, b) == pytest.approx(expected, abs=1e-12)
-    assert pixel_grid_iou(a.as_tuple(), b.as_tuple()) == pytest.approx(expected, abs=5e-3)
+    assert pixel_grid_iou(astuple(a), astuple(b)) == pytest.approx(expected, abs=5e-3)
 
 
 def test_iou_zero_area_union_is_zero():

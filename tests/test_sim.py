@@ -14,7 +14,6 @@ from uwconvoy.sim import (
     SimTrace,
     TargetModel,
     TrajectoryScript,
-    composite_script,
     depth_script,
     forward_script,
     leader_trajectory,
@@ -54,20 +53,6 @@ def test_depth_script_changes_only_z():
     start = Pose(position=(4.0, 5.0, 0.0))
     pose = leader_trajectory(depth_script(-0.1, start), 5.0)
     assert pose.position == pytest.approx((4.0, 5.0, -0.5), abs=1e-12)
-
-
-def test_composite_script_sequences_and_holds():
-    script = composite_script(
-        (forward_script(1.0, duration=2.0), turn_script(math.pi / 4, duration=2.0)),
-        Pose(),
-    )
-    mid = leader_trajectory(script, 1.0)
-    assert mid.position == pytest.approx((1.0, 0.0, 0.0))
-    after_leg = leader_trajectory(script, 3.0)
-    assert after_leg.position == pytest.approx((2.0, 0.0, 0.0))
-    assert after_leg.yaw == pytest.approx(math.pi / 4)
-    held = leader_trajectory(script, 100.0)
-    assert held.yaw == pytest.approx(math.pi / 2)
 
 
 def test_unknown_script_rejected():
@@ -350,7 +335,7 @@ def _setpoint_distance(desired: float = 0.5) -> float:
 
 def test_zero_duration_gives_empty_trace():
     trace = run_convoy(ConvoyConfig(duration=0.0))
-    assert len(trace) == 0
+    assert trace.records == []
 
 
 def test_convoy_equilibrium_with_static_leader():
@@ -376,7 +361,7 @@ def test_convoy_deterministic_across_runs():
 def test_convoy_trace_shape_and_invariants():
     cfg = ConvoyConfig(duration=2.0, seed=1)
     trace = run_convoy(cfg)
-    assert len(trace) == 100  # 2 s at 50 Hz
+    assert len(trace.records) == 100  # 2 s at 50 Hz
     times = [r.t for r in trace.records]
     assert all(b > a for a, b in zip(times, times[1:]))
     for r in trace.records:
