@@ -20,7 +20,8 @@ import numpy as np
 
 from . import evaluation, fileio
 from .mdpm import MdpmConfig, MdpmTracker, _band_frequencies
-from .sim import FootageScene, run_convoy, render_trace_frames, trace_annotations
+from .servo import compute_errors
+from .sim import run_convoy, render_trace_frames, trace_annotations
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -114,15 +115,7 @@ def _cmd_sim(args) -> int:
     trace = run_convoy(config.convoy)
     Path(args.out).write_text(fileio.format_trace_csv(trace))
     if args.frames_out:
-        render_rng = np.random.default_rng(
-            np.random.SeedSequence(config.convoy.seed).spawn(2)[1]
-        )
-        scene = FootageScene(
-            camera=config.convoy.camera,
-            target=config.convoy.target,
-            rng=render_rng,
-        )
-        frames = render_trace_frames(trace, scene, config.frame_rate)
+        frames = render_trace_frames(trace, config.convoy, config.frame_rate)
         fileio.write_frame_dir(frames, args.frames_out)
     if args.annotations_out:
         annotations = trace_annotations(trace, config.frame_rate)
@@ -155,12 +148,11 @@ def _cmd_servo_sim(args) -> int:
     config = _load_config(args)
     trace = run_convoy(config.convoy)
     Path(args.out).write_text(fileio.format_trace_csv(trace))
-    desired = config.convoy.servo.desired_area
+    servo = config.convoy.servo
     tail = [r for r in trace.records if r.t >= trace.records[-1].t / 2 and r.true_box]
     if tail:
-        dx = [abs(r.true_box.x + r.true_box.w / 2 - 0.5) for r in tail]
-        dy = [abs(r.true_box.y + r.true_box.h / 2 - 0.5) for r in tail]
-        da = [abs(r.true_box.w * r.true_box.h - desired) / desired for r in tail]
+        dx, dy, da = map(np.abs, zip(*(compute_errors(r.true_box, servo) for r in tail)))
+        da /= servo.desired_area
         print(f"final-half ticks with target visible: {len(tail)}")
         print(f"|dx|  mean {np.mean(dx):.4f}  max {np.max(dx):.4f}")
         print(f"|dy|  mean {np.mean(dy):.4f}  max {np.max(dy):.4f}")

@@ -9,9 +9,10 @@ it came from.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterator, Sequence, get_type_hints
+from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .sim import (
     Pose,
     SimTrace,
     TargetModel,
+    TraceRecord,
     depth_script,
     forward_script,
     turn_script,
@@ -46,20 +48,32 @@ def _fmt_opt(v: float | None) -> str:
     return "" if v is None else _fmt(v)
 
 
+def _csv(header: str, rows: Iterable[Iterable[str]]) -> str:
+    """The header and one line per row of cells, each line newline-terminated."""
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
+def _box_cells(box: BoundingBox | None) -> tuple[str, ...]:
+    """x, y, w, h cells; four empty cells for a missing box."""
+    if box is None:
+        return ("",) * 4
+    return _fmt(box.x), _fmt(box.y), _fmt(box.w), _fmt(box.h)
+
+
+def _pose_cells(pose: Pose) -> tuple[str, ...]:
+    x, y, z = pose.position
+    return _fmt(x), _fmt(y), _fmt(z), _fmt(pose.yaw), _fmt(pose.pitch)
+
+
 # ---------------------------------------------------------------------------
 # annotations
 
 def format_annotations(annotations: Sequence[Annotation]) -> str:
-    lines = [ANNOTATION_HEADER]
-    for ann in annotations:
-        if ann.present:
-            b = ann.truth_box
-            lines.append(
-                f"{ann.frame_index},1,{_fmt(b.x)},{_fmt(b.y)},{_fmt(b.w)},{_fmt(b.h)}"
-            )
-        else:
-            lines.append(f"{ann.frame_index},0,,,,")
-    return "\n".join(lines) + "\n"
+    rows = (
+        (str(ann.frame_index), "1" if ann.present else "0", *_box_cells(ann.truth_box))
+        for ann in annotations
+    )
+    return _csv(ANNOTATION_HEADER, rows)
 
 
 def _parse_float(raw: str, line_no: int, name: str) -> float:
@@ -135,15 +149,11 @@ def parse_annotations(text: str) -> list[Annotation]:
 # predictions
 
 def format_predictions(predictions: Sequence[tuple[int, BoundingBox | None]]) -> str:
-    lines = [PREDICTION_HEADER]
-    for frame, box in predictions:
-        if box is None:
-            lines.append(f"{frame},{_fmt(0.0)},,,,")
-        else:
-            lines.append(
-                f"{frame},{_fmt(box.p)},{_fmt(box.x)},{_fmt(box.y)},{_fmt(box.w)},{_fmt(box.h)}"
-            )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (str(frame), _fmt(0.0 if box is None else box.p), *_box_cells(box))
+        for frame, box in predictions
+    )
+    return _csv(PREDICTION_HEADER, rows)
 
 
 def parse_predictions(text: str) -> list[tuple[int, BoundingBox | None]]:
@@ -208,10 +218,15 @@ _SCRIPTS = {
 }
 
 
-def _parse_script(raw: str, line_no: int, key: str) -> str:
-    if raw not in _SCRIPTS:
-        raise DataFormatError(f"line {line_no}: unknown {key} {raw!r}")
-    return raw
+def _choice(*options: str):
+    """Parser for a key that takes one of the given words."""
+    def parse(raw: str, line_no: int, key: str) -> str:
+        if raw not in options:
+            raise DataFormatError(
+                f"line {line_no}: key {key} must be one of {', '.join(options)}, got {raw!r}"
+            )
+        return raw
+    return parse
 
 
 def _field_key(cls: type, name: str, parse=None):
@@ -245,11 +260,12 @@ CONFIG_KEYS = {
     "sim.target_height": _field_key(TargetModel, "body_height"),
     "sim.gait_frequency": _field_key(TargetModel, "gait_frequency"),
     "sim.gait_jitter": _field_key(TargetModel, "gait_jitter"),
-    "sim.script": (_parse_script, None, None),
+    "sim.script": (_choice(*_SCRIPTS), None, None),
+    "sim.noiseless": (_choice("0", "1"), None, None),
     **{
         f"sim.{name}": (_parse_float, None, None)
         for name in (
-            "script_speed", "script_rate", "noiseless",
+            "script_speed", "script_rate",
             "leader_x", "leader_y", "leader_z", "leader_yaw",
             "follower_x", "follower_y", "follower_z", "follower_yaw",
             "current_x", "current_y", "current_z",
@@ -269,10 +285,12 @@ def _pose(values: dict[str, object], who: str, base: Pose) -> Pose:
 def parse_config(text: str) -> ToolConfig:
     """Parse key=value config lines into the simulator and servo configs.
 
-    Unknown keys are rejected with their line number; '#' starts a comment.
-    Absent keys take the defaults of the dataclasses they set.
+    Unknown keys, and keys that the rest of the file makes ineffective, are
+    rejected with their line number; '#' starts a comment. Absent keys take
+    the defaults of the dataclasses they set.
     """
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -286,6 +304,7 @@ def parse_config(text: str) -> ToolConfig:
             raise DataFormatError(f"line {line_no}: duplicate config key {key!r}")
         parse, cls, name = CONFIG_KEYS[key]
         values[key] = parse(raw_value, line_no, key)
+        lines[key] = line_no
         if cls is not None:
             # each dataclass invariant involves one field, so the value can
             # be checked alone, where its line number is known
@@ -302,15 +321,19 @@ def parse_config(text: str) -> ToolConfig:
         }
 
     default = ConvoyConfig()
-    builder, arg, arg_key = _SCRIPTS[values.get("sim.script", default.script.kind)]
+    kind = values.get("sim.script", default.script.kind)
+    builder, arg, arg_key = _SCRIPTS[kind]
+    noiseless = values.get("sim.noiseless") == "1"
+    for key, line_no in lines.items():
+        if key.startswith("sim.script_") and key != arg_key:
+            raise DataFormatError(f"line {line_no}: {key} has no effect with sim.script = {kind}")
+        if key.startswith("detector_noise.") and noiseless:
+            raise DataFormatError(f"line {line_no}: {key} has no effect with sim.noiseless = 1")
     script = builder(
         start_pose=_pose(values, "leader", default.script.start_pose),
         **({arg: values[arg_key]} if arg_key in values else {}),
     )
-    if values.get("sim.noiseless"):
-        noise = DetectorNoise.noiseless()
-    else:
-        noise = DetectorNoise(**set_fields(DetectorNoise))
+    noise = DetectorNoise.noiseless() if noiseless else DetectorNoise(**set_fields(DetectorNoise))
     convoy = ConvoyConfig(
         script=script,
         initial_follower=_pose(values, "follower", default.initial_follower),
@@ -337,20 +360,11 @@ def write_pgm(grid: IntensityGrid) -> bytes:
 
 
 def _pgm_tokens(data: bytes):
-    pos = 0
-    while pos < len(data):
-        if data[pos : pos + 1].isspace():
-            pos += 1
-            continue
-        if data[pos : pos + 1] == b"#":
-            nl = data.find(b"\n", pos)
-            pos = len(data) if nl < 0 else nl + 1
-            continue
-        end = pos
-        while end < len(data) and not data[end : end + 1].isspace():
-            end += 1
-        yield pos, data[pos:end]
-        pos = end
+    """(offset, token) of each whitespace-separated token; a '#' that starts
+    a token starts a comment that runs to the end of its line."""
+    for match in re.finditer(rb"#[^\n]*|\S+", data):
+        if not match.group().startswith(b"#"):
+            yield match.start(), match.group()
 
 
 def read_pgm(data: bytes, timestamp: float = 0.0) -> IntensityGrid:
@@ -371,6 +385,8 @@ def read_pgm(data: bytes, timestamp: float = 0.0) -> IntensityGrid:
         raise DataFormatError("malformed PGM header") from None
     if width <= 0 or height <= 0 or maxval <= 0:
         raise DataFormatError("PGM header fields must be positive")
+    if maxval > 255:
+        raise DataFormatError(f"PGM maxval {maxval} is not 8-bit; only 8-bit PGM is read")
 
     if magic == b"P5":
         start = max_pos + len(max_tok) + 1  # single whitespace after maxval
@@ -379,31 +395,26 @@ def read_pgm(data: bytes, timestamp: float = 0.0) -> IntensityGrid:
             raise DataFormatError("PGM pixel payload truncated")
         samples = np.frombuffer(raw, dtype=np.uint8).astype(float)
     else:
-        values = []
-        for _, tok in tokens:
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise DataFormatError(f"bad P2 pixel value {tok!r}") from None
-        if len(values) != width * height:
+        try:
+            samples = np.array([int(tok) for _, tok in tokens], dtype=float)
+        except (ValueError, OverflowError) as exc:
+            raise DataFormatError(f"bad P2 pixel value: {exc}") from None
+        if samples.size != width * height:
             raise DataFormatError(
-                f"P2 payload holds {len(values)} values, expected {width * height}"
+                f"P2 payload holds {samples.size} values, expected {width * height}"
             )
-        samples = np.asarray(values, dtype=float)
+    if samples.min() < 0 or samples.max() > maxval:
+        raise DataFormatError(f"PGM pixel values must lie in 0..{maxval}")
     return IntensityGrid(
         width, height, (samples / maxval).reshape(height, width), timestamp
     )
 
 
-def write_frame_dir(frames: Sequence[IntensityGrid], directory: str | Path) -> list[Path]:
+def write_frame_dir(frames: Sequence[IntensityGrid], directory: str | Path) -> None:
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
     for i, frame in enumerate(frames):
-        path = out / f"frame_{i:06d}.pgm"
-        path.write_bytes(write_pgm(frame))
-        paths.append(path)
-    return paths
+        (out / f"frame_{i:06d}.pgm").write_bytes(write_pgm(frame))
 
 
 def load_frame_dir(directory: str | Path, fps: float) -> list[IntensityGrid]:
@@ -413,7 +424,13 @@ def load_frame_dir(directory: str | Path, fps: float) -> list[IntensityGrid]:
     files = sorted(p for p in Path(directory).iterdir() if p.suffix.lower() == ".pgm")
     if not files:
         raise DataFormatError(f"no .pgm frames in {directory}")
-    return [read_pgm(p.read_bytes(), timestamp=i / fps) for i, p in enumerate(files)]
+    frames = []
+    for i, p in enumerate(files):
+        try:
+            frames.append(read_pgm(p.read_bytes(), timestamp=i / fps))
+        except DataFormatError as exc:
+            raise DataFormatError(f"{p.name}: {exc}") from None
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -428,29 +445,19 @@ TRACE_HEADER = (
 )
 
 
+def _trace_row(r: TraceRecord) -> tuple[str, ...]:
+    tb, db, cmd = r.true_box, r.detection, r.command
+    return (
+        _fmt(r.t), *_pose_cells(r.leader), *_pose_cells(r.follower),
+        "0" if tb is None else "1", *_box_cells(tb),
+        "0" if db is None else "1", _fmt_opt(None if db is None else db.p), *_box_cells(db),
+        _fmt(cmd.yaw_rate), _fmt(cmd.pitch_rate), _fmt(cmd.roll_rate),
+        _fmt(cmd.forward_speed), _fmt(cmd.vertical_speed),
+    )
+
+
 def format_trace_csv(trace: SimTrace) -> str:
-    lines = [TRACE_HEADER]
-    for r in trace.records:
-        lp, fp_ = r.leader, r.follower
-        tb, db, cmd = r.true_box, r.detection, r.command
-        fields = [
-            _fmt(r.t),
-            _fmt(lp.position[0]), _fmt(lp.position[1]), _fmt(lp.position[2]),
-            _fmt(lp.yaw), _fmt(lp.pitch),
-            _fmt(fp_.position[0]), _fmt(fp_.position[1]), _fmt(fp_.position[2]),
-            _fmt(fp_.yaw), _fmt(fp_.pitch),
-            "1" if tb else "0",
-            _fmt_opt(tb.x if tb else None), _fmt_opt(tb.y if tb else None),
-            _fmt_opt(tb.w if tb else None), _fmt_opt(tb.h if tb else None),
-            "1" if db else "0",
-            _fmt_opt(db.p if db else None),
-            _fmt_opt(db.x if db else None), _fmt_opt(db.y if db else None),
-            _fmt_opt(db.w if db else None), _fmt_opt(db.h if db else None),
-            _fmt(cmd.yaw_rate), _fmt(cmd.pitch_rate), _fmt(cmd.roll_rate),
-            _fmt(cmd.forward_speed), _fmt(cmd.vertical_speed),
-        ]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    return _csv(TRACE_HEADER, map(_trace_row, trace.records))
 
 
 # ---------------------------------------------------------------------------
@@ -485,42 +492,34 @@ def format_metrics_text(report: MetricsReport, tracks: TrackStats | None = None)
 
 def format_metrics_csv(report: MetricsReport) -> str:
     header = "n_images,n_tp,n_tn,n_fp,n_fn,accuracy,precision,recall,avg_iou,lfr,fps"
-    row = ",".join(
-        [
-            str(report.n_images), str(report.n_tp), str(report.n_tn),
-            str(report.n_fp), str(report.n_fn),
-            _fmt(report.accuracy), _fmt_opt(report.precision), _fmt_opt(report.recall),
-            _fmt_opt(report.avg_iou), _fmt_opt(report.lfr), _fmt_opt(report.fps),
-        ]
+    row = (
+        *map(str, (report.n_images, report.n_tp, report.n_tn, report.n_fp, report.n_fn)),
+        _fmt(report.accuracy),
+        *map(_fmt_opt, (report.precision, report.recall, report.avg_iou, report.lfr, report.fps)),
     )
-    return header + "\n" + row + "\n"
+    return _csv(header, [row])
+
+
+def _bin_rows(edges: Sequence[float], counts: Sequence, floats: Sequence = ()) -> Iterator[tuple]:
+    """One row per histogram bin: its two edges, then the bin's entry in
+    each count column and in each float column."""
+    for i in range(len(edges) - 1):
+        yield (
+            _fmt(edges[i]), _fmt(edges[i + 1]),
+            *(str(column[i]) for column in counts), *(_fmt(column[i]) for column in floats),
+        )
 
 
 def format_area_histogram_csv(hist: HistogramReport) -> str:
-    lines = ["area_lo,area_hi,tp_count,fn_count"]
-    for i in range(len(hist.area_edges) - 1):
-        lines.append(
-            f"{_fmt(hist.area_edges[i])},{_fmt(hist.area_edges[i + 1])},"
-            f"{hist.tp_by_area[i]},{hist.fn_by_area[i]}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = _bin_rows(hist.area_edges, (hist.tp_by_area, hist.fn_by_area))
+    return _csv("area_lo,area_hi,tp_count,fn_count", rows)
 
 
 def format_bias_histogram_csv(hist: HistogramReport) -> str:
-    lines = ["area_lo,area_hi,count,bias_mean,bias_std"]
-    for i in range(len(hist.area_edges) - 1):
-        lines.append(
-            f"{_fmt(hist.area_edges[i])},{_fmt(hist.area_edges[i + 1])},"
-            f"{hist.bias_count[i]},{_fmt(hist.bias_mean[i])},{_fmt(hist.bias_std[i])}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = _bin_rows(hist.area_edges, (hist.bias_count,), (hist.bias_mean, hist.bias_std))
+    return _csv("area_lo,area_hi,count,bias_mean,bias_std", rows)
 
 
 def format_runs_histogram_csv(hist: HistogramReport) -> str:
-    lines = ["frames_lo,frames_hi,tn_runs,fn_runs"]
-    for i in range(len(hist.duration_edges) - 1):
-        lines.append(
-            f"{_fmt(hist.duration_edges[i])},{_fmt(hist.duration_edges[i + 1])},"
-            f"{hist.tn_runs[i]},{hist.fn_runs[i]}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = _bin_rows(hist.duration_edges, (hist.tn_runs, hist.fn_runs))
+    return _csv("frames_lo,frames_hi,tn_runs,fn_runs", rows)

@@ -453,6 +453,12 @@ def _occluded(t: float, occlusions: tuple[tuple[float, float], ...]) -> bool:
     return any(start <= t < end for start, end in occlusions)
 
 
+def _run_rng(seed: int, stream: int) -> np.random.Generator:
+    """One of a run's two independent random streams: 0 drives the detector
+    noise in run_convoy, 1 the footage in render_trace_frames."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[stream])
+
+
 def run_convoy(config: ConvoyConfig) -> SimTrace:
     """Run the fixed-step convoy loop and return the full trace.
 
@@ -463,7 +469,7 @@ def run_convoy(config: ConvoyConfig) -> SimTrace:
     """
     dt = 1.0 / config.physics_rate
     n_ticks = round(config.duration * config.physics_rate)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[0])
+    rng = _run_rng(config.seed, 0)
 
     leader = leader_trajectory(config.script, 0.0)
     follower = config.initial_follower
@@ -519,12 +525,14 @@ def _trace_frame_records(trace: SimTrace, fps: float):
         i += 1
 
 
-def render_trace_frames(trace: SimTrace, scene: FootageScene, fps: float) -> list[IntensityGrid]:
-    """Replay a trace into footage at the given frame rate.
+def render_trace_frames(trace: SimTrace, config: ConvoyConfig, fps: float) -> list[IntensityGrid]:
+    """Render footage at the given frame rate from the trace of a run of config.
 
-    Each frame samples the most recent trace record at or before its
-    timestamp, so footage is a pure function of the trace and scene.
+    The scene uses the run's camera and target and the footage stream of its
+    seed. Each frame samples the most recent trace record at or before its
+    timestamp, so footage is a pure function of the trace and the config.
     """
+    scene = FootageScene(camera=config.camera, target=config.target, rng=_run_rng(config.seed, 1))
     return [
         scene.render(record.leader, record.follower, t)
         for _, record, t in _trace_frame_records(trace, fps)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -209,33 +211,90 @@ def test_mdpm_subcommand(tmp_path):
     assert len(hits) > len(rows[warmup:]) * 0.8
 
 
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """Every output of the README pipeline on the 6 s `sim --seed 3` clip
+    (90 frames): sim footage and annotations, mdpm predictions, the eval
+    stdout and reports, and the servo-sim stdout of the same run."""
+    d = tmp_path_factory.mktemp("golden")
+    config, servo_config = d / "run.cfg", d / "servo.cfg"
+    config.write_text("sim.duration = 6\n")
+    servo_config.write_text("sim.duration = 6\nsim.seed = 3\n")
+    frames_dir, report_dir = d / "frames", d / "reports"
+    argv = {
+        "sim": [
+            "sim",
+            "--config", str(config),
+            "--out", str(d / "trace.csv"),
+            "--seed", "3",
+            "--frames-out", str(frames_dir),
+            "--annotations-out", str(d / "annotations.csv"),
+        ],
+        "mdpm": [
+            "mdpm", "--frames", str(frames_dir), "--fps", "15", "--out", str(d / "predictions.csv")
+        ],
+        "eval": [
+            "eval",
+            "--annotations", str(d / "annotations.csv"),
+            "--predictions", str(d / "predictions.csv"),
+            "--auto-threshold",
+            "--fps", "15",
+            "--report-dir", str(report_dir),
+        ],
+        "servo-sim": ["servo-sim", "--config", str(servo_config), "--out", str(d / "servo.csv")],
+    }
+    stdout = {}
+    for name, args in argv.items():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert run_cli(args) == 0
+        stdout[name] = out.getvalue()
+    frame_files = sorted(frames_dir.iterdir())
+    assert len(frame_files) == 90
+    return {
+        "annotations": (d / "annotations.csv").read_bytes(),
+        "frames": b"".join(f.read_bytes() for f in frame_files),
+        "predictions": (d / "predictions.csv").read_bytes(),
+        "eval_stdout": stdout["eval"].encode(),
+        **{
+            name: (report_dir / name).read_bytes()
+            for name in ("metrics.csv", "area_histogram.csv", "center_bias.csv", "negative_runs.csv")
+        },
+        "servo_sim_stdout": stdout["servo-sim"].encode(),
+    }
+
+
 # SHA-256 of the predictions that `sim --seed 3` footage (6 s, 90 frames, 81
 # boxed) gives through `mdpm --fps 15`; frozen so a refactor of the detector
 # has to keep its output bytes.
 GOLDEN_PREDICTIONS_SHA256 = "d6805d1c1b2e0b4189127f7002cb7f6a4f459d59b4c2237afbb55dbf3ca89008"
 
 
-def test_sim_mdpm_predictions_golden_hash(tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text("sim.duration = 6\n")
-    frames_dir = tmp_path / "frames"
-    assert run_cli(
-        [
-            "sim",
-            "--config", str(config),
-            "--out", str(tmp_path / "trace.csv"),
-            "--seed", "3",
-            "--frames-out", str(frames_dir),
-        ]
-    ) == 0
-    predictions = tmp_path / "predictions.csv"
-    assert run_cli(
-        ["mdpm", "--frames", str(frames_dir), "--fps", "15", "--out", str(predictions)]
-    ) == 0
-    data = predictions.read_bytes()
+def test_sim_mdpm_predictions_golden_hash(golden_run):
+    data = golden_run["predictions"]
     rows = parse_predictions(data.decode())
     assert (len(rows), sum(box is not None for _, box in rows)) == (90, 81)
     assert hashlib.sha256(data).hexdigest() == GOLDEN_PREDICTIONS_SHA256
+
+
+# SHA-256 of the other golden_run outputs ("frames" is the 90 PGM files
+# concatenated in name order; eval selects threshold 0.147306); frozen so a
+# rewrite of the renderer, the file writers or the reports has to keep
+# their output bytes.
+GOLDEN_PIPELINE_SHA256 = {
+    "annotations": "82a43311d644545b13868ed72f9095a5327bab112fa687785a353eab130a0a77",
+    "frames": "409b50f54ea520462427beef94fd70dbb4e5c236ac08c9fb9689973b3e88e8f6",
+    "eval_stdout": "71e66a98466d033cec7ffe031db7c85af684c4548919263e082b0214d3718530",
+    "metrics.csv": "2392c43bf78d979d46c07ae1683d43e7ced9b14e7903878268a2b5307f9f0395",
+    "area_histogram.csv": "042831447abae07f3436877c4965462bb2c66748eac95d4b27378065160e6fd4",
+    "center_bias.csv": "cda082992bfad5029f93509a978af9b043b0e6645d7a31816954fdd449606ebf",
+    "negative_runs.csv": "17bd92d6b0eab108308af9a1293b1eb0ab741c30ebd4e06130633bbe06bf6ab9",
+    "servo_sim_stdout": "30b4a01bc43e3d759704713ccbf2de205e5914cbda1e34ef17ff96c7f128d41a",
+}
+
+
+@pytest.mark.parametrize("output", sorted(GOLDEN_PIPELINE_SHA256))
+def test_sim_pipeline_golden_hash(golden_run, output):
+    assert hashlib.sha256(golden_run[output]).hexdigest() == GOLDEN_PIPELINE_SHA256[output]
 
 
 # SHA-256 of the `sim --seed 3` trace CSV (6 s) for each leader script;

@@ -198,6 +198,41 @@ def test_parse_config_noiseless_switch():
     config = parse_config("sim.noiseless = 1\n")
     assert config.convoy.detector_noise.center_sigma == 0.0
     assert config.convoy.detector_noise.miss_prob_base == 0.0
+    config = parse_config("sim.noiseless = 0\ndetector_noise.center_sigma = 0.1\n")
+    assert config.convoy.detector_noise.center_sigma == 0.1
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["sim.noiseless = 0.5"], "line 2: key sim.noiseless must be one of 0, 1, got '0.5'"),
+        (["sim.noiseless = -3"], "line 2: key sim.noiseless must be one of 0, 1, got '-3'"),
+        (
+            ["sim.noiseless = 1", "detector_noise.center_sigma = 0.1"],
+            "line 3: detector_noise.center_sigma has no effect with sim.noiseless = 1",
+        ),
+        (
+            ["detector_noise.miss_prob_base = 0.2", "sim.noiseless = 1"],
+            "line 2: detector_noise.miss_prob_base has no effect with sim.noiseless = 1",
+        ),
+        (
+            ["sim.script_rate = 0.2"],
+            "line 2: sim.script_rate has no effect with sim.script = forward",
+        ),
+        (
+            ["sim.script_rate = 0.2", "sim.script = depth_change"],
+            "line 2: sim.script_rate has no effect with sim.script = depth_change",
+        ),
+        (
+            ["sim.script = turn_in_place", "sim.script_speed = 0.2"],
+            "line 3: sim.script_speed has no effect with sim.script = turn_in_place",
+        ),
+    ],
+)
+def test_parse_config_rejects_values_it_would_drop(lines, message):
+    with pytest.raises(DataFormatError) as exc:
+        parse_config("# run\n" + "\n".join(lines) + "\n")
+    assert str(exc.value) == message
 
 
 def test_parse_config_absent_keys_take_dataclass_defaults():
@@ -278,6 +313,28 @@ def test_pgm_errors():
         read_pgm(b"P5\n4 4\n255\nxx")  # truncated payload
     with pytest.raises(DataFormatError):
         read_pgm(b"")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5\n1 1\n65535\n\xff\xff", "only 8-bit PGM is read"),  # white reads as 0.0039
+        (b"P2\n2 1\n255\n0 300\n", "must lie in 0..255"),  # reads as 1.18
+        (b"P2\n2 1\n255\n-3 0\n", "must lie in 0..255"),  # reads as -0.012
+        (b"P5\n2 1\n100\n\x00\xc8", "must lie in 0..100"),  # reads as 2.0
+    ],
+)
+def test_pgm_rejects_samples_outside_maxval(data, message):
+    with pytest.raises(DataFormatError, match=message):
+        read_pgm(data)
+
+
+def test_load_frame_dir_error_names_the_file(tmp_path):
+    frames = [IntensityGrid(4, 4, np.zeros((4, 4)), i / 15) for i in range(3)]
+    write_frame_dir(frames, tmp_path)
+    (tmp_path / "frame_000001.pgm").write_bytes(b"P5\n4 4\n255\nxx")
+    with pytest.raises(DataFormatError, match="^frame_000001.pgm: PGM pixel payload truncated$"):
+        load_frame_dir(tmp_path, fps=15.0)
 
 
 def test_frame_dir_round_trip(tmp_path):

@@ -417,11 +417,7 @@ def test_render_trace_frames_deterministic():
     cfg = ConvoyConfig(duration=1.0, seed=5)
     trace = run_convoy(cfg)
 
-    def frames():
-        scene = FootageScene(rng=np.random.default_rng(11), gait_phase0=0.3)
-        return render_trace_frames(trace, scene, fps=15.0)
-
-    a, b = frames(), frames()
+    a, b = (render_trace_frames(trace, cfg, fps=15.0) for _ in range(2))
     assert len(a) == len(b) == 15  # trace ends at t = 0.98; frames 0/15 .. 14/15
     for fa, fb in zip(a, b):
         assert np.array_equal(fa.samples, fb.samples)
