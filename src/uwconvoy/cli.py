@@ -5,7 +5,8 @@ Subcommands: ``eval`` (score prediction files against annotations), ``sim``
 (periodic-motion detection over a frame directory, emitting a prediction
 file), and ``servo-sim`` (convoy run plus a tracking-error summary).
 
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data error (including a path that
+cannot be read or written).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import evaluation, fileio
 from .mdpm import MdpmConfig, MdpmTracker, _band_frequencies
 from .servo import compute_errors
-from .sim import run_convoy, render_trace_frames, trace_annotations
+from .sim import ConvoyConfig, run_convoy, render_trace_frames, trace_annotations
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -71,16 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise fileio.DataFormatError(f"cannot read {path}: {exc}") from None
-
-
 def _cmd_eval(args) -> int:
-    annotations = fileio.parse_annotations(_read_text(args.annotations))
-    predictions = fileio.parse_predictions(_read_text(args.predictions))
+    annotations = fileio.parse_annotations(Path(args.annotations).read_text())
+    predictions = fileio.parse_predictions(Path(args.predictions).read_text())
     if args.auto_threshold:
         threshold = evaluation.select_threshold(annotations, predictions)
         print(f"selected threshold: {threshold:.6f}")
@@ -103,22 +97,21 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _load_config(args) -> fileio.ToolConfig:
-    config = fileio.parse_config(_read_text(args.config))
+def _load_config(args) -> ConvoyConfig:
+    config = fileio.parse_config(Path(args.config).read_text())
     if getattr(args, "seed", None) is not None:
-        config.convoy = replace(config.convoy, seed=args.seed)
+        config = replace(config, seed=args.seed)
     return config
 
 
 def _cmd_sim(args) -> int:
     config = _load_config(args)
-    trace = run_convoy(config.convoy)
+    trace = run_convoy(config)
     Path(args.out).write_text(fileio.format_trace_csv(trace))
     if args.frames_out:
-        frames = render_trace_frames(trace, config.convoy, config.frame_rate)
-        fileio.write_frame_dir(frames, args.frames_out)
+        fileio.write_frame_dir(render_trace_frames(trace, config), args.frames_out)
     if args.annotations_out:
-        annotations = trace_annotations(trace, config.frame_rate)
+        annotations = trace_annotations(trace, config)
         Path(args.annotations_out).write_text(fileio.format_annotations(annotations))
     return 0
 
@@ -146,9 +139,9 @@ def _cmd_mdpm(args) -> int:
 
 def _cmd_servo_sim(args) -> int:
     config = _load_config(args)
-    trace = run_convoy(config.convoy)
+    trace = run_convoy(config)
     Path(args.out).write_text(fileio.format_trace_csv(trace))
-    servo = config.convoy.servo
+    servo = config.servo
     tail = [r for r in trace.records if r.t >= trace.records[-1].t / 2 and r.true_box]
     if tail:
         dx, dy, da = map(np.abs, zip(*(compute_errors(r.true_box, servo) for r in tail)))
@@ -180,7 +173,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (fileio.DataFormatError, evaluation.ThresholdNotFoundError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
+        # DataFormatError and ThresholdNotFoundError are ValueErrors; an
+        # OSError's message names the path the OS refused
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

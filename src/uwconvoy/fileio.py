@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, get_type_hints
 
@@ -179,18 +179,6 @@ def parse_predictions(text: str) -> list[tuple[int, BoundingBox | None]]:
 # ---------------------------------------------------------------------------
 # config files
 
-@dataclass
-class ToolConfig:
-    """Bundle of the configs assembled from one config file."""
-
-    convoy: ConvoyConfig = field(default_factory=ConvoyConfig)
-    frame_rate: float = 15.0
-
-    def __post_init__(self):
-        if self.frame_rate <= 0:
-            raise ValueError("frame_rate must be positive")
-
-
 def _parse_int(raw: str, line_no: int, key: str) -> int:
     try:
         return int(raw)
@@ -248,10 +236,9 @@ CONFIG_KEYS = {
     },
     **{
         f"sim.{name}": _field_key(ConvoyConfig, name)
-        for name in ("duration", "physics_rate", "detector_rate", "seed")
+        for name in ("duration", "physics_rate", "detector_rate", "frame_rate", "seed")
     },
     "sim.occlusions": _field_key(ConvoyConfig, "occlusions", _parse_occlusions),
-    "sim.frame_rate": _field_key(ToolConfig, "frame_rate"),
     "sim.camera_hfov": _field_key(CameraModel, "horizontal_fov"),
     "sim.camera_aspect": _field_key(CameraModel, "aspect"),
     "sim.image_width": _field_key(CameraModel, "image_width"),
@@ -282,8 +269,8 @@ def _pose(values: dict[str, object], who: str, base: Pose) -> Pose:
     return replace(base, position=position, yaw=values.get(f"sim.{who}_yaw", base.yaw))
 
 
-def parse_config(text: str) -> ToolConfig:
-    """Parse key=value config lines into the simulator and servo configs.
+def parse_config(text: str) -> ConvoyConfig:
+    """Parse key=value config lines into the config of one convoy run.
 
     Unknown keys, and keys that the rest of the file makes ineffective, are
     rejected with their line number; '#' starts a comment. Absent keys take
@@ -334,7 +321,7 @@ def parse_config(text: str) -> ToolConfig:
         **({arg: values[arg_key]} if arg_key in values else {}),
     )
     noise = DetectorNoise.noiseless() if noiseless else DetectorNoise(**set_fields(DetectorNoise))
-    convoy = ConvoyConfig(
+    return ConvoyConfig(
         script=script,
         initial_follower=_pose(values, "follower", default.initial_follower),
         servo=ServoConfig(**set_fields(ServoConfig)),
@@ -346,7 +333,6 @@ def parse_config(text: str) -> ToolConfig:
         ),
         **set_fields(ConvoyConfig),
     )
-    return ToolConfig(convoy, **set_fields(ToolConfig))
 
 
 # ---------------------------------------------------------------------------

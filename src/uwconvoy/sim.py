@@ -422,6 +422,8 @@ class ConvoyConfig:
     duration: float = 60.0
     physics_rate: float = 50.0
     detector_rate: float = 7.0
+    # rate at which render_trace_frames samples the trace into footage
+    frame_rate: float = 15.0
     seed: int = 0
     script: TrajectoryScript = field(
         default_factory=lambda: forward_script(start_pose=Pose(position=(2.0, 0.0, 0.0)))
@@ -437,11 +439,12 @@ class ConvoyConfig:
     current: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("duration must be >= 0")
-        for name in ("physics_rate", "detector_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
+        for name in ("physics_rate", "detector_rate", "frame_rate"):
+            rate = getattr(self, name)
+            if not 0.0 < rate < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {rate}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         for start, end in self.occlusions:
@@ -508,9 +511,8 @@ def run_convoy(config: ConvoyConfig) -> SimTrace:
 
 
 def _trace_frame_records(trace: SimTrace, fps: float):
-    """Yield (frame_index, record, frame_time) sampling the trace at fps."""
-    if not 0.0 < fps < math.inf:
-        raise ValueError(f"fps must be positive and finite, got {fps}")
+    """Yield (frame_index, record, frame_time) sampling the trace at fps, a
+    ConvoyConfig.frame_rate and so positive and finite."""
     records = trace.records
     if not records:
         return
@@ -525,8 +527,8 @@ def _trace_frame_records(trace: SimTrace, fps: float):
         i += 1
 
 
-def render_trace_frames(trace: SimTrace, config: ConvoyConfig, fps: float) -> list[IntensityGrid]:
-    """Render footage at the given frame rate from the trace of a run of config.
+def render_trace_frames(trace: SimTrace, config: ConvoyConfig) -> list[IntensityGrid]:
+    """Render footage at config.frame_rate from the trace of a run of config.
 
     The scene uses the run's camera and target and the footage stream of its
     seed. Each frame samples the most recent trace record at or before its
@@ -535,13 +537,13 @@ def render_trace_frames(trace: SimTrace, config: ConvoyConfig, fps: float) -> li
     scene = FootageScene(camera=config.camera, target=config.target, rng=_run_rng(config.seed, 1))
     return [
         scene.render(record.leader, record.follower, t)
-        for _, record, t in _trace_frame_records(trace, fps)
+        for _, record, t in _trace_frame_records(trace, config.frame_rate)
     ]
 
 
-def trace_annotations(trace: SimTrace, fps: float) -> list[Annotation]:
+def trace_annotations(trace: SimTrace, config: ConvoyConfig) -> list[Annotation]:
     """Ground-truth annotations aligned with render_trace_frames output."""
     return [
         Annotation(i, record.true_box is not None, record.true_box)
-        for i, record, _ in _trace_frame_records(trace, fps)
+        for i, record, _ in _trace_frame_records(trace, config.frame_rate)
     ]

@@ -153,6 +153,57 @@ def test_missing_file_is_data_error(tmp_path):
     assert code == 2
 
 
+def _unwritable_or_unreadable_path_argv(tmp_path, case):
+    """argv that points one subcommand at a path the OS refuses, and that path."""
+    config = tmp_path / "run.cfg"
+    config.write_text("sim.duration = 1\n")
+    missing = tmp_path / "missing" / "out.csv"
+    existing_file = tmp_path / "taken"
+    existing_file.write_text("")
+    if case == "mdpm --frames missing":
+        path = tmp_path / "no_frames"
+        return ["mdpm", "--frames", str(path), "--fps", "15", "--out", str(missing)], path
+    if case == "mdpm --frames with a directory frame":
+        path = tmp_path / "frames" / "frame_000000.pgm"
+        path.mkdir(parents=True)
+        return ["mdpm", "--frames", str(path.parent), "--fps", "15", "--out", str(missing)], path
+    if case == "mdpm --out missing dir":
+        frame_dir = _noise_frame_dir(tmp_path, 12)
+        return ["mdpm", "--frames", str(frame_dir), "--fps", "15", "--out", str(missing)], missing
+    if case == "sim --out missing dir":
+        return ["sim", "--config", str(config), "--out", str(missing)], missing
+    if case == "servo-sim --out missing dir":
+        return ["servo-sim", "--config", str(config), "--out", str(missing)], missing
+    if case == "sim --frames-out existing file":
+        argv = ["sim", "--config", str(config), "--out", str(tmp_path / "trace.csv")]
+        return argv + ["--frames-out", str(existing_file)], existing_file
+    assert case == "eval --report-dir existing file"
+    ann = tmp_path / "ann.csv"
+    ann.write_text(format_annotations([Annotation(0, False)]))
+    pred = tmp_path / "pred.csv"
+    pred.write_text(format_predictions([(0, None)]))
+    argv = ["eval", "--annotations", str(ann), "--predictions", str(pred), "--threshold", "0.5"]
+    return argv + ["--report-dir", str(existing_file)], existing_file
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "mdpm --frames missing",
+        "mdpm --frames with a directory frame",
+        "mdpm --out missing dir",
+        "sim --out missing dir",
+        "servo-sim --out missing dir",
+        "sim --frames-out existing file",
+        "eval --report-dir existing file",
+    ],
+)
+def test_path_the_os_refuses_is_data_error(tmp_path, capsys, case):
+    argv, path = _unwritable_or_unreadable_path_argv(tmp_path, case)
+    assert run_cli(argv) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_sim_deterministic_outputs(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("sim.duration = 2\nsim.frame_rate = 15\n")
@@ -315,6 +366,41 @@ def test_sim_trace_golden_hash(tmp_path, script):
         ["sim", "--config", str(config), "--out", str(trace), "--seed", "3"]
     ) == 0
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256[script]
+
+
+# SHA-256 of the footage ("frames": the PGM files concatenated in name order)
+# and annotations that `sim --seed 3` renders from a 2 s run at
+# `sim.frame_rate = 10`; frozen so the configured frame rate has to keep
+# reaching both outputs.
+GOLDEN_FRAME_RATE_SHA256 = {
+    "frames": "aae378e0a0437e92a74e8580801bff2f47526df67294f21b8660d1fcaa5ef2fe",
+    "annotations": "61d0afab40504a32eb2e78398c145cba9a0e44508680f64b4eb7050af46d3114",
+}
+
+
+def test_sim_frame_rate_reaches_footage_and_annotations(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("sim.duration = 2\nsim.frame_rate = 10\n")
+    frames_dir, annotations = tmp_path / "frames", tmp_path / "annotations.csv"
+    assert run_cli(
+        [
+            "sim",
+            "--config", str(config),
+            "--out", str(tmp_path / "trace.csv"),
+            "--seed", "3",
+            "--frames-out", str(frames_dir),
+            "--annotations-out", str(annotations),
+        ]
+    ) == 0
+    frame_files = sorted(frames_dir.iterdir())
+    rows = annotations.read_text().splitlines()[1:]
+    assert (len(frame_files), len(rows)) == (20, 20)
+    outputs = {
+        "frames": b"".join(f.read_bytes() for f in frame_files),
+        "annotations": annotations.read_bytes(),
+    }
+    for name, data in outputs.items():
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_FRAME_RATE_SHA256[name]
 
 
 def _noise_frame_dir(tmp_path, count):

@@ -9,7 +9,6 @@ from uwconvoy.evaluation import MetricsReport
 from uwconvoy.fileio import (
     CONFIG_KEYS,
     DataFormatError,
-    ToolConfig,
     format_annotations,
     format_metrics_csv,
     format_metrics_text,
@@ -170,11 +169,11 @@ detector_noise.center_sigma = 0.05
 
 def test_parse_config_good():
     config = parse_config(GOOD_CONFIG)
-    assert config.convoy.duration == 5.0
-    assert config.convoy.seed == 42
-    assert config.convoy.occlusions == ((1.0, 2.0), (3.5, 4.0))
-    assert config.convoy.servo.speed_gain == 12.0
-    assert config.convoy.detector_noise.center_sigma == 0.05
+    assert config.duration == 5.0
+    assert config.seed == 42
+    assert config.occlusions == ((1.0, 2.0), (3.5, 4.0))
+    assert config.servo.speed_gain == 12.0
+    assert config.detector_noise.center_sigma == 0.05
 
 
 def test_parse_config_unknown_key_with_line():
@@ -196,10 +195,10 @@ def test_parse_config_bad_value():
 
 def test_parse_config_noiseless_switch():
     config = parse_config("sim.noiseless = 1\n")
-    assert config.convoy.detector_noise.center_sigma == 0.0
-    assert config.convoy.detector_noise.miss_prob_base == 0.0
+    assert config.detector_noise.center_sigma == 0.0
+    assert config.detector_noise.miss_prob_base == 0.0
     config = parse_config("sim.noiseless = 0\ndetector_noise.center_sigma = 0.1\n")
-    assert config.convoy.detector_noise.center_sigma == 0.1
+    assert config.detector_noise.center_sigma == 0.1
 
 
 @pytest.mark.parametrize(
@@ -236,11 +235,11 @@ def test_parse_config_rejects_values_it_would_drop(lines, message):
 
 
 def test_parse_config_absent_keys_take_dataclass_defaults():
-    assert parse_config("# nothing set\n") == ToolConfig()
+    assert parse_config("# nothing set\n") == ConvoyConfig()
 
 
 def test_parse_config_depth_change_keeps_its_own_default_speed():
-    script = parse_config("sim.script = depth_change\n").convoy.script
+    script = parse_config("sim.script = depth_change\n").script
     assert script.kind == "depth_change"
     assert script.speed == depth_script().speed
 

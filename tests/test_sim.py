@@ -11,7 +11,6 @@ from uwconvoy.sim import (
     DetectorNoise,
     FootageScene,
     Pose,
-    SimTrace,
     TargetModel,
     TrajectoryScript,
     depth_script,
@@ -22,7 +21,6 @@ from uwconvoy.sim import (
     run_convoy,
     render_trace_frames,
     step_follower,
-    trace_annotations,
     turn_script,
     wrap_angle,
 )
@@ -417,7 +415,7 @@ def test_render_trace_frames_deterministic():
     cfg = ConvoyConfig(duration=1.0, seed=5)
     trace = run_convoy(cfg)
 
-    a, b = (render_trace_frames(trace, cfg, fps=15.0) for _ in range(2))
+    a, b = (render_trace_frames(trace, cfg) for _ in range(2))
     assert len(a) == len(b) == 15  # trace ends at t = 0.98; frames 0/15 .. 14/15
     for fa, fb in zip(a, b):
         assert np.array_equal(fa.samples, fb.samples)
@@ -425,6 +423,25 @@ def test_render_trace_frames_deterministic():
 
 @pytest.mark.parametrize("fps", [0.0, -3.0, math.inf])
 def test_trace_sampling_rejects_fps_that_never_advances(fps):
-    # the check runs before the sampling loop, so an empty trace suffices
-    with pytest.raises(ValueError, match="fps"):
-        trace_annotations(SimTrace([]), fps)
+    # the config is checked when built, so footage sampling never sees such a rate
+    with pytest.raises(ValueError, match="frame_rate"):
+        ConvoyConfig(frame_rate=fps)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("physics_rate", math.inf),
+        ("physics_rate", math.nan),
+        ("detector_rate", math.inf),
+        ("detector_rate", math.nan),
+        ("frame_rate", math.nan),
+        ("duration", math.inf),
+        ("duration", math.nan),
+        ("duration", -1.0),
+    ],
+)
+def test_convoy_config_rejects_rate_or_duration_that_is_not_finite(name, value):
+    # run_convoy would otherwise raise OverflowError on an infinite tick count
+    with pytest.raises(ValueError, match=name):
+        ConvoyConfig(**{name: value})
