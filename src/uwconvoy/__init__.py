@@ -32,11 +32,9 @@ from .mdpm import (
 )
 from .servo import (
     ControlCommand,
-    PidState,
     ServoConfig,
     ServoState,
     compute_errors,
-    pid_step,
     servo_update,
 )
 from .sim import (

@@ -77,7 +77,6 @@ def _cmd_eval(args) -> int:
     predictions = fileio.parse_predictions(Path(args.predictions).read_text())
     if args.auto_threshold:
         threshold = evaluation.select_threshold(annotations, predictions)
-        print(f"selected threshold: {threshold:.6f}")
     else:
         threshold = args.threshold
     results = evaluation.classify_frames(annotations, predictions, threshold)
@@ -85,10 +84,14 @@ def _cmd_eval(args) -> int:
     tracks = None
     if args.fps is not None:
         tracks = evaluation.track_statistics(results, args.fps)
+    if args.report_dir:
+        # made before anything is printed, so a refused directory prints nothing
+        Path(args.report_dir).mkdir(parents=True, exist_ok=True)
+    if args.auto_threshold:
+        print(f"selected threshold: {threshold:.6f}")
     sys.stdout.write(fileio.format_metrics_text(report, tracks))
     if args.report_dir:
         out = Path(args.report_dir)
-        out.mkdir(parents=True, exist_ok=True)
         hist = evaluation.histogram_report(results)
         (out / "metrics.csv").write_text(fileio.format_metrics_csv(report))
         (out / "area_histogram.csv").write_text(fileio.format_area_histogram_csv(hist))
@@ -106,6 +109,14 @@ def _load_config(args) -> ConvoyConfig:
 
 def _cmd_sim(args) -> int:
     config = _load_config(args)
+    # refuse a missing output directory before writing anything, so the
+    # failure leaves no partial output behind
+    for path in filter(None, (args.out, args.annotations_out)):
+        parent = Path(path).parent
+        if not parent.is_dir():
+            raise FileNotFoundError(f"cannot write {path}: no directory {parent}")
+    if args.frames_out:
+        Path(args.frames_out).mkdir(parents=True, exist_ok=True)
     trace = run_convoy(config)
     Path(args.out).write_text(fileio.format_trace_csv(trace))
     if args.frames_out:
@@ -182,3 +193,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

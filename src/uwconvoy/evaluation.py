@@ -20,6 +20,13 @@ from .geometry import Annotation, BoundingBox, box_center, iou
 
 Classification = str  # "TP" | "TN" | "FP" | "FN"
 
+# longest run of non-TP frames, in seconds, that keeps a track alive
+TRACK_MAX_GAP = 3.0
+# histogram bins: annotated box area (fraction of the image) and negative-run
+# length (frames)
+AREA_EDGES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+DURATION_EDGES = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0)
+
 
 class ThresholdNotFoundError(ValueError):
     """No confidence threshold reaches the required precision floor."""
@@ -46,7 +53,6 @@ class MetricsReport:
     recall: float | None
     avg_iou: float | None
     lfr: float | None
-    fps: float | None = None
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,7 @@ def classify_frames(
     return results
 
 
-def metrics_summary(results: Sequence[FrameResult], fps: float | None = None) -> MetricsReport:
+def metrics_summary(results: Sequence[FrameResult]) -> MetricsReport:
     """Aggregate frame results into the full metric set."""
     if not results:
         raise ValueError("no frame results to summarize")
@@ -121,7 +127,6 @@ def metrics_summary(results: Sequence[FrameResult], fps: float | None = None) ->
         recall=tp / (tp + fn) if tp + fn > 0 else None,
         avg_iou=sum(tp_ious) / len(tp_ious) if tp_ious else None,
         lfr=sum(1 for v in tp_ious if v < 0.5) / len(tp_ious) if tp_ious else None,
-        fps=fps,
     )
 
 
@@ -152,12 +157,10 @@ def select_threshold(
     return best[1]
 
 
-def track_statistics(
-    results: Sequence[FrameResult], fps: float, max_gap: float = 3.0
-) -> TrackStats:
+def track_statistics(results: Sequence[FrameResult], fps: float) -> TrackStats:
     """Group true positives into tracks tolerating bounded interruptions.
 
-    An interruption of up to max_gap seconds (inclusive) of non-TP frames
+    An interruption of up to TRACK_MAX_GAP seconds (inclusive) of non-TP frames
     keeps a track alive; track duration spans first through last TP frame.
     """
     if fps <= 0:
@@ -171,7 +174,7 @@ def track_statistics(
     spans: list[tuple[int, int]] = []
     start = prev = frames[0]
     for f in frames[1:]:
-        if (f - prev - 1) / fps <= max_gap:
+        if (f - prev - 1) / fps <= TRACK_MAX_GAP:
             prev = f
         else:
             spans.append((start, prev))
@@ -226,22 +229,13 @@ def _run_lengths(results: Sequence[FrameResult], label: str) -> list[int]:
     return lengths
 
 
-def histogram_report(
-    results: Sequence[FrameResult],
-    area_edges: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-    duration_edges: Sequence[float] = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0),
-) -> HistogramReport:
-    """Bin detector outcomes by annotated box area and by negative-run length.
+def histogram_report(results: Sequence[FrameResult]) -> HistogramReport:
+    """Bin detector outcomes by annotated box area (AREA_EDGES) and by
+    negative-run length (DURATION_EDGES).
 
     The last bin of each axis includes its right edge; earlier bins are
     half-open on the right.
     """
-    for edges in (area_edges, duration_edges):
-        if len(edges) < 2:
-            raise ValueError("bin spec needs at least two edges")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError("bin edges must be strictly increasing")
-
     tp_areas = []
     fn_areas = []
     biases = []
@@ -257,15 +251,15 @@ def histogram_report(
         elif r.classification == "FN":
             fn_areas.append(r.annotation.truth_box.w * r.annotation.truth_box.h)
 
-    tp_hist, _ = np.histogram(tp_areas, bins=area_edges)
-    fn_hist, _ = np.histogram(fn_areas, bins=area_edges)
+    tp_hist, _ = np.histogram(tp_areas, bins=AREA_EDGES)
+    fn_hist, _ = np.histogram(fn_areas, bins=AREA_EDGES)
 
-    n_bins = len(area_edges) - 1
+    n_bins = len(AREA_EDGES) - 1
     bias_count = np.zeros(n_bins, dtype=int)
     bias_mean = np.zeros(n_bins)
     bias_std = np.zeros(n_bins)
     if biases:
-        which = np.clip(np.digitize(bias_areas, area_edges) - 1, 0, n_bins - 1)
+        which = np.clip(np.digitize(bias_areas, AREA_EDGES) - 1, 0, n_bins - 1)
         biases_arr = np.asarray(biases)
         for b in range(n_bins):
             sel = biases_arr[which == b]
@@ -274,17 +268,17 @@ def histogram_report(
                 bias_mean[b] = sel.mean()
                 bias_std[b] = sel.std()
 
-    tn_hist, _ = np.histogram(_run_lengths(results, "TN"), bins=duration_edges)
-    fn_run_hist, _ = np.histogram(_run_lengths(results, "FN"), bins=duration_edges)
+    tn_hist, _ = np.histogram(_run_lengths(results, "TN"), bins=DURATION_EDGES)
+    fn_run_hist, _ = np.histogram(_run_lengths(results, "FN"), bins=DURATION_EDGES)
 
     return HistogramReport(
-        area_edges=tuple(area_edges),
+        area_edges=AREA_EDGES,
         tp_by_area=tuple(int(v) for v in tp_hist),
         fn_by_area=tuple(int(v) for v in fn_hist),
         bias_count=tuple(int(v) for v in bias_count),
         bias_mean=tuple(float(v) for v in bias_mean),
         bias_std=tuple(float(v) for v in bias_std),
-        duration_edges=tuple(duration_edges),
+        duration_edges=DURATION_EDGES,
         tn_runs=tuple(int(v) for v in tn_hist),
         fn_runs=tuple(int(v) for v in fn_run_hist),
     )

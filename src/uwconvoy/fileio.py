@@ -465,8 +465,6 @@ def format_metrics_text(report: MetricsReport, tracks: TrackStats | None = None)
         ("avg IOU", _cell(report.avg_iou)),
         ("LFR", _cell(report.lfr, percent=True)),
     ]
-    if report.fps is not None:
-        rows.append(("FPS", f"{report.fps:.2f}"))
     if tracks is not None:
         rows.append(("tracks", str(tracks.count)))
         rows.append(("track mean (s)", _cell(tracks.mean_duration)))
@@ -477,11 +475,11 @@ def format_metrics_text(report: MetricsReport, tracks: TrackStats | None = None)
 
 
 def format_metrics_csv(report: MetricsReport) -> str:
-    header = "n_images,n_tp,n_tn,n_fp,n_fn,accuracy,precision,recall,avg_iou,lfr,fps"
+    header = "n_images,n_tp,n_tn,n_fp,n_fn,accuracy,precision,recall,avg_iou,lfr"
     row = (
         *map(str, (report.n_images, report.n_tp, report.n_tn, report.n_fp, report.n_fn)),
         _fmt(report.accuracy),
-        *map(_fmt_opt, (report.precision, report.recall, report.avg_iou, report.lfr, report.fps)),
+        *map(_fmt_opt, (report.precision, report.recall, report.avg_iou, report.lfr)),
     )
     return _csv(header, [row])
 

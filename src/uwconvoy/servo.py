@@ -31,36 +31,12 @@ class ControlCommand:
 
 STOP_COMMAND = ControlCommand()
 
+# anti-windup bound on the yaw integral (error * seconds)
+YAW_INTEGRAL_LIMIT = 2.0
+
 
 def _clamp(v: float, lo: float, hi: float) -> float:
     return min(max(v, lo), hi)
-
-
-@dataclass(frozen=True)
-class PidState:
-    """Immutable PID controller state; stepping returns the successor."""
-
-    kp: float
-    ki: float = 0.0
-    kd: float = 0.0
-    integral: float = 0.0
-    prev_error: float | None = None
-    output_bounds: tuple[float, float] = (float("-inf"), float("inf"))
-    integral_bounds: tuple[float, float] = (-10.0, 10.0)
-
-    def reset(self) -> "PidState":
-        return replace(self, integral=0.0, prev_error=None)
-
-
-def pid_step(state: PidState, error: float, dt: float) -> tuple[float, PidState]:
-    """One PID update; integral is clamped for anti-windup."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    integral = _clamp(state.integral + error * dt, *state.integral_bounds)
-    derivative = 0.0 if state.prev_error is None else (error - state.prev_error) / dt
-    raw = state.kp * error + state.ki * integral + state.kd * derivative
-    output = _clamp(raw, *state.output_bounds)
-    return output, replace(state, integral=integral, prev_error=error)
 
 
 @dataclass(frozen=True)
@@ -86,15 +62,6 @@ class ServoConfig:
         if self.loss_timeout <= 0:
             raise ValueError("loss_timeout must be positive")
 
-    def yaw_pid(self) -> PidState:
-        return PidState(
-            kp=self.yaw_kp,
-            ki=self.yaw_ki,
-            kd=self.yaw_kd,
-            output_bounds=(-self.yaw_rate_limit, self.yaw_rate_limit),
-            integral_bounds=(-2.0, 2.0),
-        )
-
 
 def compute_errors(box: BoundingBox, cfg: ServoConfig) -> tuple[float, float, float]:
     """Image-space errors (dx, dy, dA) for one observed box.
@@ -112,14 +79,15 @@ class ServoState:
     """Controller state threaded through successive updates."""
 
     config: ServoConfig
-    yaw_pid: PidState
+    yaw_integral: float = 0.0
+    yaw_prev_error: float | None = None
     last_detection_time: float | None = None
     last_update_time: float | None = None
     last_command: ControlCommand = STOP_COMMAND
 
     @classmethod
     def initial(cls, config: ServoConfig = ServoConfig()) -> "ServoState":
-        return cls(config=config, yaw_pid=config.yaw_pid())
+        return cls(config=config)
 
 
 def servo_update(
@@ -143,7 +111,8 @@ def servo_update(
         if never_seen or now - state.last_detection_time > cfg.loss_timeout:
             stopped = replace(
                 state,
-                yaw_pid=state.yaw_pid.reset(),
+                yaw_integral=0.0,
+                yaw_prev_error=None,
                 last_update_time=now,
                 last_command=STOP_COMMAND,
             )
@@ -156,7 +125,14 @@ def servo_update(
         dt = now - state.last_update_time
 
     dx, dy, d_area = compute_errors(detection, cfg)
-    yaw_out, yaw_pid = pid_step(state.yaw_pid, dx, dt)
+    # PID on dx with a clamped integral
+    integral = _clamp(state.yaw_integral + dx * dt, -YAW_INTEGRAL_LIMIT, YAW_INTEGRAL_LIMIT)
+    derivative = 0.0 if state.yaw_prev_error is None else (dx - state.yaw_prev_error) / dt
+    yaw_out = _clamp(
+        cfg.yaw_kp * dx + cfg.yaw_ki * integral + cfg.yaw_kd * derivative,
+        -cfg.yaw_rate_limit,
+        cfg.yaw_rate_limit,
+    )
     # positive dx = target right of center = yaw clockwise (negative rate,
     # z-up convention); positive dy = target low in the image = descend
     command = ControlCommand(
@@ -174,7 +150,8 @@ def servo_update(
     )
     next_state = replace(
         state,
-        yaw_pid=yaw_pid,
+        yaw_integral=integral,
+        yaw_prev_error=dx,
         last_detection_time=now,
         last_update_time=now,
         last_command=command,

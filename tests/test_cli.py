@@ -1,10 +1,15 @@
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uwconvoy
 from uwconvoy.cli import run_cli
 from uwconvoy.fileio import (
     format_annotations,
@@ -131,6 +136,15 @@ def test_usage_errors():
     assert run_cli(["eval", "--annotations", "x"]) == 1  # missing required args
 
 
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(uwconvoy.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "uwconvoy.cli"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: uwconvoy")
+
+
 def test_data_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,header\n")
@@ -177,6 +191,10 @@ def _unwritable_or_unreadable_path_argv(tmp_path, case):
     if case == "sim --frames-out existing file":
         argv = ["sim", "--config", str(config), "--out", str(tmp_path / "trace.csv")]
         return argv + ["--frames-out", str(existing_file)], existing_file
+    if case == "sim --annotations-out missing dir":
+        argv = ["sim", "--config", str(config), "--out", str(tmp_path / "trace.csv")]
+        argv += ["--frames-out", str(tmp_path / "footage"), "--annotations-out", str(missing)]
+        return argv, missing
     assert case == "eval --report-dir existing file"
     ann = tmp_path / "ann.csv"
     ann.write_text(format_annotations([Annotation(0, False)]))
@@ -195,13 +213,19 @@ def _unwritable_or_unreadable_path_argv(tmp_path, case):
         "sim --out missing dir",
         "servo-sim --out missing dir",
         "sim --frames-out existing file",
+        "sim --annotations-out missing dir",
         "eval --report-dir existing file",
     ],
 )
 def test_path_the_os_refuses_is_data_error(tmp_path, capsys, case):
     argv, path = _unwritable_or_unreadable_path_argv(tmp_path, case)
+    before = sorted(tmp_path.rglob("*"))
     assert run_cli(argv) == 2
-    assert str(path) in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert str(path) in captured.err
+    # the refusal comes before any output: no trace, no frames, no report
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_sim_deterministic_outputs(tmp_path):
@@ -335,7 +359,7 @@ GOLDEN_PIPELINE_SHA256 = {
     "annotations": "82a43311d644545b13868ed72f9095a5327bab112fa687785a353eab130a0a77",
     "frames": "409b50f54ea520462427beef94fd70dbb4e5c236ac08c9fb9689973b3e88e8f6",
     "eval_stdout": "71e66a98466d033cec7ffe031db7c85af684c4548919263e082b0214d3718530",
-    "metrics.csv": "2392c43bf78d979d46c07ae1683d43e7ced9b14e7903878268a2b5307f9f0395",
+    "metrics.csv": "c6a9478ebea2a3505a2df381064d6df4363048e1bfdff3d6ad76aa86737d2b98",
     "area_histogram.csv": "042831447abae07f3436877c4965462bb2c66748eac95d4b27378065160e6fd4",
     "center_bias.csv": "cda082992bfad5029f93509a978af9b043b0e6645d7a31816954fdd449606ebf",
     "negative_runs.csv": "17bd92d6b0eab108308af9a1293b1eb0ab741c30ebd4e06130633bbe06bf6ab9",

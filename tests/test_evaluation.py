@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwconvoy.geometry import Annotation, BoundingBox
 from uwconvoy.evaluation import (
@@ -155,6 +157,27 @@ def test_select_threshold_equals_brute_force_oracle():
             assert select_threshold(annotations, predictions, 0.95) == expected
 
 
+# a 5-value confidence grid makes ties between frames the common case
+_FRAMES = st.lists(
+    st.tuples(st.booleans(), st.none() | st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9))),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames=_FRAMES, min_precision=st.sampled_from((0.0, 0.5, 0.95, 1.0)))
+def test_select_threshold_matches_oracle_under_ties(frames, min_precision):
+    annotations = [ann(i, present) for i, (present, _) in enumerate(frames)]
+    predictions = [(i, None if p is None else boxed(p)) for i, (_, p) in enumerate(frames)]
+    expected = brute_force_threshold(annotations, predictions, min_precision)
+    if expected is None:
+        with pytest.raises(ThresholdNotFoundError):
+            select_threshold(annotations, predictions, min_precision)
+    else:
+        assert select_threshold(annotations, predictions, min_precision) == expected
+
+
 def test_recall_monotone_in_threshold():
     rng = np.random.default_rng(31)
     annotations, predictions = random_prediction_set(rng)
@@ -182,7 +205,7 @@ def _tp_results(frames, all_frames):
 
 def test_track_gap_exactly_three_seconds_merges():
     results = _tp_results(list(range(10)) + list(range(40, 50)), range(50))
-    stats = track_statistics(results, fps=10.0, max_gap=3.0)
+    stats = track_statistics(results, fps=10.0)
     assert stats.count == 1
     assert stats.durations == (5.0,)
     assert stats.mean_duration == 5.0
@@ -191,7 +214,7 @@ def test_track_gap_exactly_three_seconds_merges():
 
 def test_track_gap_over_three_seconds_splits():
     results = _tp_results(list(range(10)) + list(range(41, 51)), range(51))
-    stats = track_statistics(results, fps=10.0, max_gap=3.0)
+    stats = track_statistics(results, fps=10.0)
     assert stats.count == 2
     assert stats.durations == (1.0, 1.0)
     assert stats.std_duration == 0.0
@@ -223,34 +246,29 @@ def test_track_rejects_unordered_results():
 def test_histogram_single_tp():
     truth = Annotation(0, True, BoundingBox(0.1, 0.1, 0.6, 0.5))  # area 0.3
     results = [FrameResult(0, truth, boxed(0.9, 0.1, 0.1, 0.6, 0.5), "TP", 1.0)]
-    hist = histogram_report(results, area_edges=(0.0, 0.5, 1.0))
-    assert hist.tp_by_area == (1, 0)
-    assert hist.fn_by_area == (0, 0)
-    assert hist.bias_count == (1, 0)
-    assert hist.bias_mean[0] == pytest.approx(0.0, abs=1e-12)
+    hist = histogram_report(results)
+    # area bins are tenths of the image; 0.3 opens the fourth
+    assert hist.tp_by_area == (0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
+    assert hist.fn_by_area == (0,) * 10
+    assert hist.bias_count == (0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
+    assert hist.bias_mean[3] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_histogram_confusion_fixture_counts():
     annotations, predictions = confusion_fixture()
     results = classify_frames(annotations, predictions, 0.5)
-    hist = histogram_report(results, area_edges=(0.0, 0.5, 1.0), duration_edges=(1, 2, 5))
-    # truth boxes all have area 0.16 -> first bin; 5 TPs and 2 FNs
-    assert hist.tp_by_area == (5, 0)
-    assert hist.fn_by_area == (2, 0)
-    # one TN run of length 2 (frames 5-6), one FN run of length 2 (frames 7-8)
-    assert hist.tn_runs == (0, 1)
-    assert hist.fn_runs == (0, 1)
+    hist = histogram_report(results)
+    # truth boxes all have area 0.16 -> second bin; 5 TPs and 2 FNs
+    assert hist.tp_by_area == (0, 5, 0, 0, 0, 0, 0, 0, 0, 0)
+    assert hist.fn_by_area == (0, 2, 0, 0, 0, 0, 0, 0, 0, 0)
+    # one TN run of length 2 (frames 5-6), one FN run of length 2 (frames 7-8),
+    # both in the [2, 5) frame bin
+    assert hist.tn_runs == (0, 1, 0, 0, 0, 0)
+    assert hist.fn_runs == (0, 1, 0, 0, 0, 0)
 
 
 def test_histogram_empty_results_all_zero():
-    hist = histogram_report([], area_edges=(0.0, 0.5, 1.0))
-    assert hist.tp_by_area == (0, 0)
-    assert hist.fn_by_area == (0, 0)
+    hist = histogram_report([])
+    assert hist.tp_by_area == (0,) * 10
+    assert hist.fn_by_area == (0,) * 10
     assert set(hist.tn_runs) == {0}
-
-
-def test_histogram_rejects_bad_bins():
-    with pytest.raises(ValueError):
-        histogram_report([], area_edges=(0.5,))
-    with pytest.raises(ValueError):
-        histogram_report([], area_edges=(0.5, 0.2))

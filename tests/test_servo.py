@@ -3,12 +3,11 @@ import pytest
 from uwconvoy.geometry import BoundingBox
 from uwconvoy.servo import (
     STOP_COMMAND,
+    YAW_INTEGRAL_LIMIT,
     ControlCommand,
-    PidState,
     ServoConfig,
     ServoState,
     compute_errors,
-    pid_step,
     servo_update,
 )
 
@@ -38,39 +37,53 @@ def test_errors_area_surplus():
     assert da == pytest.approx(-0.2, abs=1e-12)
 
 
+def _yaw_rate(cfg, box, state=None, now=0.0):
+    cmd, state = servo_update(state or ServoState.initial(cfg), box, now)
+    return cmd.yaw_rate, state
+
+
+# boxes centred vertically whose centres sit dx = 0.2, 0.3 and 0.45 right of
+# the image centre
+DX_02 = BoundingBox(0.5, 0.25, 0.4, 0.5, 1.0)
+DX_03 = BoundingBox(0.6, 0.25, 0.4, 0.5, 1.0)
+DX_045 = BoundingBox(0.9, 0.25, 0.1, 0.5, 1.0)
+
+
 def test_pid_zero_error_zero_history():
-    out, _ = pid_step(PidState(kp=1.0, ki=0.5, kd=0.2), 0.0, 0.1)
-    assert out == 0.0
+    rate, _ = _yaw_rate(ServoConfig(yaw_kp=1.0, yaw_ki=0.5, yaw_kd=0.2), CENTERED_AT_SETPOINT)
+    assert rate == 0.0
 
 
 def test_pid_pure_proportional():
-    out, _ = pid_step(PidState(kp=1.0), 0.3, 0.1)
-    assert out == pytest.approx(0.3, abs=1e-12)
+    rate, _ = _yaw_rate(ServoConfig(yaw_kp=1.0, yaw_ki=0.0, yaw_kd=0.0), DX_03)
+    assert rate == pytest.approx(-0.3, abs=1e-12)
 
 
 def test_pid_two_step_integral():
-    state = PidState(kp=0.5, ki=0.1)
-    out1, state = pid_step(state, 0.2, 0.1)
-    assert out1 == pytest.approx(0.102, abs=1e-12)
-    out2, state = pid_step(state, 0.2, 0.1)
-    assert out2 == pytest.approx(0.104, abs=1e-12)
+    # the first update integrates over 1 / command_rate = 0.1 s
+    cfg = ServoConfig(yaw_kp=0.5, yaw_ki=0.1, yaw_kd=0.0, command_rate=10.0)
+    rate1, state = _yaw_rate(cfg, DX_02)
+    assert rate1 == pytest.approx(-0.102, abs=1e-12)
+    rate2, state = _yaw_rate(cfg, DX_02, state, now=0.1)
+    assert rate2 == pytest.approx(-0.104, abs=1e-12)
 
 
 def test_pid_output_saturation_and_antiwindup():
-    state = PidState(kp=10.0, ki=1.0, output_bounds=(-0.5, 0.5), integral_bounds=(-0.1, 0.1))
-    out, state = pid_step(state, 1.0, 1.0)
-    assert out == 0.5
-    assert state.integral == 0.1
-    with pytest.raises(ValueError):
-        pid_step(state, 0.1, 0.0)
+    # one 10 s step at dx = 0.45 would integrate 4.5; the integral stops at 2
+    cfg = ServoConfig(yaw_kp=10.0, yaw_ki=1.0, yaw_kd=0.0, yaw_rate_limit=0.5, command_rate=0.1)
+    rate, state = _yaw_rate(cfg, DX_045)
+    assert rate == -0.5
+    assert state.yaw_integral == YAW_INTEGRAL_LIMIT == 2.0
 
 
 def test_servo_stop_after_timeout():
     state = ServoState.initial(CFG)
-    _, state = servo_update(state, CENTERED_AT_SETPOINT, 0.0)
+    _, state = servo_update(state, DX_02, 0.0)
+    assert state.yaw_integral != 0.0
     cmd, state = servo_update(state, None, 2.5)
     assert cmd == STOP_COMMAND
-    assert state.yaw_pid.integral == 0.0
+    assert state.yaw_integral == 0.0
+    assert state.yaw_prev_error is None
 
 
 def test_servo_setpoint_gives_zero_command():
