@@ -16,8 +16,6 @@ from .geometry import (
 )
 from .losses import (
     LossWeights,
-    PredictionVector,
-    numeric_gradient,
     rrolo_gradient,
     rrolo_loss,
     vgg_gradient,
@@ -28,7 +26,6 @@ from .mdpm import (
     MdpmTracker,
     SpectralDetection,
     SubWindowGrid,
-    detect_periodic_target,
 )
 from .servo import (
     ControlCommand,

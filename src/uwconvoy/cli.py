@@ -117,6 +117,9 @@ def _cmd_sim(args) -> int:
             raise FileNotFoundError(f"cannot write {path}: no directory {parent}")
     if args.frames_out:
         Path(args.frames_out).mkdir(parents=True, exist_ok=True)
+        # frames of an earlier run would mix with this run's in mdpm
+        if fileio.frame_files(args.frames_out):
+            raise fileio.DataFormatError(f"{args.frames_out} already holds .pgm frames")
     trace = run_convoy(config)
     Path(args.out).write_text(fileio.format_trace_csv(trace))
     if args.frames_out:
@@ -142,7 +145,11 @@ def _cmd_mdpm(args) -> int:
     tracker = MdpmTracker(config)
     rows = []
     for i, frame in enumerate(frames):
-        detection = tracker.push(frame)
+        try:
+            detection = tracker.push(frame)
+        except ValueError as exc:
+            name = fileio.frame_files(args.frames)[i].name
+            raise fileio.DataFormatError(f"{name}: {exc}") from None
         rows.append((i, detection.bbox if detection is not None else None))
     Path(args.out).write_text(fileio.format_predictions(rows))
     return 0

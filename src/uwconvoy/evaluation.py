@@ -157,6 +157,23 @@ def select_threshold(
     return best[1]
 
 
+def _spans(
+    results: Sequence[FrameResult], label: Classification, fps: float, max_gap: float
+) -> list[tuple[int, int]]:
+    """(first, last) frame of each maximal group of the label's frames in
+    which no interruption lasts more than max_gap seconds (inclusive)."""
+    frames = [r.frame_index for r in results if r.classification == label]
+    if any(b <= a for a, b in zip(frames, frames[1:])):
+        raise ValueError("results must be in increasing frame order")
+    spans: list[tuple[int, int]] = []
+    for f in frames:
+        if spans and (f - spans[-1][1] - 1) / fps <= max_gap:
+            spans[-1] = (spans[-1][0], f)
+        else:
+            spans.append((f, f))
+    return spans
+
+
 def track_statistics(results: Sequence[FrameResult], fps: float) -> TrackStats:
     """Group true positives into tracks tolerating bounded interruptions.
 
@@ -165,22 +182,9 @@ def track_statistics(results: Sequence[FrameResult], fps: float) -> TrackStats:
     """
     if fps <= 0:
         raise ValueError("fps must be positive")
-    frames = [r.frame_index for r in results if r.classification == "TP"]
-    if any(b <= a for a, b in zip(frames, frames[1:])):
-        raise ValueError("results must be in increasing frame order")
-    if not frames:
+    spans = _spans(results, "TP", fps, TRACK_MAX_GAP)
+    if not spans:
         return TrackStats(0, (), None, None, None)
-
-    spans: list[tuple[int, int]] = []
-    start = prev = frames[0]
-    for f in frames[1:]:
-        if (f - prev - 1) / fps <= TRACK_MAX_GAP:
-            prev = f
-        else:
-            spans.append((start, prev))
-            start = prev = f
-    spans.append((start, prev))
-
     durations = tuple((last - first + 1) / fps for first, last in spans)
     return TrackStats(
         count=len(durations),
@@ -195,38 +199,16 @@ def track_statistics(results: Sequence[FrameResult], fps: float) -> TrackStats:
 class HistogramReport:
     """Binned failure analyses mirroring the field-trial figures."""
 
-    area_edges: tuple[float, ...]
-    # per area bin: TP count, FN count
+    # per AREA_EDGES bin: TP count, FN count
     tp_by_area: tuple[int, ...]
     fn_by_area: tuple[int, ...]
     # per area bin: sample count, mean and std of center bias over TPs
     bias_count: tuple[int, ...]
     bias_mean: tuple[float, ...]
     bias_std: tuple[float, ...]
-    duration_edges: tuple[float, ...]
-    # per duration bin: counts of TN runs and FN runs of that length (frames)
+    # per DURATION_EDGES bin: counts of TN runs and FN runs of that length (frames)
     tn_runs: tuple[int, ...]
     fn_runs: tuple[int, ...]
-
-
-def _run_lengths(results: Sequence[FrameResult], label: str) -> list[int]:
-    """Lengths of maximal runs of frame-contiguous results with the label."""
-    lengths = []
-    run = 0
-    prev_frame = None
-    for r in results:
-        if r.classification == label:
-            if run > 0 and r.frame_index != prev_frame + 1:
-                lengths.append(run)
-                run = 0
-            run += 1
-        elif run:
-            lengths.append(run)
-            run = 0
-        prev_frame = r.frame_index
-    if run:
-        lengths.append(run)
-    return lengths
 
 
 def histogram_report(results: Sequence[FrameResult]) -> HistogramReport:
@@ -268,17 +250,20 @@ def histogram_report(results: Sequence[FrameResult]) -> HistogramReport:
                 bias_mean[b] = sel.mean()
                 bias_std[b] = sel.std()
 
-    tn_hist, _ = np.histogram(_run_lengths(results, "TN"), bins=DURATION_EDGES)
-    fn_run_hist, _ = np.histogram(_run_lengths(results, "FN"), bins=DURATION_EDGES)
+    # runs are spans that tolerate no interruption; the frame rate is moot
+    tn_runs, fn_runs = (
+        [last - first + 1 for first, last in _spans(results, label, 1.0, 0.0)]
+        for label in ("TN", "FN")
+    )
+    tn_hist, _ = np.histogram(tn_runs, bins=DURATION_EDGES)
+    fn_run_hist, _ = np.histogram(fn_runs, bins=DURATION_EDGES)
 
     return HistogramReport(
-        area_edges=AREA_EDGES,
         tp_by_area=tuple(int(v) for v in tp_hist),
         fn_by_area=tuple(int(v) for v in fn_hist),
         bias_count=tuple(int(v) for v in bias_count),
         bias_mean=tuple(float(v) for v in bias_mean),
         bias_std=tuple(float(v) for v in bias_std),
-        duration_edges=DURATION_EDGES,
         tn_runs=tuple(int(v) for v in tn_hist),
         fn_runs=tuple(int(v) for v in fn_run_hist),
     )

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
-from .evaluation import HistogramReport, MetricsReport, TrackStats
+from .evaluation import AREA_EDGES, DURATION_EDGES, HistogramReport, MetricsReport, TrackStats
 from .geometry import Annotation, BoundingBox, IntensityGrid
 from .servo import ServoConfig
 from .sim import (
@@ -340,7 +340,8 @@ def parse_config(text: str) -> ConvoyConfig:
 
 def write_pgm(grid: IntensityGrid) -> bytes:
     """Binary 8-bit PGM (P5) with a fixed header layout."""
-    header = f"P5\n{grid.width} {grid.height}\n255\n".encode("ascii")
+    height, width = grid.samples.shape
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
     data = np.clip(np.rint(grid.samples * 255.0), 0, 255).astype(np.uint8)
     return header + data.tobytes()
 
@@ -391,9 +392,7 @@ def read_pgm(data: bytes, timestamp: float = 0.0) -> IntensityGrid:
             )
     if samples.min() < 0 or samples.max() > maxval:
         raise DataFormatError(f"PGM pixel values must lie in 0..{maxval}")
-    return IntensityGrid(
-        width, height, (samples / maxval).reshape(height, width), timestamp
-    )
+    return IntensityGrid((samples / maxval).reshape(height, width), timestamp)
 
 
 def write_frame_dir(frames: Sequence[IntensityGrid], directory: str | Path) -> None:
@@ -403,11 +402,16 @@ def write_frame_dir(frames: Sequence[IntensityGrid], directory: str | Path) -> N
         (out / f"frame_{i:06d}.pgm").write_bytes(write_pgm(frame))
 
 
+def frame_files(directory: str | Path) -> list[Path]:
+    """The PGM frames of a directory, in lexicographic filename order."""
+    return sorted(p for p in Path(directory).iterdir() if p.suffix.lower() == ".pgm")
+
+
 def load_frame_dir(directory: str | Path, fps: float) -> list[IntensityGrid]:
-    """Load a directory of PGM frames in lexicographic filename order."""
+    """Load a directory of PGM frames in frame_files order."""
     if fps <= 0:
         raise ValueError("fps must be positive")
-    files = sorted(p for p in Path(directory).iterdir() if p.suffix.lower() == ".pgm")
+    files = frame_files(directory)
     if not files:
         raise DataFormatError(f"no .pgm frames in {directory}")
     frames = []
@@ -495,15 +499,15 @@ def _bin_rows(edges: Sequence[float], counts: Sequence, floats: Sequence = ()) -
 
 
 def format_area_histogram_csv(hist: HistogramReport) -> str:
-    rows = _bin_rows(hist.area_edges, (hist.tp_by_area, hist.fn_by_area))
+    rows = _bin_rows(AREA_EDGES, (hist.tp_by_area, hist.fn_by_area))
     return _csv("area_lo,area_hi,tp_count,fn_count", rows)
 
 
 def format_bias_histogram_csv(hist: HistogramReport) -> str:
-    rows = _bin_rows(hist.area_edges, (hist.bias_count,), (hist.bias_mean, hist.bias_std))
+    rows = _bin_rows(AREA_EDGES, (hist.bias_count,), (hist.bias_mean, hist.bias_std))
     return _csv("area_lo,area_hi,count,bias_mean,bias_std", rows)
 
 
 def format_runs_histogram_csv(hist: HistogramReport) -> str:
-    rows = _bin_rows(hist.duration_edges, (hist.tn_runs, hist.fn_runs))
+    rows = _bin_rows(DURATION_EDGES, (hist.tn_runs, hist.fn_runs))
     return _csv("frames_lo,frames_hi,tn_runs,fn_runs", rows)

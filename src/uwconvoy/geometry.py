@@ -65,20 +65,15 @@ class Annotation:
 
 @dataclass(eq=False)
 class IntensityGrid:
-    """A grayscale frame: row-major samples in [0, 1] plus a capture time."""
+    """A grayscale frame: samples in [0, 1], shape (height, width), plus a capture time."""
 
-    width: int
-    height: int
-    samples: np.ndarray  # shape (height, width), float
+    samples: np.ndarray
     timestamp: float = 0.0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.shape != (self.height, self.width):
-            raise ValueError(
-                f"samples shape {self.samples.shape} != (height, width) = "
-                f"({self.height}, {self.width})"
-            )
+        if self.samples.ndim != 2:
+            raise ValueError(f"samples must be 2-D (height, width), got shape {self.samples.shape}")
 
 
 def box_area(b: BoundingBox) -> float:

@@ -1,21 +1,20 @@
-"""Reference detection objectives and a numeric-gradient harness.
+"""Reference detection objectives.
 
-Two single-point losses are provided:
+Two single-point losses score a predicted box z, whose p field carries the
+confidence, against one annotation:
 
 * ``vgg_loss`` - L1 box regression gated on target presence plus binary
   cross-entropy on the confidence.
 * ``rrolo_loss`` - square-root coordinate regression plus (IOU - p)^2
   confidence terms weighted per presence, with tunable weights.
 
-Closed-form gradients accompany both so they can be checked against
-central differences.
+Closed-form gradients in (x, y, w, h, p) accompany both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,20 +40,12 @@ class LossWeights:
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
 
 
-@dataclass(frozen=True)
-class PredictionVector:
-    """A detector output: the (x, y, w, h, p) vector wrapped as a box."""
-
-    box: BoundingBox
-
-
-def vgg_loss(pred: PredictionVector, truth: Annotation) -> float:
+def vgg_loss(z: BoundingBox, truth: Annotation) -> float:
     """L1 localization error on present frames plus confidence cross-entropy.
 
     The log terms are exact when the confidence matches the label (so a
     perfect prediction scores 0) and clamped at BCE_EPS otherwise.
     """
-    z = pred.box
     if truth.present:
         tb = truth.truth_box
         l1 = abs(z.x - tb.x) + abs(z.y - tb.y) + abs(z.w - tb.w) + abs(z.h - tb.h)
@@ -65,13 +56,12 @@ def vgg_loss(pred: PredictionVector, truth: Annotation) -> float:
     return l1 + bce
 
 
-def vgg_gradient(pred: PredictionVector, truth: Annotation) -> np.ndarray:
+def vgg_gradient(z: BoundingBox, truth: Annotation) -> np.ndarray:
     """Gradient of vgg_loss in (x, y, w, h, p).
 
     Undefined where a coordinate exactly matches the truth (L1 kink) or the
     confidence sits at the clamp; valid elsewhere.
     """
-    z = pred.box
     g = np.zeros(5)
     if truth.present:
         tb = truth.truth_box
@@ -85,13 +75,12 @@ def vgg_gradient(pred: PredictionVector, truth: Annotation) -> np.ndarray:
     return g
 
 
-def rrolo_loss(pred: PredictionVector, truth: Annotation, w: LossWeights = LossWeights()) -> float:
+def rrolo_loss(z: BoundingBox, truth: Annotation, w: LossWeights = LossWeights()) -> float:
     """Square-root coordinate regression plus squared (IOU - p) confidence terms.
 
     On absent frames the overlap is defined as 0, so only the no-object term
     alpha_no_obj * p^2 remains and the box coordinates are irrelevant.
     """
-    z = pred.box
     if truth.present:
         tb = truth.truth_box
         coord = (math.sqrt(tb.x) - math.sqrt(z.x)) ** 2 + (math.sqrt(tb.y) - math.sqrt(z.y)) ** 2
@@ -102,14 +91,13 @@ def rrolo_loss(pred: PredictionVector, truth: Annotation, w: LossWeights = LossW
 
 
 def rrolo_gradient(
-    pred: PredictionVector, truth: Annotation, w: LossWeights = LossWeights()
+    z: BoundingBox, truth: Annotation, w: LossWeights = LossWeights()
 ) -> np.ndarray:
     """Gradient of rrolo_loss in (x, y, w, h, p).
 
     Requires strictly positive coordinates on present frames (square roots)
     and an overlap configuration away from corner contact.
     """
-    z = pred.box
     g = np.zeros(5)
     if not truth.present:
         g[4] = 2.0 * w.alpha_no_obj * z.p
@@ -124,26 +112,4 @@ def rrolo_gradient(
     overlap = iou(z, tb)
     g[:4] += 2.0 * w.alpha_obj * (overlap - z.p) * iou_gradient(z, tb)
     g[4] = -2.0 * w.alpha_obj * (overlap - z.p)
-    return g
-
-
-def numeric_gradient(
-    f: Callable[[np.ndarray], float], point: Sequence[float], step: float = 1e-6
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function at a point."""
-    x = np.asarray(point, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    g = np.empty_like(x)
-    for i in range(x.size):
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += step
-        lo[i] -= step
-        fp, fm = f(hi), f(lo)
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise ValueError(f"function not finite near component {i}")
-        g[i] = (fp - fm) / (2.0 * step)
     return g

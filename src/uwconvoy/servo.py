@@ -61,6 +61,9 @@ class ServoConfig:
             raise ValueError("command_rate must be positive")
         if self.loss_timeout <= 0:
             raise ValueError("loss_timeout must be positive")
+        for name in ("yaw_rate_limit", "vertical_speed_limit", "forward_speed_limit"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def compute_errors(box: BoundingBox, cfg: ServoConfig) -> tuple[float, float, float]:
@@ -84,10 +87,6 @@ class ServoState:
     last_detection_time: float | None = None
     last_update_time: float | None = None
     last_command: ControlCommand = STOP_COMMAND
-
-    @classmethod
-    def initial(cls, config: ServoConfig = ServoConfig()) -> "ServoState":
-        return cls(config=config)
 
 
 def servo_update(

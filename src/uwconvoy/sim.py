@@ -95,6 +95,8 @@ class TargetModel:
     gait_jitter: float = 0.0
 
     def __post_init__(self):
+        if not (self.body_length > 0 and self.body_height > 0):
+            raise ValueError(f"body size {self.body_length}x{self.body_height} must be positive")
         if not 1.0 <= self.gait_frequency <= 3.0:
             raise ValueError(
                 f"gait_frequency {self.gait_frequency} outside the 1-3 Hz band"
@@ -322,7 +324,7 @@ class FootageScene:
                 img[y0:y1, x0:x1] = level
 
         np.clip(img, 0.0, 1.0, out=img)
-        return IntensityGrid(cam.image_width, cam.image_height, img, timestamp=t)
+        return IntensityGrid(img, timestamp=t)
 
     def render_sequence(
         self, leader: Pose, follower: Pose, frame_count: int, fps: float
@@ -350,6 +352,14 @@ class DetectorNoise:
     scale_sigma: float = 0.02
     confidence_sigma: float = 0.10
     false_positive_prob: float = 0.01
+
+    def __post_init__(self):
+        for name in ("miss_prob_small", "miss_prob_base", "small_area", "false_positive_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        for name in ("center_sigma", "scale_sigma", "confidence_sigma"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @classmethod
     def noiseless(cls) -> "DetectorNoise":
@@ -476,7 +486,7 @@ def run_convoy(config: ConvoyConfig) -> SimTrace:
 
     leader = leader_trajectory(config.script, 0.0)
     follower = config.initial_follower
-    servo_state = ServoState.initial(config.servo)
+    servo_state = ServoState(config.servo)
     latched: BoundingBox | None = None
     command = STOP_COMMAND
     det_i = 0

@@ -1,13 +1,15 @@
 """Independent reference computations used to freeze expected test values.
 
 Everything here deliberately avoids the library's own code paths: pixel
-counting for overlap, straight-line trigonometry for losses, plain-loop
-path enumeration for direction scoring, and ray sampling for projection.
+counting for overlap, straight-line trigonometry for losses, central
+differences for their gradients, plain-loop path enumeration for direction
+scoring, and ray sampling for projection.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,6 +59,28 @@ def straight_line_rrolo(pred, truth_box, present, weights) -> float:
     loss += a_coord * ((math.sqrt(tw) - math.sqrt(w)) ** 2 + (math.sqrt(th) - math.sqrt(h)) ** 2)
     loss += a_obj * (overlap - p) ** 2
     return loss
+
+
+def numeric_gradient(
+    f: Callable[[np.ndarray], float], point: Sequence[float], step: float = 1e-6
+) -> np.ndarray:
+    """Central-difference gradient of a scalar function at a point."""
+    x = np.asarray(point, dtype=float)
+    if x.ndim == 0:
+        x = x.reshape(1)
+    if step <= 0:
+        raise ValueError("step must be positive")
+    g = np.empty_like(x)
+    for i in range(x.size):
+        hi = x.copy()
+        lo = x.copy()
+        hi[i] += step
+        lo[i] -= step
+        fp, fm = f(hi), f(lo)
+        if not (math.isfinite(fp) and math.isfinite(fm)):
+            raise ValueError(f"function not finite near component {i}")
+        g[i] = (fp - fm) / (2.0 * step)
+    return g
 
 
 def straight_line_paths(rows: int, cols: int, length: int) -> list[tuple[int, ...]]:

@@ -23,14 +23,12 @@ from uwconvoy.evaluation import (
 from uwconvoy.geometry import Annotation, BoundingBox, box_area, box_center, iou
 from uwconvoy.losses import (
     LossWeights,
-    PredictionVector,
-    numeric_gradient,
     rrolo_gradient,
     rrolo_loss,
     vgg_gradient,
     vgg_loss,
 )
-from uwconvoy.mdpm import MdpmConfig, MdpmTracker, detect_periodic_target
+from uwconvoy.mdpm import MdpmConfig, MdpmTracker
 from uwconvoy.servo import STOP_COMMAND
 from uwconvoy.sim import (
     ConvoyConfig,
@@ -43,6 +41,7 @@ from uwconvoy.sim import (
 
 from oracles import (
     brute_force_threshold,
+    numeric_gradient,
     pixel_grid_iou,
     random_box_tuple,
     random_prediction_set,
@@ -118,16 +117,16 @@ def test_criterion_2_loss_examples_and_gradients():
     examples_ok = True
     # analytic single-point values to 1e-9
     examples_ok &= (
-        abs(vgg_loss(PredictionVector(BoundingBox(0.1, 0.1, 0.2, 0.2, 0.5)), absent)
+        abs(vgg_loss(BoundingBox(0.1, 0.1, 0.2, 0.2, 0.5), absent)
             - (-math.log(0.5))) <= 1e-9
     )
-    shifted = PredictionVector(BoundingBox(0.30, 0.25, 0.45, 0.35, 1.0))
+    shifted = BoundingBox(0.30, 0.25, 0.45, 0.35, 1.0)
     examples_ok &= abs(vgg_loss(shifted, truth) - 0.2) <= 1e-9
     examples_ok &= (
-        abs(rrolo_loss(PredictionVector(BoundingBox(0.1, 0.1, 0.2, 0.2, 0.4)), absent, w)
+        abs(rrolo_loss(BoundingBox(0.1, 0.1, 0.2, 0.2, 0.4), absent, w)
             - 0.08) <= 1e-9
     )
-    moved = PredictionVector(BoundingBox(0.16, 0.2, 0.5, 0.4, 0.9))
+    moved = BoundingBox(0.16, 0.2, 0.5, 0.4, 0.9)
     oracle = straight_line_rrolo(
         (0.16, 0.2, 0.5, 0.4, 0.9), (0.25, 0.2, 0.5, 0.4), True, (5, 1, 0.5)
     )
@@ -146,14 +145,14 @@ def test_criterion_2_loss_examples_and_gradients():
             (vgg_gradient, vgg_loss, absent),
         ):
             if loss_fn is rrolo_loss:
-                analytic = grad_fn(PredictionVector(BoundingBox(*point)), t, w)
+                analytic = grad_fn(BoundingBox(*point), t, w)
                 numeric = numeric_gradient(
-                    lambda v: loss_fn(PredictionVector(BoundingBox(*v)), t, w), point, 1e-6
+                    lambda v: loss_fn(BoundingBox(*v), t, w), point, 1e-6
                 )
             else:
-                analytic = grad_fn(PredictionVector(BoundingBox(*point)), t)
+                analytic = grad_fn(BoundingBox(*point), t)
                 numeric = numeric_gradient(
-                    lambda v: loss_fn(PredictionVector(BoundingBox(*v)), t), point, 1e-6
+                    lambda v: loss_fn(BoundingBox(*v), t), point, 1e-6
                 )
             for a, n in zip(analytic, numeric):
                 worst_rel = max(worst_rel, abs(n - a) / max(abs(a), 1e-4))
@@ -172,7 +171,7 @@ def test_criterion_2_loss_examples_and_gradients():
 def test_criterion_3_no_object_weight_semantics():
     w = LossWeights(5, 1, 0.5)
     value = rrolo_loss(
-        PredictionVector(BoundingBox(0.3, 0.3, 0.2, 0.2, 0.4)), Annotation(0, False), w
+        BoundingBox(0.3, 0.3, 0.2, 0.2, 0.4), Annotation(0, False), w
     )
     ok = abs(value - 0.08) < 1e-12
     _report(3, "no-object weight semantics", ok, f"value {value!r}")
@@ -206,7 +205,8 @@ def test_criterion_4_dtft_detection_rates():
     for seed in range(100):
         scene = FootageScene(rng=np.random.default_rng(5000 + seed), noise_sigma=0.02)
         frames = scene.render_sequence(Pose(position=(-5.0, 0.0, 0.0)), Pose(), 10, 15.0)
-        if detect_periodic_target(frames) is not None:
+        tracker = MdpmTracker()
+        if [tracker.push(f) for f in frames][-1] is not None:
             false_positives += 1
 
     _report(
@@ -253,7 +253,7 @@ def test_criterion_6_mdpm_throughput():
     from uwconvoy.geometry import IntensityGrid
 
     frames = [
-        IntensityGrid(320, 240, 0.4 + rng.normal(0, 0.02, (240, 320)), timestamp=i / 15.0)
+        IntensityGrid(0.4 + rng.normal(0, 0.02, (240, 320)), timestamp=i / 15.0)
         for i in range(110)
     ]
     tracker = MdpmTracker()

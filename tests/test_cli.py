@@ -191,6 +191,10 @@ def _unwritable_or_unreadable_path_argv(tmp_path, case):
     if case == "sim --frames-out existing file":
         argv = ["sim", "--config", str(config), "--out", str(tmp_path / "trace.csv")]
         return argv + ["--frames-out", str(existing_file)], existing_file
+    if case == "sim --frames-out dir holding frames":
+        frame_dir = _noise_frame_dir(tmp_path, 1)
+        argv = ["sim", "--config", str(config), "--out", str(tmp_path / "trace.csv")]
+        return argv + ["--frames-out", str(frame_dir)], frame_dir
     if case == "sim --annotations-out missing dir":
         argv = ["sim", "--config", str(config), "--out", str(tmp_path / "trace.csv")]
         argv += ["--frames-out", str(tmp_path / "footage"), "--annotations-out", str(missing)]
@@ -213,6 +217,7 @@ def _unwritable_or_unreadable_path_argv(tmp_path, case):
         "sim --out missing dir",
         "servo-sim --out missing dir",
         "sim --frames-out existing file",
+        "sim --frames-out dir holding frames",
         "sim --annotations-out missing dir",
         "eval --report-dir existing file",
     ],
@@ -429,7 +434,7 @@ def test_sim_frame_rate_reaches_footage_and_annotations(tmp_path):
 
 def _noise_frame_dir(tmp_path, count):
     rng = np.random.default_rng(5)
-    frames = [IntensityGrid(60, 60, rng.uniform(0, 1, (60, 60)), i / 15.0) for i in range(count)]
+    frames = [IntensityGrid(rng.uniform(0, 1, (60, 60)), i / 15.0) for i in range(count)]
     frame_dir = tmp_path / "frames"
     write_frame_dir(frames, frame_dir)
     return frame_dir
@@ -459,6 +464,24 @@ def test_mdpm_rejects_input_it_cannot_detect_on(tmp_path, capsys, count, fps, me
     out = tmp_path / "detections.csv"
     assert run_cli(["mdpm", "--frames", str(frame_dir), "--fps", fps, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ([(60, 60)] * 7 + [(60, 90)] + [(60, 60)] * 4,
+         "frame_000007.pgm: frame dimensions changed mid-stream: 90x60 after 60x60"),
+        ([(20, 20)] * 12, "frame_000000.pgm: frame 20x20 smaller than one 30px sub-window"),
+    ],
+    ids=["size changes mid-clip", "frame smaller than a sub-window"],
+)
+def test_mdpm_error_names_the_frame_file(tmp_path, capsys, sizes, message):
+    frames = [IntensityGrid(np.zeros(shape), i / 15.0) for i, shape in enumerate(sizes)]
+    frame_dir, out = tmp_path / "frames", tmp_path / "detections.csv"
+    write_frame_dir(frames, frame_dir)
+    assert run_cli(["mdpm", "--frames", str(frame_dir), "--fps", "15", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -261,6 +261,13 @@ def test_parse_config_rejects_mdpm_keys():
         "sim.frame_rate = -3",
         "sim.script = banana",
         "sim.seed = -1",
+        "sim.target_length = 0",
+        "sim.target_height = -0.3",
+        "detector_noise.center_sigma = -0.1",
+        "detector_noise.miss_prob_base = 1.5",
+        "detector_noise.small_area = -0.2",
+        "servo.yaw_rate_limit = -1",
+        "servo.forward_speed_limit = -0.5",
     ],
 )
 def test_parse_config_rejects_bad_value_naming_its_line(line):
@@ -289,10 +296,10 @@ def test_parse_config_corrupted_value_parses_or_names_its_line(key, value, blank
 
 def test_pgm_round_trip_binary():
     rng = np.random.default_rng(5)
-    grid = IntensityGrid(17, 9, rng.uniform(0, 1, (9, 17)), timestamp=0.4)
+    grid = IntensityGrid(rng.uniform(0, 1, (9, 17)), timestamp=0.4)
     data = write_pgm(grid)
     back = read_pgm(data, timestamp=0.4)
-    assert back.width == 17 and back.height == 9
+    assert back.samples.shape == (9, 17)
     # quantized to 8 bits on write
     assert np.max(np.abs(back.samples - grid.samples)) <= 0.5 / 255 + 1e-12
     assert write_pgm(back) == data
@@ -301,7 +308,7 @@ def test_pgm_round_trip_binary():
 def test_pgm_ascii_variant():
     text = b"P2\n# comment\n3 2\n255\n0 128 255\n64 32 16\n"
     grid = read_pgm(text)
-    assert grid.width == 3 and grid.height == 2
+    assert grid.samples.shape == (2, 3)
     assert grid.samples[0, 1] == pytest.approx(128 / 255)
 
 
@@ -329,7 +336,7 @@ def test_pgm_rejects_samples_outside_maxval(data, message):
 
 
 def test_load_frame_dir_error_names_the_file(tmp_path):
-    frames = [IntensityGrid(4, 4, np.zeros((4, 4)), i / 15) for i in range(3)]
+    frames = [IntensityGrid(np.zeros((4, 4)), i / 15) for i in range(3)]
     write_frame_dir(frames, tmp_path)
     (tmp_path / "frame_000001.pgm").write_bytes(b"P5\n4 4\n255\nxx")
     with pytest.raises(DataFormatError, match="^frame_000001.pgm: PGM pixel payload truncated$"):
@@ -339,7 +346,7 @@ def test_load_frame_dir_error_names_the_file(tmp_path):
 def test_frame_dir_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     frames = [
-        IntensityGrid(12, 8, rng.uniform(0, 1, (8, 12)), timestamp=i / 15)
+        IntensityGrid(rng.uniform(0, 1, (8, 12)), timestamp=i / 15)
         for i in range(4)
     ]
     write_frame_dir(frames, tmp_path / "frames")

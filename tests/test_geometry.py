@@ -126,9 +126,9 @@ def test_annotation_presence_consistency():
 
 
 def test_intensity_grid_shape_checked():
-    IntensityGrid(4, 3, np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        IntensityGrid(4, 3, np.zeros((4, 3)))
+    IntensityGrid(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="2-D"):
+        IntensityGrid(np.zeros(12))
 
 
 def test_clip_box_to_image():

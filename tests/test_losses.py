@@ -6,22 +6,20 @@ import pytest
 from uwconvoy.geometry import Annotation, BoundingBox, iou
 from uwconvoy.losses import (
     LossWeights,
-    PredictionVector,
-    numeric_gradient,
     rrolo_gradient,
     rrolo_loss,
     vgg_gradient,
     vgg_loss,
 )
 
-from oracles import random_box_tuple, straight_line_rrolo
+from oracles import numeric_gradient, random_box_tuple, straight_line_rrolo
 
 PRESENT = Annotation(0, True, BoundingBox(0.25, 0.2, 0.5, 0.4))
 ABSENT = Annotation(0, False)
 
 
 def pred(x, y, w, h, p):
-    return PredictionVector(BoundingBox(x, y, w, h, p))
+    return BoundingBox(x, y, w, h, p)
 
 
 def test_vgg_perfect_prediction_is_zero():

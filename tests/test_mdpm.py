@@ -17,7 +17,6 @@ from uwconvoy.mdpm import (
     _candidate_paths,
     _frame_cell_means,
     _ranked_paths,
-    detect_periodic_target,
 )
 
 from oracles import (
@@ -34,10 +33,14 @@ def frames_from_cells(cell_values: np.ndarray, window_size: int = 10, fps: float
     frames = []
     for i in range(t):
         img = np.kron(cell_values[i], np.ones((window_size, window_size)))
-        frames.append(
-            IntensityGrid(cols * window_size, rows * window_size, img, timestamp=i / fps)
-        )
+        frames.append(IntensityGrid(img, timestamp=i / fps))
     return frames
+
+
+def detect(frames, config: MdpmConfig = MdpmConfig()):
+    """What a fresh tracker reports after the last of the frames."""
+    tracker = MdpmTracker(config)
+    return [tracker.push(f) for f in frames][-1]
 
 
 def amplitude(series, sample_rate: float, frequency: float) -> float:
@@ -157,12 +160,10 @@ def test_blob_following_series_has_largest_variance():
 
 
 def test_mismatched_frame_dimensions_rejected():
-    a = IntensityGrid(30, 30, np.zeros((30, 30)), 0.0)
-    b = IntensityGrid(40, 30, np.zeros((30, 40)), 0.1)
-    with pytest.raises(ValueError, match="dimensions"):
-        detect_periodic_target([a, b], MdpmConfig(window_size=10, buffer_length=2))
-    with pytest.raises(ValueError, match="buffer holds 0 frames"):
-        detect_periodic_target([], MdpmConfig(window_size=10, buffer_length=2))
+    a = IntensityGrid(np.zeros((30, 30)), 0.0)
+    b = IntensityGrid(np.zeros((30, 40)), 0.1)
+    with pytest.raises(ValueError, match="dimensions changed mid-stream: 40x30 after 30x30"):
+        detect([a, b], MdpmConfig(window_size=10, buffer_length=2))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +221,7 @@ def test_prune_rejects_empty_and_bad_p():
 
 
 # ---------------------------------------------------------------------------
-# detect_periodic_target
+# detection through a fresh tracker
 
 def oscillating_cell_frames(
     n_frames=10,
@@ -245,12 +246,12 @@ def oscillating_cell_frames(
 
 def test_detect_constant_gray_returns_none():
     frames = frames_from_cells(np.full((10, 8, 10), 0.4), window_size=30)
-    assert detect_periodic_target(frames) is None
+    assert detect(frames) is None
 
 
 def test_detect_oscillating_cell():
     frames = oscillating_cell_frames(phase=0.7)
-    det = detect_periodic_target(frames)
+    det = detect(frames)
     assert det is not None
     grid = SubWindowGrid.for_frame(320, 240, 30)
     assert det.window_index == 4 * grid.columns + 5
@@ -269,7 +270,7 @@ def oracle_scan(frames, config):
     oracles alone: plain-loop path enumeration, `score_path` ranking and
     plain-sum amplitudes over block-mean cell intensities."""
     ws = config.window_size
-    rows, cols = frames[0].height // ws, frames[0].width // ws
+    rows, cols = (n // ws for n in frames[0].samples.shape)
     means = [
         [
             float(f.samples[r * ws:(r + 1) * ws, c * ws:(c + 1) * ws].mean())
@@ -310,7 +311,7 @@ def test_detect_matches_public_op_composition():
     """Detection equals the scoring rule composed from the oracles alone."""
     frames = oscillating_cell_frames(seed=3, phase=2.1)
     config = MdpmConfig()
-    det = detect_periodic_target(frames, config)
+    det = detect(frames, config)
 
     ranking, scan, amp = oracle_scan(frames, config)
     median = statistics.median(amp.values())
@@ -322,8 +323,8 @@ def test_detect_matches_public_op_composition():
 
     # the threshold is the factor times the median over every candidate
     ratio = amp[best] / median
-    assert detect_periodic_target(frames, replace(config, threshold_factor=ratio * 1.001)) is None
-    assert detect_periodic_target(frames, replace(config, threshold_factor=ratio * 0.999))
+    assert detect(frames, replace(config, threshold_factor=ratio * 1.001)) is None
+    assert detect(frames, replace(config, threshold_factor=ratio * 0.999))
 
 
 def test_detect_prune_count_matches_oracle_ranking():
@@ -334,7 +335,7 @@ def test_detect_prune_count_matches_oracle_ranking():
     winners = set()
     for prune_count in (1, 2, 4, 8, 16, 32):
         best = oracle_best(ranking, scan, amp, prune_count)
-        det = detect_periodic_target(frames, replace(config, prune_count=prune_count))
+        det = detect(frames, replace(config, prune_count=prune_count))
         assert det is not None and det.window_index == best[0][-1]
         assert det.peak_frequency == pytest.approx(best[1], abs=1e-9)
         assert det.amplitude == pytest.approx(amp[best], abs=1e-9)
@@ -348,7 +349,7 @@ def test_detect_amplitude_tie_goes_to_lowest_window():
     wave = 0.5 + 0.3 * np.sin(2 * np.pi * 2.0 * np.arange(10) / 15.0)
     cells[:, 5, 7] = wave
     cells[:, 2, 3] = wave
-    det = detect_periodic_target(frames_from_cells(cells, window_size=30))
+    det = detect(frames_from_cells(cells, window_size=30))
     assert det is not None and det.window_index == 2 * 10 + 3
 
 
@@ -358,24 +359,23 @@ def test_detect_noise_only_rarely_fires():
         rng = np.random.default_rng(1000 + seed)
         cells = 0.4 + rng.normal(0, 0.02 / 30.0, (10, 8, 10))
         frames = frames_from_cells(cells, window_size=30)
-        if detect_periodic_target(frames) is not None:
+        if detect(frames) is not None:
             fires += 1
     assert fires <= 1
 
 
 def test_detect_buffer_length_requirements():
     frames = oscillating_cell_frames(n_frames=8)
-    with pytest.raises(ValueError):
-        detect_periodic_target(frames)  # shorter than the configured buffer
+    assert detect(frames) is None  # shorter than the configured buffer
     longer = oscillating_cell_frames(n_frames=14, phase=0.3)
-    det = detect_periodic_target(longer)  # uses the most recent 10
+    det = detect(longer)  # uses the most recent 10
     assert det is not None
 
 
 def test_detect_respects_absolute_threshold_override():
     frames = oscillating_cell_frames(phase=1.0)
     high = MdpmConfig(amplitude_threshold=1e9)
-    assert detect_periodic_target(frames, high) is None
+    assert detect(frames, high) is None
 
 
 def test_tracker_matches_one_shot_detection():
@@ -384,7 +384,7 @@ def test_tracker_matches_one_shot_detection():
     pushed = [tracker.push(f) for f in frames]
     assert all(r is None for r in pushed[:9])
     for i in range(9, 25):
-        expected = detect_periodic_target(frames[i - 9 : i + 1])
+        expected = detect(frames[i - 9 : i + 1])
         got = pushed[i]
         if expected is None:
             assert got is None
@@ -398,7 +398,7 @@ def test_tracker_matches_one_shot_detection():
 def test_detect_never_reports_out_of_band_frequency():
     for seed in range(5):
         frames = oscillating_cell_frames(seed=seed, freq=1.0 + 0.4 * seed, phase=seed)
-        det = detect_periodic_target(frames)
+        det = detect(frames)
         if det is not None:
             assert 1.0 <= det.peak_frequency <= 3.0
 
@@ -418,7 +418,7 @@ def test_detect_on_sim_footage_localizes_flipper():
     )
     leader = Pose(position=(1.2, 0.0, 0.0))
     frames = scene.render_sequence(leader, Pose(), 10, 15.0)
-    det = detect_periodic_target(frames)
+    det = detect(frames)
     assert det is not None
     assert abs(det.peak_frequency - 2.0) <= 0.3
     # image location of the flipper patch center: dead ahead, slightly low

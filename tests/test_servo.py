@@ -38,7 +38,7 @@ def test_errors_area_surplus():
 
 
 def _yaw_rate(cfg, box, state=None, now=0.0):
-    cmd, state = servo_update(state or ServoState.initial(cfg), box, now)
+    cmd, state = servo_update(state or ServoState(cfg), box, now)
     return cmd.yaw_rate, state
 
 
@@ -77,7 +77,7 @@ def test_pid_output_saturation_and_antiwindup():
 
 
 def test_servo_stop_after_timeout():
-    state = ServoState.initial(CFG)
+    state = ServoState(CFG)
     _, state = servo_update(state, DX_02, 0.0)
     assert state.yaw_integral != 0.0
     cmd, state = servo_update(state, None, 2.5)
@@ -87,25 +87,25 @@ def test_servo_stop_after_timeout():
 
 
 def test_servo_setpoint_gives_zero_command():
-    state = ServoState.initial(CFG)
+    state = ServoState(CFG)
     cmd, _ = servo_update(state, CENTERED_AT_SETPOINT, 0.0)
     assert cmd == ControlCommand(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_servo_forward_clamped_at_zero_when_too_close():
-    state = ServoState.initial(CFG)
+    state = ServoState(CFG)
     too_big = BoundingBox(0.0, 0.15, 1.0, 0.7, 1.0)  # area 0.7 > desired
     cmd, _ = servo_update(state, too_big, 0.0)
     assert cmd.forward_speed == 0.0
 
 
 def test_servo_never_seen_stops():
-    cmd, _ = servo_update(ServoState.initial(CFG), None, 0.0)
+    cmd, _ = servo_update(ServoState(CFG), None, 0.0)
     assert cmd == STOP_COMMAND
 
 
 def test_servo_holds_last_command_within_timeout():
-    state = ServoState.initial(CFG)
+    state = ServoState(CFG)
     small = BoundingBox(0.4, 0.4, 0.2, 0.2, 1.0)  # far target, forward > 0
     cmd0, state = servo_update(state, small, 0.0)
     assert cmd0.forward_speed > 0.0
@@ -118,7 +118,7 @@ def test_servo_holds_last_command_within_timeout():
 
 
 def test_servo_stop_rule_holds_for_every_late_update():
-    state = ServoState.initial(CFG)
+    state = ServoState(CFG)
     _, state = servo_update(state, CENTERED_AT_SETPOINT, 0.0)
     for now in (2.01, 3.0, 7.5, 30.0):
         cmd, state = servo_update(state, None, now)
@@ -128,14 +128,14 @@ def test_servo_stop_rule_holds_for_every_late_update():
 def test_servo_mirror_negates_yaw():
     box = BoundingBox(0.55, 0.25, 0.4, 0.5, 1.0)
     mirrored = BoundingBox(1.0 - 0.55 - 0.4, 0.25, 0.4, 0.5, 1.0)
-    cmd_a, _ = servo_update(ServoState.initial(CFG), box, 0.0)
-    cmd_b, _ = servo_update(ServoState.initial(CFG), mirrored, 0.0)
+    cmd_a, _ = servo_update(ServoState(CFG), box, 0.0)
+    cmd_b, _ = servo_update(ServoState(CFG), mirrored, 0.0)
     assert cmd_a.yaw_rate == pytest.approx(-cmd_b.yaw_rate, abs=1e-12)
     assert cmd_a.yaw_rate != 0.0
 
 
 def test_servo_vertical_sign_and_limits():
-    state = ServoState.initial(CFG)
+    state = ServoState(CFG)
     low_target = BoundingBox(0.3, 0.7, 0.4, 0.3, 1.0)  # center y = 0.85, below middle
     cmd, _ = servo_update(state, low_target, 0.0)
     assert cmd.vertical_speed < 0.0  # descend toward a low target (z-up frame)
@@ -148,7 +148,7 @@ def test_servo_command_saturation_random():
     import numpy as np
 
     rng = np.random.default_rng(8)
-    state = ServoState.initial(CFG)
+    state = ServoState(CFG)
     t = 0.0
     for _ in range(200):
         t += 0.1
@@ -175,7 +175,7 @@ def test_servo_deterministic_sequences():
     ]
 
     def run():
-        state = ServoState.initial(CFG)
+        state = ServoState(CFG)
         out = []
         for det, now in inputs:
             cmd, state = servo_update(state, det, now)
@@ -186,7 +186,7 @@ def test_servo_deterministic_sequences():
 
 
 def test_servo_time_regression_rejected():
-    state = ServoState.initial(CFG)
+    state = ServoState(CFG)
     _, state = servo_update(state, CENTERED_AT_SETPOINT, 1.0)
     with pytest.raises(ValueError):
         servo_update(state, CENTERED_AT_SETPOINT, 0.5)

@@ -197,7 +197,7 @@ def test_render_empty_scene_uniform_background():
     scene = FootageScene(noise_sigma=0.0, gait_phase0=0.0)
     frame = scene.render(Pose(position=(-5.0, 0.0, 0.0)), Pose(), 0.0)
     assert np.all(frame.samples == 0.4)
-    assert frame.width == 320 and frame.height == 240
+    assert frame.samples.shape == (240, 320)
 
 
 def test_flipper_mid_value_at_sine_zero_crossing():

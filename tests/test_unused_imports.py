@@ -1,9 +1,10 @@
-"""Every name a uwconvoy module imports is used in that module, and every
-module-level private name is used somewhere in the package.
+"""Every name a uwconvoy module imports is used in that module, every
+module-level private name is used somewhere in the package, and every name
+the package exports has a caller outside the tests.
 
 No linter ships with the test extra, so this stands in for the unused-import
 and dead-code checks: a refactor that leaves an import or a private helper
-behind fails here.
+behind, or public API that only tests call, fails here.
 """
 
 import ast
@@ -15,6 +16,10 @@ import uwconvoy
 
 PACKAGE = sorted(Path(uwconvoy.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+# exported with no caller but the tests: the reference objectives of
+# acceptance criteria 2 and 3, which no detector in the package trains
+REFERENCE_LOSSES = {"rrolo_gradient", "rrolo_loss", "vgg_gradient", "vgg_loss"}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -63,9 +68,10 @@ def _referenced_names(stmt: ast.stmt) -> set[str]:
     return names
 
 
-def _dead_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level `_name`s that no top-level statement of any module
-    references, other than the statement that defines them."""
+def _unreferenced(sources: dict[str, str], wanted) -> list[str]:
+    """Module-level names, among those `wanted` accepts, that no top-level
+    statement of any source references, other than the statement that
+    defines them."""
     statements = [
         (module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body
     ]
@@ -74,9 +80,25 @@ def _dead_private_names(sources: dict[str, str]) -> list[str]:
     for i, (module, stmt) in enumerate(statements):
         for name in _defined_names(stmt):
             used = any(name in refs for j, refs in enumerate(references) if j != i)
-            if name.startswith("_") and not name.startswith("__") and not used:
+            if wanted(name) and not used:
                 dead.append(f"{module} line {stmt.lineno}: {name}")
     return dead
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    return _unreferenced(sources, lambda name: name.startswith("_") and not name.startswith("__"))
+
+
+def _test_only_exports(init_source: str, sources: dict[str, str]) -> list[str]:
+    """Names the package `__init__` imports that nothing in `sources`
+    (the other modules and the benchmark) references."""
+    exported = {
+        alias.name
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    return _unreferenced(sources, exported.__contains__)
 
 
 def test_guard_flags_a_dead_private_name():
@@ -92,3 +114,20 @@ def test_guard_flags_a_dead_private_name():
 
 def test_package_uses_every_private_name():
     assert _dead_private_names({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_guard_flags_an_export_only_tests_call():
+    init = "from .m import called, benched, tested\n"
+    sources = {
+        "m.py": "def called():\n    pass\n\n"
+        "def benched():\n    return called()\n\n"
+        "def tested():\n    pass\n",
+        "bench.py": "import m\n\nm.benched()\n",
+    }
+    assert _test_only_exports(init, sources) == ["m.py line 7: tested"]
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    sources = {p.relative_to(p.parents[1]).as_posix(): p.read_text() for p in MODULES + PERFBENCH}
+    found = _test_only_exports(Path(uwconvoy.__file__).read_text(), sources)
+    assert {entry.rsplit(": ", 1)[1] for entry in found} == REFERENCE_LOSSES, found
