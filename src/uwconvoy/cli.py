@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, fileio
-from .mdpm import MdpmConfig, MdpmTracker, _band_frequencies
+from .mdpm import MdpmConfig, MdpmTracker
 from .servo import compute_errors
 from .sim import ConvoyConfig, run_convoy, render_trace_frames, trace_annotations
 
@@ -35,6 +35,13 @@ def _finite_float(raw: str) -> float:
     return value
 
 
+def _unit_float(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 <= value <= 1.0:  # nan fails too
+        raise argparse.ArgumentTypeError(f"not a number in [0, 1]: {raw!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uwconvoy",
@@ -46,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--annotations", required=True)
     p_eval.add_argument("--predictions", required=True)
     group = p_eval.add_mutually_exclusive_group(required=True)
-    group.add_argument("--threshold", type=_finite_float)
+    group.add_argument("--threshold", type=_unit_float, help="confidence threshold in [0, 1]")
     group.add_argument("--auto-threshold", action="store_true")
     p_eval.add_argument("--fps", type=_finite_float, help="sequence frame rate for track statistics")
     p_eval.add_argument("--report-dir", help="write CSV reports into this directory")
@@ -63,7 +70,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_mdpm = sub.add_parser("mdpm", help="detect periodic motion over a frame directory")
     p_mdpm.add_argument("--frames", required=True, help="directory of PGM frames")
-    p_mdpm.add_argument("--fps", type=_finite_float, required=True)
+    p_mdpm.add_argument(
+        "--fps", type=_finite_float, required=True,
+        help="frame rate of the footage: the detector's sample rate",
+    )
     p_mdpm.add_argument("--out", required=True, help="prediction CSV path")
 
     p_servo = sub.add_parser("servo-sim", help="convoy run with a servo error summary")
@@ -131,12 +141,11 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_mdpm(args) -> int:
-    config = MdpmConfig()
     try:
-        _band_frequencies(config, args.fps)
+        config = MdpmConfig(sample_rate=args.fps)
     except ValueError as exc:
         raise ValueError(f"--fps {args.fps:g} is too low: {exc}") from None
-    frames = fileio.load_frame_dir(args.frames, args.fps)
+    frames = fileio.load_frame_dir(args.frames)
     if len(frames) < config.buffer_length:
         raise fileio.DataFormatError(
             f"{args.frames} holds {len(frames)} frames; detection needs "

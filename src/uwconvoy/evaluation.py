@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Annotation, BoundingBox, box_center, iou
+from .geometry import Annotation, BoundingBox, box_area, box_center, iou
 
 Classification = str  # "TP" | "TN" | "FP" | "FN"
 
@@ -202,8 +202,7 @@ class HistogramReport:
     # per AREA_EDGES bin: TP count, FN count
     tp_by_area: tuple[int, ...]
     fn_by_area: tuple[int, ...]
-    # per area bin: sample count, mean and std of center bias over TPs
-    bias_count: tuple[int, ...]
+    # per area bin: mean and std of center bias over its TPs
     bias_mean: tuple[float, ...]
     bias_std: tuple[float, ...]
     # per DURATION_EDGES bin: counts of TN runs and FN runs of that length (frames)
@@ -216,39 +215,28 @@ def histogram_report(results: Sequence[FrameResult]) -> HistogramReport:
     negative-run length (DURATION_EDGES).
 
     The last bin of each axis includes its right edge; earlier bins are
-    half-open on the right.
+    half-open on the right. An area that the box checks' round-off slack
+    puts outside [0, 1] counts in the end bin it is next to.
     """
-    tp_areas = []
-    fn_areas = []
-    biases = []
-    bias_areas = []
-    for r in results:
-        if r.classification == "TP":
-            area = r.annotation.truth_box.w * r.annotation.truth_box.h
-            tp_areas.append(area)
-            pcx, pcy = box_center(r.prediction)
-            tcx, tcy = box_center(r.annotation.truth_box)
-            biases.append(float(np.hypot(pcx - tcx, pcy - tcy)))
-            bias_areas.append(area)
-        elif r.classification == "FN":
-            fn_areas.append(r.annotation.truth_box.w * r.annotation.truth_box.h)
-
-    tp_hist, _ = np.histogram(tp_areas, bins=AREA_EDGES)
-    fn_hist, _ = np.histogram(fn_areas, bins=AREA_EDGES)
-
     n_bins = len(AREA_EDGES) - 1
-    bias_count = np.zeros(n_bins, dtype=int)
+
+    def area_bins(label: Classification) -> tuple[list[FrameResult], np.ndarray]:
+        hits = [r for r in results if r.classification == label]
+        areas = [box_area(r.annotation.truth_box) for r in hits]
+        return hits, np.clip(np.digitize(areas, AREA_EDGES) - 1, 0, n_bins - 1)
+
+    tps, tp_bins = area_bins("TP")
+    _, fn_bins = area_bins("FN")
+    biases = np.array([
+        np.hypot(*np.subtract(box_center(r.prediction), box_center(r.annotation.truth_box)))
+        for r in tps
+    ])
     bias_mean = np.zeros(n_bins)
     bias_std = np.zeros(n_bins)
-    if biases:
-        which = np.clip(np.digitize(bias_areas, AREA_EDGES) - 1, 0, n_bins - 1)
-        biases_arr = np.asarray(biases)
-        for b in range(n_bins):
-            sel = biases_arr[which == b]
-            bias_count[b] = sel.size
-            if sel.size:
-                bias_mean[b] = sel.mean()
-                bias_std[b] = sel.std()
+    for b in np.unique(tp_bins):
+        sel = biases[tp_bins == b]
+        bias_mean[b] = sel.mean()
+        bias_std[b] = sel.std()
 
     # runs are spans that tolerate no interruption; the frame rate is moot
     tn_runs, fn_runs = (
@@ -259,9 +247,8 @@ def histogram_report(results: Sequence[FrameResult]) -> HistogramReport:
     fn_run_hist, _ = np.histogram(fn_runs, bins=DURATION_EDGES)
 
     return HistogramReport(
-        tp_by_area=tuple(int(v) for v in tp_hist),
-        fn_by_area=tuple(int(v) for v in fn_hist),
-        bias_count=tuple(int(v) for v in bias_count),
+        tp_by_area=tuple(int(v) for v in np.bincount(tp_bins, minlength=n_bins)),
+        fn_by_area=tuple(int(v) for v in np.bincount(fn_bins, minlength=n_bins)),
         bias_mean=tuple(float(v) for v in bias_mean),
         bias_std=tuple(float(v) for v in bias_std),
         tn_runs=tuple(int(v) for v in tn_hist),

@@ -24,6 +24,7 @@ from .sim import (
     ConvoyConfig,
     DetectorNoise,
     Pose,
+    ScheduleError,
     SimTrace,
     TargetModel,
     TraceRecord,
@@ -293,10 +294,13 @@ def parse_config(text: str) -> ConvoyConfig:
         values[key] = parse(raw_value, line_no, key)
         lines[key] = line_no
         if cls is not None:
-            # each dataclass invariant involves one field, so the value can
-            # be checked alone, where its line number is known
+            # a field's own invariant is checked here, where its line number
+            # is known; a ScheduleError involves other lines, so it waits for
+            # the whole file
             try:
                 cls(**{name: values[key]})
+            except ScheduleError:
+                pass
             except ValueError as exc:
                 raise DataFormatError(f"line {line_no}: invalid {key}: {exc}") from None
 
@@ -321,18 +325,23 @@ def parse_config(text: str) -> ConvoyConfig:
         **({arg: values[arg_key]} if arg_key in values else {}),
     )
     noise = DetectorNoise.noiseless() if noiseless else DetectorNoise(**set_fields(DetectorNoise))
-    return ConvoyConfig(
-        script=script,
-        initial_follower=_pose(values, "follower", default.initial_follower),
-        servo=ServoConfig(**set_fields(ServoConfig)),
-        camera=CameraModel(**set_fields(CameraModel)),
-        target=TargetModel(**set_fields(TargetModel)),
-        detector_noise=noise,
-        current=tuple(
-            values.get(f"sim.current_{axis}", v) for axis, v in zip("xyz", default.current)
-        ),
-        **set_fields(ConvoyConfig),
-    )
+    try:
+        return ConvoyConfig(
+            script=script,
+            initial_follower=_pose(values, "follower", default.initial_follower),
+            servo=ServoConfig(**set_fields(ServoConfig)),
+            camera=CameraModel(**set_fields(CameraModel)),
+            target=TargetModel(**set_fields(TargetModel)),
+            detector_noise=noise,
+            current=tuple(
+                values.get(f"sim.current_{axis}", v) for axis, v in zip("xyz", default.current)
+            ),
+            **set_fields(ConvoyConfig),
+        )
+    except ScheduleError as exc:
+        # the defaults agree, so a line sets a field in conflict: name the last
+        line_no, key = max((n, k) for k, n in lines.items() if CONFIG_KEYS[k][1:] in exc.fields)
+        raise DataFormatError(f"line {line_no}: invalid {key}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +363,7 @@ def _pgm_tokens(data: bytes):
             yield match.start(), match.group()
 
 
-def read_pgm(data: bytes, timestamp: float = 0.0) -> IntensityGrid:
+def read_pgm(data: bytes) -> IntensityGrid:
     """Read a binary (P5) or ASCII (P2) grayscale PGM into [0, 1] samples."""
     tokens = _pgm_tokens(data)
     try:
@@ -392,7 +401,7 @@ def read_pgm(data: bytes, timestamp: float = 0.0) -> IntensityGrid:
             )
     if samples.min() < 0 or samples.max() > maxval:
         raise DataFormatError(f"PGM pixel values must lie in 0..{maxval}")
-    return IntensityGrid((samples / maxval).reshape(height, width), timestamp)
+    return IntensityGrid((samples / maxval).reshape(height, width))
 
 
 def write_frame_dir(frames: Sequence[IntensityGrid], directory: str | Path) -> None:
@@ -407,17 +416,15 @@ def frame_files(directory: str | Path) -> list[Path]:
     return sorted(p for p in Path(directory).iterdir() if p.suffix.lower() == ".pgm")
 
 
-def load_frame_dir(directory: str | Path, fps: float) -> list[IntensityGrid]:
+def load_frame_dir(directory: str | Path) -> list[IntensityGrid]:
     """Load a directory of PGM frames in frame_files order."""
-    if fps <= 0:
-        raise ValueError("fps must be positive")
     files = frame_files(directory)
     if not files:
         raise DataFormatError(f"no .pgm frames in {directory}")
     frames = []
-    for i, p in enumerate(files):
+    for p in files:
         try:
-            frames.append(read_pgm(p.read_bytes(), timestamp=i / fps))
+            frames.append(read_pgm(p.read_bytes()))
         except DataFormatError as exc:
             raise DataFormatError(f"{p.name}: {exc}") from None
     return frames
@@ -504,7 +511,7 @@ def format_area_histogram_csv(hist: HistogramReport) -> str:
 
 
 def format_bias_histogram_csv(hist: HistogramReport) -> str:
-    rows = _bin_rows(AREA_EDGES, (hist.bias_count,), (hist.bias_mean, hist.bias_std))
+    rows = _bin_rows(AREA_EDGES, (hist.tp_by_area,), (hist.bias_mean, hist.bias_std))
     return _csv("area_lo,area_hi,count,bias_mean,bias_std", rows)
 
 

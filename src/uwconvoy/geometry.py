@@ -65,10 +65,9 @@ class Annotation:
 
 @dataclass(eq=False)
 class IntensityGrid:
-    """A grayscale frame: samples in [0, 1], shape (height, width), plus a capture time."""
+    """A grayscale frame: samples in [0, 1], shape (height, width)."""
 
     samples: np.ndarray
-    timestamp: float = 0.0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)

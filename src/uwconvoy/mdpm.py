@@ -11,15 +11,20 @@ in the gait band; a sufficiently strong in-band peak localizes the target
 at the direction's terminal sub-window.
 
 Every step runs as one array pipeline over all candidate directions at
-once, fed frame by frame through ``MdpmTracker``. A detection's confidence
-is its amplitude divided by T/2 for a buffer of T frames, capped at 1; T/2
-is the amplitude of a unit sine at a scanned frequency. On the default
-footage the confidence peaks near 0.42, so useful thresholds lie below that.
+once, fed frame by frame through ``MdpmTracker``. Frames carry no time: the
+tracker takes them as evenly spaced at ``MdpmConfig.sample_rate``, which
+sets the DTFT's frequency axis and must keep the gait band under Nyquist.
+
+A detection's confidence is its amplitude divided by T/2 for a buffer of T
+frames, capped at 1; T/2 is the amplitude of a unit sine at a scanned
+frequency. On the default footage the confidence peaks near 0.42, so useful
+thresholds lie below that.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,8 +52,6 @@ class SubWindowGrid:
 
     @classmethod
     def for_frame(cls, frame_width: int, frame_height: int, window_size: int) -> "SubWindowGrid":
-        if window_size <= 0:
-            raise ValueError(f"window_size must be positive, got {window_size}")
         cols = frame_width // window_size
         rows = frame_height // window_size
         if cols == 0 or rows == 0:
@@ -86,6 +89,8 @@ class MdpmConfig:
     buffer_length: int = 10
     prune_count: int = 10
     band: tuple[float, float] = (1.0, 3.0)
+    # frames per second of the footage; frames are taken as evenly spaced
+    sample_rate: float = 15.0
     # Detection fires when the best in-band amplitude exceeds
     # threshold_factor times the median scanned amplitude over all candidate
     # directions; amplitude_threshold, when set, overrides with an absolute
@@ -94,6 +99,8 @@ class MdpmConfig:
     amplitude_threshold: float | None = None
 
     def __post_init__(self):
+        if self.window_size <= 0:
+            raise ValueError(f"window_size must be positive, got {self.window_size}")
         # a spectrum needs at least two samples
         if self.buffer_length < 2:
             raise ValueError(f"buffer_length must be >= 2, got {self.buffer_length}")
@@ -101,6 +108,12 @@ class MdpmConfig:
             raise ValueError("prune_count must be >= 1")
         if not 0 < self.band[0] < self.band[1]:
             raise ValueError(f"invalid frequency band {self.band}")
+        # the band must lie under Nyquist; nan and inf fail the comparison
+        if not 2.0 * self.band[1] < self.sample_rate < math.inf:
+            raise ValueError(
+                f"sample_rate must be finite and above {2.0 * self.band[1]:g}, "
+                f"where band {self.band} reaches Nyquist; got {self.sample_rate}"
+            )
 
 
 @lru_cache(maxsize=32)
@@ -162,16 +175,6 @@ def _frame_cell_means(samples: np.ndarray, grid: SubWindowGrid) -> np.ndarray:
     return cropped.reshape(grid.rows, ws, grid.columns, ws).mean(axis=(1, 3))
 
 
-def _band_frequencies(config: MdpmConfig, sample_rate: float) -> np.ndarray:
-    lo, hi = config.band
-    if hi >= sample_rate / 2.0:
-        raise ValueError(
-            f"band {config.band} reaches Nyquist for sample rate {sample_rate}"
-        )
-    n = int(math.floor((hi - lo) / _BAND_STEP + 1e-9))
-    return lo + _BAND_STEP * np.arange(n + 1)
-
-
 def _amplitude_matrix(series: np.ndarray, sample_rate: float, freqs: np.ndarray) -> np.ndarray:
     """|DTFT| of each mean-removed series at each frequency, (n_series, n_freqs)."""
     centered = series - series.mean(axis=1, keepdims=True)
@@ -181,17 +184,12 @@ def _amplitude_matrix(series: np.ndarray, sample_rate: float, freqs: np.ndarray)
 
 
 def _detect_from_means(
-    means: np.ndarray, timestamps: np.ndarray, grid: SubWindowGrid, config: MdpmConfig
+    means: np.ndarray, grid: SubWindowGrid, config: MdpmConfig, freqs: np.ndarray
 ) -> SpectralDetection | None:
-    if np.any(np.diff(timestamps) <= 0):
-        raise ValueError("frame timestamps must be strictly increasing")
-    sample_rate = (len(timestamps) - 1) / (timestamps[-1] - timestamps[0])
-
     paths, series, _, order = _ranked_paths(means)
     survivors = order[: config.prune_count]
 
-    freqs = _band_frequencies(config, sample_rate)
-    amplitudes = _amplitude_matrix(series, sample_rate, freqs)
+    amplitudes = _amplitude_matrix(series, config.sample_rate, freqs)
     if config.amplitude_threshold is not None:
         threshold = config.amplitude_threshold
     else:
@@ -218,41 +216,31 @@ def _detect_from_means(
 class MdpmTracker:
     """Rolling-buffer front end for per-frame detection.
 
-    Owns the frame buffer (append-only, single writer) and caches sub-window
-    means so each pushed frame is reduced exactly once.
+    Buffers the sub-window means of the last buffer_length frames, so each
+    pushed frame is reduced exactly once.
     """
 
     def __init__(self, config: MdpmConfig = MdpmConfig()):
         self.config = config
-        self._grid: SubWindowGrid | None = None
-        self._means: list[np.ndarray] = []
-        self._timestamps: list[float] = []
-
-    @property
-    def grid(self) -> SubWindowGrid | None:
-        return self._grid
+        self.grid: SubWindowGrid | None = None  # set by the first frame
+        self._means: deque[np.ndarray] = deque(maxlen=config.buffer_length)
+        # the scanned frequencies: the gait band in _BAND_STEP steps
+        lo, hi = config.band
+        steps = int(math.floor((hi - lo) / _BAND_STEP + 1e-9))
+        self._freqs = lo + _BAND_STEP * np.arange(steps + 1)
 
     def push(self, frame: IntensityGrid) -> SpectralDetection | None:
         """Add a frame; detect once the buffer is full."""
         height, width = frame.samples.shape
-        if self._grid is None:
-            self._grid = SubWindowGrid.for_frame(width, height, self.config.window_size)
-        elif (width, height) != (self._grid.frame_width, self._grid.frame_height):
+        if self.grid is None:
+            self.grid = SubWindowGrid.for_frame(width, height, self.config.window_size)
+        elif (width, height) != (self.grid.frame_width, self.grid.frame_height):
             raise ValueError(
                 f"frame dimensions changed mid-stream: {width}x{height} after "
-                f"{self._grid.frame_width}x{self._grid.frame_height}"
+                f"{self.grid.frame_width}x{self.grid.frame_height}"
             )
-        self._means.append(_frame_cell_means(frame.samples, self._grid))
-        self._timestamps.append(frame.timestamp)
-        if len(self._means) > self.config.buffer_length:
-            self._means.pop(0)
-            self._timestamps.pop(0)
+        self._means.append(_frame_cell_means(frame.samples, self.grid))
         if len(self._means) < self.config.buffer_length:
             return None
-        return _detect_from_means(
-            np.stack(self._means),
-            np.array(self._timestamps),
-            self._grid,
-            self.config,
-        )
+        return _detect_from_means(np.stack(self._means), self.grid, self.config, self._freqs)
 

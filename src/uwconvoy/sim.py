@@ -324,7 +324,7 @@ class FootageScene:
                 img[y0:y1, x0:x1] = level
 
         np.clip(img, 0.0, 1.0, out=img)
-        return IntensityGrid(img, timestamp=t)
+        return IntensityGrid(img)
 
     def render_sequence(
         self, leader: Pose, follower: Pose, frame_count: int, fps: float
@@ -427,6 +427,15 @@ class SimTrace:
     records: list[TraceRecord]
 
 
+class ScheduleError(ValueError):
+    """ConvoyConfig fields, each valid alone, that together ask run_convoy
+    for a loop it cannot run; `fields` holds their (dataclass, name) pairs."""
+
+    def __init__(self, message: str, *fields: tuple[type, str]):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class ConvoyConfig:
     duration: float = 60.0
@@ -460,6 +469,25 @@ class ConvoyConfig:
         for start, end in self.occlusions:
             if not start < end:
                 raise ValueError(f"occlusion {start}:{end} must end after it starts")
+        # the loop fires the detector and the servo at most once per tick,
+        # and runs round(duration * physics_rate) ticks: at least one, and
+        # a count that an int can take
+        physics = (ConvoyConfig, "physics_rate")
+        for owner, name, rate in (
+            ((ConvoyConfig, "detector_rate"), "detector_rate", self.detector_rate),
+            ((ServoConfig, "command_rate"), "servo.command_rate", self.servo.command_rate),
+        ):
+            if rate > self.physics_rate:
+                raise ScheduleError(
+                    f"{name} {rate:g} Hz exceeds physics_rate {self.physics_rate:g} Hz",
+                    owner, physics,
+                )
+        ticks = self.duration * self.physics_rate
+        if not 0.5 < ticks < math.inf:
+            raise ScheduleError(
+                f"duration {self.duration:g} s gives {ticks:g} ticks at {self.physics_rate:g} Hz",
+                (ConvoyConfig, "duration"), physics,
+            )
 
 
 def _occluded(t: float, occlusions: tuple[tuple[float, float], ...]) -> bool:
@@ -522,10 +550,9 @@ def run_convoy(config: ConvoyConfig) -> SimTrace:
 
 def _trace_frame_records(trace: SimTrace, fps: float):
     """Yield (frame_index, record, frame_time) sampling the trace at fps, a
-    ConvoyConfig.frame_rate and so positive and finite."""
+    ConvoyConfig.frame_rate and so positive and finite; the trace of a
+    ConvoyConfig holds at least one tick."""
     records = trace.records
-    if not records:
-        return
     idx = 0
     end = records[-1].t
     i = 0
@@ -541,8 +568,8 @@ def render_trace_frames(trace: SimTrace, config: ConvoyConfig) -> list[Intensity
     """Render footage at config.frame_rate from the trace of a run of config.
 
     The scene uses the run's camera and target and the footage stream of its
-    seed. Each frame samples the most recent trace record at or before its
-    timestamp, so footage is a pure function of the trace and the config.
+    seed. Frame i samples the most recent trace record at or before time
+    i / frame_rate, so footage is a pure function of the trace and the config.
     """
     scene = FootageScene(camera=config.camera, target=config.target, rng=_run_rng(config.seed, 1))
     return [

@@ -253,7 +253,7 @@ def test_criterion_6_mdpm_throughput():
     from uwconvoy.geometry import IntensityGrid
 
     frames = [
-        IntensityGrid(0.4 + rng.normal(0, 0.02, (240, 320)), timestamp=i / 15.0)
+        IntensityGrid(0.4 + rng.normal(0, 0.02, (240, 320)))
         for i in range(110)
     ]
     tracker = MdpmTracker()

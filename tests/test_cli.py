@@ -121,6 +121,9 @@ def test_eval_auto_threshold(eval_files, capsys):
         (["--threshold", "inf"], 1),
         (["--threshold", "0.5", "--fps", "0"], 2),
         (["--threshold", "0.5", "--fps", "nan"], 1),
+        (["--threshold", "2"], 1),  # confidences lie in [0, 1]
+        (["--threshold", "-1"], 1),
+        (["--threshold", "1.000001"], 1),
     ],
 )
 def test_eval_rejects_meaningless_threshold_and_fps(eval_files, capsys, extra, code):
@@ -434,7 +437,7 @@ def test_sim_frame_rate_reaches_footage_and_annotations(tmp_path):
 
 def _noise_frame_dir(tmp_path, count):
     rng = np.random.default_rng(5)
-    frames = [IntensityGrid(rng.uniform(0, 1, (60, 60)), i / 15.0) for i in range(count)]
+    frames = [IntensityGrid(rng.uniform(0, 1, (60, 60))) for _ in range(count)]
     frame_dir = tmp_path / "frames"
     write_frame_dir(frames, frame_dir)
     return frame_dir
@@ -477,11 +480,31 @@ def test_mdpm_rejects_input_it_cannot_detect_on(tmp_path, capsys, count, fps, me
     ids=["size changes mid-clip", "frame smaller than a sub-window"],
 )
 def test_mdpm_error_names_the_frame_file(tmp_path, capsys, sizes, message):
-    frames = [IntensityGrid(np.zeros(shape), i / 15.0) for i, shape in enumerate(sizes)]
+    frames = [IntensityGrid(np.zeros(shape)) for shape in sizes]
     frame_dir, out = tmp_path / "frames", tmp_path / "detections.csv"
     write_frame_dir(frames, frame_dir)
     assert run_cli(["mdpm", "--frames", str(frame_dir), "--fps", "15", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sim", "servo-sim"])
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("servo.command_rate = 1000", "servo.command_rate 1000 Hz exceeds physics_rate 50 Hz"),
+        ("sim.duration = 0", "duration 0 s gives 0 ticks"),
+        ("sim.duration = 0.001", "duration 0.001 s gives 0.05 ticks"),
+    ],
+    ids=["servo too fast", "zero duration", "too short"],
+)
+def test_run_the_loop_cannot_honour_exits_2(tmp_path, capsys, command, line, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"sim.seed = 3\n{line}\n")
+    out = tmp_path / "trace.csv"
+    assert run_cli([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and message in err
     assert not out.exists()
 
 

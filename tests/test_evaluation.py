@@ -250,7 +250,6 @@ def test_histogram_single_tp():
     # area bins are tenths of the image; 0.3 opens the fourth
     assert hist.tp_by_area == (0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
     assert hist.fn_by_area == (0,) * 10
-    assert hist.bias_count == (0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
     assert hist.bias_mean[3] == pytest.approx(0.0, abs=1e-12)
 
 

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uwconvoy.evaluation import MetricsReport
+from uwconvoy.evaluation import MetricsReport, classify_frames, histogram_report
 from uwconvoy.fileio import (
     CONFIG_KEYS,
     DataFormatError,
     format_annotations,
+    format_area_histogram_csv,
+    format_bias_histogram_csv,
     format_metrics_csv,
     format_metrics_text,
     format_predictions,
@@ -268,11 +270,29 @@ def test_parse_config_rejects_mdpm_keys():
         "detector_noise.small_area = -0.2",
         "servo.yaw_rate_limit = -1",
         "servo.forward_speed_limit = -0.5",
+        "servo.command_rate = 1000",
+        "sim.detector_rate = 60",
+        "sim.physics_rate = 5",
+        "sim.duration = 0",
+        "sim.duration = 0.001",
+        "sim.physics_rate = 1e308",
     ],
 )
 def test_parse_config_rejects_bad_value_naming_its_line(line):
     with pytest.raises(DataFormatError, match="^line 2: "):
         parse_config(f"# run\n{line}\n")
+
+
+def test_parse_config_checks_rates_against_the_whole_file():
+    # a rate is judged with every line, not with the defaults of the others
+    config = parse_config("sim.detector_rate = 60\nsim.physics_rate = 100\n")
+    assert (config.detector_rate, config.physics_rate) == (60.0, 100.0)
+    assert parse_config("sim.duration = 0.01\nsim.physics_rate = 1000\n").duration == 0.01
+    assert parse_config("sim.detector_rate = 50\nservo.command_rate = 50\n").detector_rate == 50
+    # the conflict is named at the last line that takes part in it
+    conflict = "^line 3: invalid sim.physics_rate: servo.command_rate 20 Hz exceeds"
+    with pytest.raises(DataFormatError, match=conflict):
+        parse_config("servo.command_rate = 20\nsim.detector_rate = 5\nsim.physics_rate = 10\n")
 
 
 @settings(max_examples=300, deadline=None)
@@ -296,9 +316,9 @@ def test_parse_config_corrupted_value_parses_or_names_its_line(key, value, blank
 
 def test_pgm_round_trip_binary():
     rng = np.random.default_rng(5)
-    grid = IntensityGrid(rng.uniform(0, 1, (9, 17)), timestamp=0.4)
+    grid = IntensityGrid(rng.uniform(0, 1, (9, 17)))
     data = write_pgm(grid)
-    back = read_pgm(data, timestamp=0.4)
+    back = read_pgm(data)
     assert back.samples.shape == (9, 17)
     # quantized to 8 bits on write
     assert np.max(np.abs(back.samples - grid.samples)) <= 0.5 / 255 + 1e-12
@@ -336,23 +356,19 @@ def test_pgm_rejects_samples_outside_maxval(data, message):
 
 
 def test_load_frame_dir_error_names_the_file(tmp_path):
-    frames = [IntensityGrid(np.zeros((4, 4)), i / 15) for i in range(3)]
+    frames = [IntensityGrid(np.zeros((4, 4))) for _ in range(3)]
     write_frame_dir(frames, tmp_path)
     (tmp_path / "frame_000001.pgm").write_bytes(b"P5\n4 4\n255\nxx")
     with pytest.raises(DataFormatError, match="^frame_000001.pgm: PGM pixel payload truncated$"):
-        load_frame_dir(tmp_path, fps=15.0)
+        load_frame_dir(tmp_path)
 
 
 def test_frame_dir_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    frames = [
-        IntensityGrid(rng.uniform(0, 1, (8, 12)), timestamp=i / 15)
-        for i in range(4)
-    ]
+    frames = [IntensityGrid(rng.uniform(0, 1, (8, 12))) for _ in range(4)]
     write_frame_dir(frames, tmp_path / "frames")
-    loaded = load_frame_dir(tmp_path / "frames", fps=15.0)
+    loaded = load_frame_dir(tmp_path / "frames")
     assert len(loaded) == 4
-    assert loaded[2].timestamp == pytest.approx(2 / 15)
     for a, b in zip(frames, loaded):
         assert np.max(np.abs(a.samples - b.samples)) <= 0.5 / 255 + 1e-12
 
@@ -360,7 +376,7 @@ def test_frame_dir_round_trip(tmp_path):
 def test_load_frame_dir_empty(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(DataFormatError):
-        load_frame_dir(tmp_path / "empty", fps=15.0)
+        load_frame_dir(tmp_path / "empty")
 
 
 # ---------------------------------------------------------------------------
@@ -381,3 +397,19 @@ def test_metrics_rendering_undefined_cells():
     assert "—" in text
     csv = format_metrics_csv(report)
     assert ",,," in csv  # empty undefined fields
+
+
+def test_area_and_bias_histograms_count_the_same_true_positives():
+    # the reader lets a box reach 1e-6 past the image edge, so an area can
+    # pass 1; it counts in the last bin of both reports
+    annotations = parse_annotations(
+        "frame,present,x,y,w,h\n0,1,0,0,1.0000000005,1\n1,1,0.2,0.2,0.4,0.4\n"
+    )
+    predictions = parse_predictions(
+        "frame,confidence,x,y,w,h\n0,0.9,0,0,1,1\n1,0.9,0.2,0.2,0.4,0.4\n"
+    )
+    hist = histogram_report(classify_frames(annotations, predictions, 0.5))
+    assert hist.tp_by_area == (0, 1, 0, 0, 0, 0, 0, 0, 0, 1)
+    area_counts = [row.split(",")[2] for row in format_area_histogram_csv(hist).splitlines()[1:]]
+    bias_counts = [row.split(",")[2] for row in format_bias_histogram_csv(hist).splitlines()[1:]]
+    assert area_counts == bias_counts

@@ -1,3 +1,4 @@
+import math
 import statistics
 from dataclasses import replace
 
@@ -13,7 +14,6 @@ from uwconvoy.mdpm import (
     _BAND_STEP,
     _MOTION_SIGMA,
     _amplitude_matrix,
-    _band_frequencies,
     _candidate_paths,
     _frame_cell_means,
     _ranked_paths,
@@ -27,14 +27,10 @@ from oracles import (
 )
 
 
-def frames_from_cells(cell_values: np.ndarray, window_size: int = 10, fps: float = 15.0):
+def frames_from_cells(cell_values: np.ndarray, window_size: int = 10):
     """Build frames whose sub-window means equal the given (T, rows, cols) values."""
-    t, rows, cols = cell_values.shape
-    frames = []
-    for i in range(t):
-        img = np.kron(cell_values[i], np.ones((window_size, window_size)))
-        frames.append(IntensityGrid(img, timestamp=i / fps))
-    return frames
+    block = np.ones((window_size, window_size))
+    return [IntensityGrid(np.kron(cells, block)) for cells in cell_values]
 
 
 def detect(frames, config: MdpmConfig = MdpmConfig()):
@@ -95,9 +91,16 @@ def test_dtft_preconditions():
     with pytest.raises(ValueError, match="buffer_length must be >= 2"):
         MdpmConfig(buffer_length=1)
     with pytest.raises(ValueError, match="Nyquist"):
-        _band_frequencies(MdpmConfig(band=(1.0, 7.5)), 15.0)
+        MdpmConfig(band=(1.0, 7.5))  # at the default 15 Hz
     with pytest.raises(ValueError, match="band"):
         MdpmConfig(band=(0.0, 3.0))
+    # checked by the config, before any frame arrives
+    with pytest.raises(ValueError, match="window_size must be positive"):
+        MdpmConfig(window_size=0)
+    # 6 Hz puts the top of the 1-3 Hz band at Nyquist
+    for rate in (math.nan, math.inf, 0.0, -15.0, 6.0):
+        with pytest.raises(ValueError, match="sample_rate must be finite and above 6"):
+            MdpmConfig(sample_rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +163,8 @@ def test_blob_following_series_has_largest_variance():
 
 
 def test_mismatched_frame_dimensions_rejected():
-    a = IntensityGrid(np.zeros((30, 30)), 0.0)
-    b = IntensityGrid(np.zeros((30, 40)), 0.1)
+    a = IntensityGrid(np.zeros((30, 30)))
+    b = IntensityGrid(np.zeros((30, 40)))
     with pytest.raises(ValueError, match="dimensions changed mid-stream: 40x30 after 30x30"):
         detect([a, b], MdpmConfig(window_size=10, buffer_length=2))
 
@@ -225,7 +228,6 @@ def test_prune_rejects_empty_and_bad_p():
 
 def oscillating_cell_frames(
     n_frames=10,
-    fps=15.0,
     rows=8,
     cols=10,
     cell=(4, 5),
@@ -239,9 +241,9 @@ def oscillating_cell_frames(
     cells = np.full((n_frames, rows, cols), 0.4)
     if noise:
         cells += rng.normal(0, noise, cells.shape)
-    t = np.arange(n_frames) / fps
+    t = np.arange(n_frames) / MdpmConfig().sample_rate
     cells[:, cell[0], cell[1]] = 0.5 + amplitude * np.sin(2 * np.pi * freq * t + phase)
-    return frames_from_cells(np.clip(cells, 0, 1), window_size=30, fps=fps)
+    return frames_from_cells(np.clip(cells, 0, 1), window_size=30)
 
 
 def test_detect_constant_gray_returns_none():
@@ -289,7 +291,7 @@ def oracle_scan(frames, config):
         for p in paths
     }
     ranking = sorted(paths, key=lambda p: (-score[p], p[-1], p))
-    fs = (len(frames) - 1) / (frames[-1].timestamp - frames[0].timestamp)
+    fs = config.sample_rate
     scan = [
         round(config.band[0] + k * _BAND_STEP, 10)
         for k in range(int(round((config.band[1] - config.band[0]) / _BAND_STEP)) + 1)
@@ -407,8 +409,6 @@ def test_detect_never_reports_out_of_band_frequency():
 # simulated footage end to end
 
 def test_detect_on_sim_footage_localizes_flipper():
-    import math
-
     from uwconvoy.sim import CameraModel, FootageScene, Pose, TargetModel
 
     scene = FootageScene(

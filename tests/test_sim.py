@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uwconvoy.geometry import BoundingBox, box_area, box_center, iou
-from uwconvoy.servo import ControlCommand, STOP_COMMAND
+from uwconvoy.servo import ControlCommand, STOP_COMMAND, ServoConfig
 from uwconvoy.sim import (
     CameraModel,
     ConvoyConfig,
@@ -331,9 +331,24 @@ def _setpoint_distance(desired: float = 0.5) -> float:
     return (lo + hi) / 2.0
 
 
-def test_zero_duration_gives_empty_trace():
-    trace = run_convoy(ConvoyConfig(duration=0.0))
-    assert trace.records == []
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"duration": 0.0}, "duration 0 s gives 0 ticks at 50 Hz"),
+        ({"duration": 0.01}, "duration 0.01 s gives 0.5 ticks"),
+        ({"physics_rate": 1e308}, "duration 60 s gives inf ticks at 1e[+]308 Hz"),
+        ({"detector_rate": 60.0}, "detector_rate 60 Hz exceeds physics_rate 50 Hz"),
+        ({"servo": ServoConfig(command_rate=1000.0)}, "servo.command_rate 1000 Hz exceeds"),
+        ({"physics_rate": 5.0}, "detector_rate 7 Hz exceeds physics_rate 5 Hz"),
+    ],
+    ids=[
+        "zero duration", "too short", "too many ticks",
+        "detector too fast", "servo too fast", "physics too slow",
+    ],
+)
+def test_config_rejects_a_run_its_loop_cannot_honour(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ConvoyConfig(**fields)
 
 
 def test_convoy_equilibrium_with_static_leader():

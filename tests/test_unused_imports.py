@@ -1,6 +1,7 @@
 """Every name a uwconvoy module imports is used in that module, every
-module-level private name is used somewhere in the package, and every name
-the package exports has a caller outside the tests.
+module-level private name is used somewhere in the package, no module
+reaches into another's private names, and every name the package exports
+has a caller outside the tests.
 
 No linter ships with the test extra, so this stands in for the unused-import
 and dead-code checks: a refactor that leaves an import or a private helper
@@ -85,8 +86,12 @@ def _unreferenced(sources: dict[str, str], wanted) -> list[str]:
     return dead
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _dead_private_names(sources: dict[str, str]) -> list[str]:
-    return _unreferenced(sources, lambda name: name.startswith("_") and not name.startswith("__"))
+    return _unreferenced(sources, _private)
 
 
 def _test_only_exports(init_source: str, sources: dict[str, str]) -> list[str]:
@@ -131,3 +136,42 @@ def test_every_export_has_a_caller_outside_the_tests():
     sources = {p.relative_to(p.parents[1]).as_posix(): p.read_text() for p in MODULES + PERFBENCH}
     found = _test_only_exports(Path(uwconvoy.__file__).read_text(), sources)
     assert {entry.rsplit(": ", 1)[1] for entry in found} == REFERENCE_LOSSES, found
+
+
+def _foreign_private_names(source: str) -> list[str]:
+    """Private names a package module takes from another package module:
+    `from .m import _name`, or `m._name` after `from . import m`."""
+    tree = ast.parse(source)
+    modules = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("uwconvoy")):
+            if node.module in (None, "uwconvoy"):
+                modules.update(alias.asname or alias.name for alias in node.names)
+            found += [f"line {node.lineno}: {a.name}" for a in node.names if _private(a.name)]
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ):
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_guard_flags_a_private_name_taken_from_another_module():
+    source = (
+        "from __future__ import annotations\n"
+        "from . import fileio\n"
+        "from .mdpm import MdpmConfig, _band_frequencies\n"
+        "from numpy import _NoValue\n"
+        "x = fileio._csv(fileio.HEADER, self._rows, _NoValue, MdpmConfig)\n"
+    )
+    assert _foreign_private_names(source) == ["line 3: _band_frequencies", "line 5: fileio._csv"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_module_takes_no_private_name_from_another(path):
+    assert _foreign_private_names(path.read_text()) == []
+
