@@ -8,7 +8,6 @@ deterministic convoy simulator, and a detector evaluation harness.
 from .geometry import (
     Annotation,
     BoundingBox,
-    IntensityGrid,
     box_area,
     box_center,
     iou,

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence, get_type_hints
 import numpy as np
 
 from .evaluation import AREA_EDGES, DURATION_EDGES, HistogramReport, MetricsReport, TrackStats
-from .geometry import Annotation, BoundingBox, IntensityGrid
+from .geometry import Annotation, BoundingBox
 from .servo import ServoConfig
 from .sim import (
     CameraModel,
@@ -99,7 +99,7 @@ def _frame_rows(text: str, header: str) -> Iterator[tuple[int, int, list[str]]]:
     """Yield (line_no, frame, fields) for each row of a frame-indexed CSV.
 
     Checks the header and the field count, skips blank lines, and requires
-    strictly increasing frame indices.
+    non-negative, strictly increasing frame indices.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
@@ -118,6 +118,8 @@ def _frame_rows(text: str, header: str) -> Iterator[tuple[int, int, list[str]]]:
             frame = int(parts[0])
         except ValueError:
             raise DataFormatError(f"line {line_no}: bad frame index {parts[0]!r}") from None
+        if frame < 0:
+            raise DataFormatError(f"line {line_no}: frame index {frame} is negative")
         if frame <= prev_frame:
             raise DataFormatError(
                 f"line {line_no}: frame {frame} not after frame {prev_frame}"
@@ -241,7 +243,6 @@ CONFIG_KEYS = {
     },
     "sim.occlusions": _field_key(ConvoyConfig, "occlusions", _parse_occlusions),
     "sim.camera_hfov": _field_key(CameraModel, "horizontal_fov"),
-    "sim.camera_aspect": _field_key(CameraModel, "aspect"),
     "sim.image_width": _field_key(CameraModel, "image_width"),
     "sim.image_height": _field_key(CameraModel, "image_height"),
     "sim.target_length": _field_key(TargetModel, "body_length"),
@@ -347,11 +348,11 @@ def parse_config(text: str) -> ConvoyConfig:
 # ---------------------------------------------------------------------------
 # PGM frames
 
-def write_pgm(grid: IntensityGrid) -> bytes:
+def write_pgm(frame: np.ndarray) -> bytes:
     """Binary 8-bit PGM (P5) with a fixed header layout."""
-    height, width = grid.samples.shape
+    height, width = frame.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    data = np.clip(np.rint(grid.samples * 255.0), 0, 255).astype(np.uint8)
+    data = np.clip(np.rint(frame * 255.0), 0, 255).astype(np.uint8)
     return header + data.tobytes()
 
 
@@ -363,8 +364,8 @@ def _pgm_tokens(data: bytes):
             yield match.start(), match.group()
 
 
-def read_pgm(data: bytes) -> IntensityGrid:
-    """Read a binary (P5) or ASCII (P2) grayscale PGM into [0, 1] samples."""
+def read_pgm(data: bytes) -> np.ndarray:
+    """Read a binary (P5) or ASCII (P2) PGM: samples in [0, 1], shape (height, width)."""
     tokens = _pgm_tokens(data)
     try:
         _, magic = next(tokens)
@@ -401,10 +402,10 @@ def read_pgm(data: bytes) -> IntensityGrid:
             )
     if samples.min() < 0 or samples.max() > maxval:
         raise DataFormatError(f"PGM pixel values must lie in 0..{maxval}")
-    return IntensityGrid((samples / maxval).reshape(height, width))
+    return (samples / maxval).reshape(height, width)
 
 
-def write_frame_dir(frames: Sequence[IntensityGrid], directory: str | Path) -> None:
+def write_frame_dir(frames: Sequence[np.ndarray], directory: str | Path) -> None:
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(frames):
@@ -416,7 +417,7 @@ def frame_files(directory: str | Path) -> list[Path]:
     return sorted(p for p in Path(directory).iterdir() if p.suffix.lower() == ".pgm")
 
 
-def load_frame_dir(directory: str | Path) -> list[IntensityGrid]:
+def load_frame_dir(directory: str | Path) -> list[np.ndarray]:
     """Load a directory of PGM frames in frame_files order."""
     files = frame_files(directory)
     if not files:

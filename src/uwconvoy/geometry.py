@@ -1,4 +1,4 @@
-"""Bounding-box and frame primitives shared by the whole toolkit.
+"""Bounding-box primitives shared by the whole toolkit.
 
 Boxes live in normalized image coordinates: (x, y) is the top-left corner,
 (w, h) the size, everything in [0, 1], origin at the image's top-left with
@@ -61,18 +61,6 @@ class Annotation:
             raise ValueError("present annotation requires a truth_box")
         if not self.present and self.truth_box is not None:
             raise ValueError("absent annotation must not carry a truth_box")
-
-
-@dataclass(eq=False)
-class IntensityGrid:
-    """A grayscale frame: samples in [0, 1], shape (height, width)."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 2:
-            raise ValueError(f"samples must be 2-D (height, width), got shape {self.samples.shape}")
 
 
 def box_area(b: BoundingBox) -> float:

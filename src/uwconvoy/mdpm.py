@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import BoundingBox, IntensityGrid
+from .geometry import BoundingBox
 
 # Floor inside emission logs so zero-change steps stay finite.
 _EMISSION_EPS = 1e-12
@@ -108,6 +108,10 @@ class MdpmConfig:
             raise ValueError("prune_count must be >= 1")
         if not 0 < self.band[0] < self.band[1]:
             raise ValueError(f"invalid frequency band {self.band}")
+        for name in ("threshold_factor", "amplitude_threshold"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         # the band must lie under Nyquist; nan and inf fail the comparison
         if not 2.0 * self.band[1] < self.sample_rate < math.inf:
             raise ValueError(
@@ -229,9 +233,12 @@ class MdpmTracker:
         steps = int(math.floor((hi - lo) / _BAND_STEP + 1e-9))
         self._freqs = lo + _BAND_STEP * np.arange(steps + 1)
 
-    def push(self, frame: IntensityGrid) -> SpectralDetection | None:
-        """Add a frame; detect once the buffer is full."""
-        height, width = frame.samples.shape
+    def push(self, frame: np.ndarray) -> SpectralDetection | None:
+        """Add a frame (samples in [0, 1], shape (height, width)); detect once full."""
+        frame = np.asarray(frame, dtype=float)
+        if frame.ndim != 2:
+            raise ValueError(f"frame must be 2-D (height, width), got shape {frame.shape}")
+        height, width = frame.shape
         if self.grid is None:
             self.grid = SubWindowGrid.for_frame(width, height, self.config.window_size)
         elif (width, height) != (self.grid.frame_width, self.grid.frame_height):
@@ -239,7 +246,7 @@ class MdpmTracker:
                 f"frame dimensions changed mid-stream: {width}x{height} after "
                 f"{self.grid.frame_width}x{self.grid.frame_height}"
             )
-        self._means.append(_frame_cell_means(frame.samples, self.grid))
+        self._means.append(_frame_cell_means(frame, self.grid))
         if len(self._means) < self.config.buffer_length:
             return None
         return _detect_from_means(np.stack(self._means), self.grid, self.config, self._freqs)

@@ -10,6 +10,7 @@ If no box arrives within the loss timeout the vehicle is stopped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .geometry import BoundingBox, box_area, box_center
@@ -57,10 +58,12 @@ class ServoConfig:
     def __post_init__(self):
         if not 0.0 < self.desired_area <= 1.0:
             raise ValueError(f"desired_area must be in (0, 1], got {self.desired_area}")
-        if self.command_rate <= 0:
-            raise ValueError("command_rate must be positive")
-        if self.loss_timeout <= 0:
-            raise ValueError("loss_timeout must be positive")
+        for name in ("command_rate", "loss_timeout"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("yaw_kp", "yaw_ki", "yaw_kd", "depth_gain", "speed_gain"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("yaw_rate_limit", "vertical_speed_limit", "forward_speed_limit"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Annotation, BoundingBox, IntensityGrid, clip_box_to_image, iou
+from .geometry import Annotation, BoundingBox, clip_box_to_image, iou
 from .servo import STOP_COMMAND, ControlCommand, ServoConfig, ServoState, servo_update
 
 _PITCH_LIMIT = math.pi / 2 - 1e-6
@@ -43,6 +43,8 @@ class Pose:
     def __post_init__(self):
         if not -_PITCH_LIMIT <= self.pitch <= _PITCH_LIMIT:
             raise ValueError(f"pitch {self.pitch} outside (-pi/2, pi/2)")
+        if not math.isfinite(self.yaw):
+            raise ValueError(f"yaw {self.yaw} is not finite")
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
     def forward(self) -> np.ndarray:
@@ -62,15 +64,12 @@ class Pose:
 @dataclass(frozen=True)
 class CameraModel:
     horizontal_fov: float = math.pi / 2
-    aspect: float = 4.0 / 3.0
     image_width: int = 320
     image_height: int = 240
 
     def __post_init__(self):
         if not 0.0 < self.horizontal_fov < math.pi:
             raise ValueError(f"horizontal_fov {self.horizontal_fov} outside (0, pi)")
-        if self.aspect <= 0:
-            raise ValueError("aspect must be positive")
         if self.image_width <= 0 or self.image_height <= 0:
             raise ValueError(
                 f"image size {self.image_width}x{self.image_height} must be positive"
@@ -78,7 +77,8 @@ class CameraModel:
 
     @property
     def vertical_fov(self) -> float:
-        return self.horizontal_fov / self.aspect
+        """Pixels are square in angle, so this is hfov * height / width."""
+        return self.horizontal_fov / (self.image_width / self.image_height)
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,8 @@ class TargetModel:
             raise ValueError(
                 f"gait_frequency {self.gait_frequency} outside the 1-3 Hz band"
             )
-        if self.gait_jitter < 0:
-            raise ValueError("gait_jitter must be >= 0")
+        if not self.gait_jitter >= 0:
+            raise ValueError(f"gait_jitter must be >= 0, got {self.gait_jitter}")
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,8 @@ class FootageScene:
         y1 = int(round((box.y + box.h) * h))
         return x0, x1, y0, y1
 
-    def render(self, leader: Pose, follower: Pose, t: float) -> IntensityGrid:
+    def render(self, leader: Pose, follower: Pose, t: float) -> np.ndarray:
+        """The frame at time t: samples in [0, 1], shape (height, width)."""
         cam = self.camera
         img = np.full((cam.image_height, cam.image_width), _BACKGROUND)
         if self.noise_sigma > 0:
@@ -324,11 +325,11 @@ class FootageScene:
                 img[y0:y1, x0:x1] = level
 
         np.clip(img, 0.0, 1.0, out=img)
-        return IntensityGrid(img)
+        return img
 
     def render_sequence(
         self, leader: Pose, follower: Pose, frame_count: int, fps: float
-    ) -> list[IntensityGrid]:
+    ) -> list[np.ndarray]:
         """Static-pose footage: frame i is rendered at time i/fps."""
         return [self.render(leader, follower, i / fps) for i in range(frame_count)]
 
@@ -427,6 +428,11 @@ class SimTrace:
     records: list[TraceRecord]
 
 
+# Most physics ticks one run may take: 5.5 h at the default 50 Hz, about
+# 1 GB of trace records held in memory.
+MAX_TICKS = 10**6
+
+
 class ScheduleError(ValueError):
     """ConvoyConfig fields, each valid alone, that together ask run_convoy
     for a loop it cannot run; `fields` holds their (dataclass, name) pairs."""
@@ -469,13 +475,14 @@ class ConvoyConfig:
         for start, end in self.occlusions:
             if not start < end:
                 raise ValueError(f"occlusion {start}:{end} must end after it starts")
-        # the loop fires the detector and the servo at most once per tick,
-        # and runs round(duration * physics_rate) ticks: at least one, and
-        # a count that an int can take
+        # the loop fires the detector and the servo, and samples a frame, at
+        # most once per tick, and runs round(duration * physics_rate) ticks:
+        # from one to MAX_TICKS
         physics = (ConvoyConfig, "physics_rate")
         for owner, name, rate in (
             ((ConvoyConfig, "detector_rate"), "detector_rate", self.detector_rate),
             ((ServoConfig, "command_rate"), "servo.command_rate", self.servo.command_rate),
+            ((ConvoyConfig, "frame_rate"), "frame_rate", self.frame_rate),
         ):
             if rate > self.physics_rate:
                 raise ScheduleError(
@@ -483,9 +490,10 @@ class ConvoyConfig:
                     owner, physics,
                 )
         ticks = self.duration * self.physics_rate
-        if not 0.5 < ticks < math.inf:
+        if not 0.5 < ticks < math.inf or round(ticks) > MAX_TICKS:
             raise ScheduleError(
-                f"duration {self.duration:g} s gives {ticks:g} ticks at {self.physics_rate:g} Hz",
+                f"duration {self.duration:g} s gives {ticks:g} ticks at {self.physics_rate:g} Hz;"
+                f" a run takes 1 to {MAX_TICKS} ticks",
                 (ConvoyConfig, "duration"), physics,
             )
 
@@ -564,7 +572,7 @@ def _trace_frame_records(trace: SimTrace, fps: float):
         i += 1
 
 
-def render_trace_frames(trace: SimTrace, config: ConvoyConfig) -> list[IntensityGrid]:
+def render_trace_frames(trace: SimTrace, config: ConvoyConfig) -> list[np.ndarray]:
     """Render footage at config.frame_rate from the trace of a run of config.
 
     The scene uses the run's camera and target and the footage stream of its

@@ -250,12 +250,7 @@ def test_criterion_5_jitter_reduces_recall():
 
 def test_criterion_6_mdpm_throughput():
     rng = np.random.default_rng(42)
-    from uwconvoy.geometry import IntensityGrid
-
-    frames = [
-        IntensityGrid(0.4 + rng.normal(0, 0.02, (240, 320)))
-        for i in range(110)
-    ]
+    frames = [0.4 + rng.normal(0, 0.02, (240, 320)) for i in range(110)]
     tracker = MdpmTracker()
     for f in frames[:10]:
         tracker.push(f)

@@ -17,7 +17,7 @@ from uwconvoy.fileio import (
     parse_predictions,
     write_frame_dir,
 )
-from uwconvoy.geometry import Annotation, BoundingBox, IntensityGrid
+from uwconvoy.geometry import Annotation, BoundingBox
 from uwconvoy.mdpm import MdpmConfig
 from uwconvoy.sim import FootageScene, Pose, TargetModel
 
@@ -437,7 +437,7 @@ def test_sim_frame_rate_reaches_footage_and_annotations(tmp_path):
 
 def _noise_frame_dir(tmp_path, count):
     rng = np.random.default_rng(5)
-    frames = [IntensityGrid(rng.uniform(0, 1, (60, 60))) for _ in range(count)]
+    frames = [rng.uniform(0, 1, (60, 60)) for _ in range(count)]
     frame_dir = tmp_path / "frames"
     write_frame_dir(frames, frame_dir)
     return frame_dir
@@ -480,7 +480,7 @@ def test_mdpm_rejects_input_it_cannot_detect_on(tmp_path, capsys, count, fps, me
     ids=["size changes mid-clip", "frame smaller than a sub-window"],
 )
 def test_mdpm_error_names_the_frame_file(tmp_path, capsys, sizes, message):
-    frames = [IntensityGrid(np.zeros(shape)) for shape in sizes]
+    frames = [np.zeros(shape) for shape in sizes]
     frame_dir, out = tmp_path / "frames", tmp_path / "detections.csv"
     write_frame_dir(frames, frame_dir)
     assert run_cli(["mdpm", "--frames", str(frame_dir), "--fps", "15", "--out", str(out)]) == 2
@@ -495,10 +495,14 @@ def test_mdpm_error_names_the_frame_file(tmp_path, capsys, sizes, message):
         ("servo.command_rate = 1000", "servo.command_rate 1000 Hz exceeds physics_rate 50 Hz"),
         ("sim.duration = 0", "duration 0 s gives 0 ticks"),
         ("sim.duration = 0.001", "duration 0.001 s gives 0.05 ticks"),
+        ("sim.duration = 1e9", "duration 1e+09 s gives 5e+10 ticks"),
+        ("sim.frame_rate = 1e9", "frame_rate 1e+09 Hz exceeds physics_rate 50 Hz"),
     ],
-    ids=["servo too fast", "zero duration", "too short"],
+    ids=["servo too fast", "zero duration", "too short", "too long", "frames too fast"],
 )
-def test_run_the_loop_cannot_honour_exits_2(tmp_path, capsys, command, line, message):
+def test_run_the_loop_cannot_honour_exits_2(tmp_path, capsys, monkeypatch, command, line, message):
+    # refused with the config, before the first tick
+    monkeypatch.setattr("uwconvoy.cli.run_convoy", lambda config: pytest.fail("the run started"))
     config = tmp_path / "run.cfg"
     config.write_text(f"sim.seed = 3\n{line}\n")
     out = tmp_path / "trace.csv"

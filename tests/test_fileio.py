@@ -24,7 +24,7 @@ from uwconvoy.fileio import (
     write_frame_dir,
     write_pgm,
 )
-from uwconvoy.geometry import Annotation, BoundingBox, IntensityGrid
+from uwconvoy.geometry import Annotation, BoundingBox
 from uwconvoy.sim import ConvoyConfig, depth_script, run_convoy
 
 
@@ -46,6 +46,8 @@ def test_parse_annotations_rejects_non_monotone_frames():
     text = "frame,present,x,y,w,h\n3,0,,,,\n2,0,,,,\n"
     with pytest.raises(DataFormatError, match="line 3"):
         parse_annotations(text)
+    with pytest.raises(DataFormatError, match="^line 2: frame index -1 is negative$"):
+        parse_annotations("frame,present,x,y,w,h\n-1,0,,,,\n")
 
 
 def test_parse_annotations_rejects_garbage():
@@ -90,6 +92,8 @@ def test_parse_predictions_examples():
 def test_parse_predictions_confidence_range():
     with pytest.raises(DataFormatError, match="line 2"):
         parse_predictions("frame,confidence,x,y,w,h\n0,1.3,,,,\n")
+    with pytest.raises(DataFormatError, match="^line 3: frame index -2 is negative$"):
+        parse_predictions("frame,confidence,x,y,w,h\n\n-2,0.5,,,,\n")
 
 
 def test_prediction_round_trip_random():
@@ -251,6 +255,12 @@ def test_parse_config_rejects_mdpm_keys():
         parse_config("sim.seed = 1\nmdpm.window_size = 30\n")
 
 
+def test_parse_config_rejects_camera_aspect():
+    # the aspect follows from the image size: pixels are square
+    with pytest.raises(DataFormatError, match="line 2: unknown config key 'sim.camera_aspect'"):
+        parse_config("sim.image_width = 640\nsim.camera_aspect = 1.5\n")
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -276,6 +286,8 @@ def test_parse_config_rejects_mdpm_keys():
         "sim.duration = 0",
         "sim.duration = 0.001",
         "sim.physics_rate = 1e308",
+        "sim.duration = 1e9",
+        "sim.frame_rate = 1e9",
     ],
 )
 def test_parse_config_rejects_bad_value_naming_its_line(line):
@@ -316,20 +328,20 @@ def test_parse_config_corrupted_value_parses_or_names_its_line(key, value, blank
 
 def test_pgm_round_trip_binary():
     rng = np.random.default_rng(5)
-    grid = IntensityGrid(rng.uniform(0, 1, (9, 17)))
-    data = write_pgm(grid)
+    frame = rng.uniform(0, 1, (9, 17))
+    data = write_pgm(frame)
     back = read_pgm(data)
-    assert back.samples.shape == (9, 17)
+    assert back.shape == (9, 17)
     # quantized to 8 bits on write
-    assert np.max(np.abs(back.samples - grid.samples)) <= 0.5 / 255 + 1e-12
+    assert np.max(np.abs(back - frame)) <= 0.5 / 255 + 1e-12
     assert write_pgm(back) == data
 
 
 def test_pgm_ascii_variant():
     text = b"P2\n# comment\n3 2\n255\n0 128 255\n64 32 16\n"
-    grid = read_pgm(text)
-    assert grid.samples.shape == (2, 3)
-    assert grid.samples[0, 1] == pytest.approx(128 / 255)
+    frame = read_pgm(text)
+    assert frame.shape == (2, 3)
+    assert frame[0, 1] == pytest.approx(128 / 255)
 
 
 def test_pgm_errors():
@@ -356,7 +368,7 @@ def test_pgm_rejects_samples_outside_maxval(data, message):
 
 
 def test_load_frame_dir_error_names_the_file(tmp_path):
-    frames = [IntensityGrid(np.zeros((4, 4))) for _ in range(3)]
+    frames = [np.zeros((4, 4))] * 3
     write_frame_dir(frames, tmp_path)
     (tmp_path / "frame_000001.pgm").write_bytes(b"P5\n4 4\n255\nxx")
     with pytest.raises(DataFormatError, match="^frame_000001.pgm: PGM pixel payload truncated$"):
@@ -365,12 +377,12 @@ def test_load_frame_dir_error_names_the_file(tmp_path):
 
 def test_frame_dir_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    frames = [IntensityGrid(rng.uniform(0, 1, (8, 12))) for _ in range(4)]
+    frames = [rng.uniform(0, 1, (8, 12)) for _ in range(4)]
     write_frame_dir(frames, tmp_path / "frames")
     loaded = load_frame_dir(tmp_path / "frames")
     assert len(loaded) == 4
     for a, b in zip(frames, loaded):
-        assert np.max(np.abs(a.samples - b.samples)) <= 0.5 / 255 + 1e-12
+        assert np.max(np.abs(a - b)) <= 0.5 / 255 + 1e-12
 
 
 def test_load_frame_dir_empty(tmp_path):

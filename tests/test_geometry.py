@@ -6,7 +6,6 @@ import pytest
 from uwconvoy.geometry import (
     Annotation,
     BoundingBox,
-    IntensityGrid,
     box_area,
     box_center,
     clip_box_to_image,
@@ -123,12 +122,6 @@ def test_annotation_presence_consistency():
         Annotation(0, False, box)
     with pytest.raises(ValueError):
         Annotation(-1, False)
-
-
-def test_intensity_grid_shape_checked():
-    IntensityGrid(np.zeros((3, 4)))
-    with pytest.raises(ValueError, match="2-D"):
-        IntensityGrid(np.zeros(12))
 
 
 def test_clip_box_to_image():

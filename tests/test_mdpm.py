@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uwconvoy.geometry import IntensityGrid
 from uwconvoy.mdpm import (
     MdpmConfig,
     MdpmTracker,
@@ -30,7 +29,7 @@ from oracles import (
 def frames_from_cells(cell_values: np.ndarray, window_size: int = 10):
     """Build frames whose sub-window means equal the given (T, rows, cols) values."""
     block = np.ones((window_size, window_size))
-    return [IntensityGrid(np.kron(cells, block)) for cells in cell_values]
+    return [np.kron(cells, block) for cells in cell_values]
 
 
 def detect(frames, config: MdpmConfig = MdpmConfig()):
@@ -129,7 +128,7 @@ def test_grid_rejects_tiny_frames():
 def test_uniform_frames_give_constant_series():
     frames = frames_from_cells(np.full((10, 3, 4), 0.5))
     grid = SubWindowGrid.for_frame(40, 30, 10)
-    means = np.stack([_frame_cell_means(f.samples, grid) for f in frames])
+    means = np.stack([_frame_cell_means(f, grid) for f in frames])
     _, series, _, _ = _ranked_paths(means)
     assert series.shape == (len(_candidate_paths(3, 4, 10)), 10)
     assert np.all(series == 0.5)
@@ -163,10 +162,16 @@ def test_blob_following_series_has_largest_variance():
 
 
 def test_mismatched_frame_dimensions_rejected():
-    a = IntensityGrid(np.zeros((30, 30)))
-    b = IntensityGrid(np.zeros((30, 40)))
+    a, b = np.zeros((30, 30)), np.zeros((30, 40))
     with pytest.raises(ValueError, match="dimensions changed mid-stream: 40x30 after 30x30"):
         detect([a, b], MdpmConfig(window_size=10, buffer_length=2))
+
+
+def test_push_takes_only_2d_frames():
+    tracker = MdpmTracker(MdpmConfig(window_size=2))
+    assert tracker.push(np.zeros((3, 4))) is None
+    with pytest.raises(ValueError, match="2-D"):
+        tracker.push(np.zeros(12))
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +277,10 @@ def oracle_scan(frames, config):
     oracles alone: plain-loop path enumeration, `score_path` ranking and
     plain-sum amplitudes over block-mean cell intensities."""
     ws = config.window_size
-    rows, cols = (n // ws for n in frames[0].samples.shape)
+    rows, cols = (n // ws for n in frames[0].shape)
     means = [
         [
-            float(f.samples[r * ws:(r + 1) * ws, c * ws:(c + 1) * ws].mean())
+            float(f[r * ws:(r + 1) * ws, c * ws:(c + 1) * ws].mean())
             for r in range(rows)
             for c in range(cols)
         ]

@@ -1,15 +1,19 @@
+import dataclasses
 import math
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from uwconvoy.geometry import BoundingBox, box_area, box_center, iou
+from uwconvoy.mdpm import MdpmConfig
 from uwconvoy.servo import ControlCommand, STOP_COMMAND, ServoConfig
 from uwconvoy.sim import (
     CameraModel,
     ConvoyConfig,
     DetectorNoise,
     FootageScene,
+    MAX_TICKS,
     Pose,
     TargetModel,
     TrajectoryScript,
@@ -122,6 +126,12 @@ def test_projection_dead_ahead_centered():
     assert expected_w == pytest.approx(0.205, abs=5e-4)
 
 
+def test_vertical_fov_follows_the_image_size():
+    # 320/240 is bit-equal to 4/3, so the default projection keeps its bytes
+    assert CAM.vertical_fov == CAM.horizontal_fov / (4.0 / 3.0)
+    assert CameraModel(image_width=320, image_height=320).vertical_fov == CAM.horizontal_fov
+
+
 def test_projection_behind_camera_is_none():
     leader = Pose(position=(-2.0, 0.0, 0.0))
     assert project_bbox(CAM, Pose(), leader, TARGET) is None
@@ -196,8 +206,8 @@ def test_projection_output_always_valid_box():
 def test_render_empty_scene_uniform_background():
     scene = FootageScene(noise_sigma=0.0, gait_phase0=0.0)
     frame = scene.render(Pose(position=(-5.0, 0.0, 0.0)), Pose(), 0.0)
-    assert np.all(frame.samples == 0.4)
-    assert frame.samples.shape == (240, 320)
+    assert np.all(frame == 0.4)
+    assert frame.shape == (240, 320)
 
 
 def test_flipper_mid_value_at_sine_zero_crossing():
@@ -206,7 +216,7 @@ def test_flipper_mid_value_at_sine_zero_crossing():
     frame = scene.render(Pose(position=(1.2, 0.0, 0.0)), Pose(), 0.5)
     lo, hi = scene.flipper_range
     mid = lo + (hi - lo) * 0.5
-    assert np.any(np.isclose(frame.samples, mid, atol=1e-12))
+    assert np.any(np.isclose(frame, mid, atol=1e-12))
 
 
 def _flipper_series(frames, scene, leader, follower):
@@ -224,7 +234,7 @@ def _flipper_series(frames, scene, leader, follower):
         scene.target.flipper_size[1] / 2.0,
     )
     x0, x1, y0, y1 = scene._pixel_rect(flipper)
-    return np.array([f.samples[y0:y1, x0:x1].mean() for f in frames])
+    return np.array([f[y0:y1, x0:x1].mean() for f in frames])
 
 
 def test_flipper_series_peaks_at_gait_frequency():
@@ -340,15 +350,41 @@ def _setpoint_distance(desired: float = 0.5) -> float:
         ({"detector_rate": 60.0}, "detector_rate 60 Hz exceeds physics_rate 50 Hz"),
         ({"servo": ServoConfig(command_rate=1000.0)}, "servo.command_rate 1000 Hz exceeds"),
         ({"physics_rate": 5.0}, "detector_rate 7 Hz exceeds physics_rate 5 Hz"),
+        ({"duration": 1e9}, "duration 1e[+]09 s gives 5e[+]10 ticks at 50 Hz; a run takes 1 to"),
+        ({"duration": (MAX_TICKS + 1) / 50.0}, "duration 20000 s gives 1e[+]06 ticks"),
+        ({"frame_rate": 1e9}, "frame_rate 1e[+]09 Hz exceeds physics_rate 50 Hz"),
     ],
     ids=[
         "zero duration", "too short", "too many ticks",
         "detector too fast", "servo too fast", "physics too slow",
+        "too long", "one tick too long", "frames too fast",
     ],
 )
 def test_config_rejects_a_run_its_loop_cannot_honour(fields, message):
     with pytest.raises(ValueError, match=message):
         ConvoyConfig(**fields)
+
+
+def test_config_allows_the_longest_run_and_fastest_frames():
+    ConvoyConfig(duration=MAX_TICKS / 50.0, frame_rate=50.0)
+
+
+_CONFIG_CLASSES = (ConvoyConfig, CameraModel, TargetModel, DetectorNoise, ServoConfig, MdpmConfig, Pose)
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [
+        (cls, f.name)
+        for cls in _CONFIG_CLASSES
+        for f in dataclasses.fields(cls)
+        if get_type_hints(cls)[f.name] in (float, float | None)
+    ],
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
+)
+def test_config_float_field_rejects_nan(cls, name):
+    with pytest.raises(ValueError):
+        cls(**{name: math.nan})
 
 
 def test_convoy_equilibrium_with_static_leader():
@@ -433,7 +469,7 @@ def test_render_trace_frames_deterministic():
     a, b = (render_trace_frames(trace, cfg) for _ in range(2))
     assert len(a) == len(b) == 15  # trace ends at t = 0.98; frames 0/15 .. 14/15
     for fa, fb in zip(a, b):
-        assert np.array_equal(fa.samples, fb.samples)
+        assert np.array_equal(fa, fb)
 
 
 @pytest.mark.parametrize("fps", [0.0, -3.0, math.inf])
