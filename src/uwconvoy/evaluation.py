@@ -5,7 +5,9 @@ A frame counts as a true positive purely by presence agreement at the
 chosen confidence threshold; localization quality is reported separately
 through the average overlap and the localization failure rate over true
 positives. Ratio metrics with empty denominators are reported as None
-("undefined"), never silently zero.
+("undefined"), never silently zero. The automatic threshold is the lowest
+confidence in the file whose precision is at least 0.95, which is the one
+with the best recall.
 """
 
 from __future__ import annotations
@@ -135,26 +137,25 @@ def select_threshold(
     predictions: Sequence[tuple[int, BoundingBox | None]],
     min_precision: float = 0.95,
 ) -> float:
-    """Best-recall confidence threshold subject to a precision floor.
+    """The lowest boxed confidence whose precision is at least min_precision.
 
-    Sweeps the distinct confidence values of the boxed predictions; among
-    thresholds meeting the floor the one with the highest recall wins, ties
-    going to the lower threshold.
+    Recall cannot fall as the threshold falls, so this is the threshold with
+    the best recall under the floor, ties going to the lower one.
     """
-    candidates = sorted({box.p for _, box in predictions if box is not None})
-    best: tuple[float, float] | None = None  # (recall, threshold)
-    for threshold in candidates:
-        report = metrics_summary(classify_frames(annotations, predictions, threshold))
-        if report.precision is None or report.precision < min_precision:
-            continue
-        recall = report.recall if report.recall is not None else 0.0
-        if best is None or recall > best[0]:
-            best = (recall, threshold)
-    if best is None:
+    # at threshold -inf every boxed frame is detected, as a TP or an FP
+    results = classify_frames(annotations, predictions, -np.inf)
+    conf = np.array([r.prediction.p for r in results if r.prediction is not None])
+    hit = np.array([r.classification == "TP" for r in results if r.prediction is not None])
+    order = np.argsort(-conf)
+    conf, tp = conf[order], np.cumsum(hit[order])
+    # the last index of each run of equal confidences; none when nothing is boxed
+    run_end = np.diff(conf, append=-1.0) != 0
+    feasible = np.flatnonzero(run_end & (tp / np.arange(1, len(conf) + 1) >= min_precision))
+    if not feasible.size:
         raise ThresholdNotFoundError(
             f"no confidence threshold reaches precision {min_precision}"
         )
-    return best[1]
+    return float(conf[feasible[-1]])
 
 
 def _spans(
@@ -180,8 +181,8 @@ def track_statistics(results: Sequence[FrameResult], fps: float) -> TrackStats:
     An interruption of up to TRACK_MAX_GAP seconds (inclusive) of non-TP frames
     keeps a track alive; track duration spans first through last TP frame.
     """
-    if fps <= 0:
-        raise ValueError("fps must be positive")
+    if not 0.0 < fps < np.inf:
+        raise ValueError(f"fps must be positive and finite, got {fps}")
     spans = _spans(results, "TP", fps, TRACK_MAX_GAP)
     if not spans:
         return TrackStats(0, (), None, None, None)

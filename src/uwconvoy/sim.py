@@ -29,6 +29,11 @@ _BACKGROUND = 0.4
 _BODY_INTENSITY = 0.85
 
 
+def _require_finite(name: str, values: tuple[float, ...]) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} {values} has an element that is not finite")
+
+
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     return math.pi - (math.pi - a) % (2.0 * math.pi)
@@ -41,6 +46,7 @@ class Pose:
     pitch: float = 0.0
 
     def __post_init__(self):
+        _require_finite("position", self.position)
         if not -_PITCH_LIMIT <= self.pitch <= _PITCH_LIMIT:
             raise ValueError(f"pitch {self.pitch} outside (-pi/2, pi/2)")
         if not math.isfinite(self.yaw):
@@ -96,13 +102,18 @@ class TargetModel:
 
     def __post_init__(self):
         if not (self.body_length > 0 and self.body_height > 0):
-            raise ValueError(f"body size {self.body_length}x{self.body_height} must be positive")
+            raise ValueError(
+                f"body_length {self.body_length} and body_height {self.body_height}"
+                " must be positive"
+            )
         if not 1.0 <= self.gait_frequency <= 3.0:
             raise ValueError(
                 f"gait_frequency {self.gait_frequency} outside the 1-3 Hz band"
             )
         if not self.gait_jitter >= 0:
             raise ValueError(f"gait_jitter must be >= 0, got {self.gait_jitter}")
+        _require_finite("flipper_offset", self.flipper_offset)
+        _require_finite("flipper_size", self.flipper_size)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +483,7 @@ class ConvoyConfig:
                 raise ValueError(f"{name} must be positive and finite, got {rate}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        _require_finite("current", self.current)
         for start, end in self.occlusions:
             if not start < end:
                 raise ValueError(f"occlusion {start}:{end} must end after it starts")

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uwconvoy import evaluation
 from uwconvoy.geometry import Annotation, BoundingBox
 from uwconvoy.evaluation import (
     FrameResult,
@@ -157,9 +160,10 @@ def test_select_threshold_equals_brute_force_oracle():
             assert select_threshold(annotations, predictions, 0.95) == expected
 
 
-# a 5-value confidence grid makes ties between frames the common case
+# a 7-value confidence grid makes ties between frames the common case; it
+# holds both ends of the confidence range
 _FRAMES = st.lists(
-    st.tuples(st.booleans(), st.none() | st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9))),
+    st.tuples(st.booleans(), st.none() | st.sampled_from((0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0))),
     min_size=1,
     max_size=60,
 )
@@ -176,6 +180,31 @@ def test_select_threshold_matches_oracle_under_ties(frames, min_precision):
             select_threshold(annotations, predictions, min_precision)
     else:
         assert select_threshold(annotations, predictions, min_precision) == expected
+
+
+def test_select_threshold_classifies_once(monkeypatch):
+    calls = {"classify_frames": 0, "metrics_summary": 0}
+
+    def counted(name):
+        original = getattr(evaluation, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(evaluation, name, counted(name))
+    annotations, predictions = random_prediction_set(np.random.default_rng(5))
+    select_threshold(annotations, predictions)
+    assert calls == {"classify_frames": 1, "metrics_summary": 0}
+
+
+def test_select_threshold_counts_a_confidence_within_round_off_below_zero():
+    # BoundingBox admits p down to -1e-9 as round-off of 0
+    predictions = [(0, boxed(-5e-10))]
+    assert select_threshold([ann(0)], predictions) == -5e-10
 
 
 def test_recall_monotone_in_threshold():
@@ -232,6 +261,13 @@ def test_track_invariant_to_tn_frames_inside_small_gap():
     with_gap = _tp_results([0, 1, 2, 10, 11], range(12))
     dense = [r for r in with_gap if r.classification == "TP"]
     assert track_statistics(with_gap, 10.0) == track_statistics(dense, 10.0)
+
+
+@pytest.mark.parametrize("fps", [0.0, -1.0, math.nan, math.inf])
+def test_track_rejects_fps_not_positive_and_finite(fps):
+    results = _tp_results([0, 1], range(2))
+    with pytest.raises(ValueError, match="fps must be positive"):
+        track_statistics(results, fps)
 
 
 def test_track_rejects_unordered_results():

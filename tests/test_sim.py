@@ -1,6 +1,6 @@
 import dataclasses
 import math
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -372,19 +372,24 @@ def test_config_allows_the_longest_run_and_fastest_frames():
 _CONFIG_CLASSES = (ConvoyConfig, CameraModel, TargetModel, DetectorNoise, ServoConfig, MdpmConfig, Pose)
 
 
-@pytest.mark.parametrize(
-    "cls, name",
-    [
-        (cls, f.name)
-        for cls in _CONFIG_CLASSES
-        for f in dataclasses.fields(cls)
-        if get_type_hints(cls)[f.name] in (float, float | None)
-    ],
-    ids=lambda v: v if isinstance(v, str) else v.__name__,
-)
-def test_config_float_field_rejects_nan(cls, name):
-    with pytest.raises(ValueError):
-        cls(**{name: math.nan})
+def _nan_cases():
+    """nan in each float field of the config dataclasses, and in each
+    position of each tuple-of-floats field (its default elsewhere)."""
+    for cls in _CONFIG_CLASSES:
+        for f in dataclasses.fields(cls):
+            hint = get_type_hints(cls)[f.name]
+            if hint in (float, float | None):
+                yield pytest.param(cls, f.name, math.nan, id=f"{cls.__name__}-{f.name}")
+            elif get_origin(hint) is tuple and set(get_args(hint)) == {float}:
+                for i in range(len(f.default)):
+                    value = f.default[:i] + (math.nan,) + f.default[i + 1:]
+                    yield pytest.param(cls, f.name, value, id=f"{cls.__name__}-{f.name}-{i}")
+
+
+@pytest.mark.parametrize("cls, name, value", _nan_cases())
+def test_config_float_field_rejects_nan(cls, name, value):
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value})
 
 
 def test_convoy_equilibrium_with_static_leader():
