@@ -145,21 +145,21 @@ def _cmd_mdpm(args) -> int:
         config = MdpmConfig(sample_rate=args.fps)
     except ValueError as exc:
         raise ValueError(f"--fps {args.fps:g} is too low: {exc}") from None
-    frames = fileio.load_frame_dir(args.frames)
-    if len(frames) < config.buffer_length:
-        raise fileio.DataFormatError(
-            f"{args.frames} holds {len(frames)} frames; detection needs "
-            f"at least {config.buffer_length}"
-        )
     tracker = MdpmTracker(config)
     rows = []
-    for i, frame in enumerate(frames):
+    for i, (path, frame) in enumerate(fileio.load_frame_dir(args.frames)):
         try:
             detection = tracker.push(frame)
         except ValueError as exc:
-            name = fileio.frame_files(args.frames)[i].name
-            raise fileio.DataFormatError(f"{name}: {exc}") from None
+            raise fileio.DataFormatError(f"{path.name}: {exc}") from None
         rows.append((i, detection.bbox if detection is not None else None))
+    # counted after the loop, so that a frame that cannot be read is named
+    # first; nothing is written before every frame has been pushed
+    if len(rows) < config.buffer_length:
+        raise fileio.DataFormatError(
+            f"{args.frames} holds {len(rows)} frames; detection needs "
+            f"at least {config.buffer_length}"
+        )
     Path(args.out).write_text(fileio.format_predictions(rows))
     return 0
 

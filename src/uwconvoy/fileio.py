@@ -390,7 +390,7 @@ def read_pgm(data: bytes) -> np.ndarray:
         raw = data[start : start + width * height]
         if len(raw) != width * height:
             raise DataFormatError("PGM pixel payload truncated")
-        samples = np.frombuffer(raw, dtype=np.uint8).astype(float)
+        samples = np.frombuffer(raw, np.uint8)  # the division below makes the one float copy
     else:
         try:
             samples = np.array([int(tok) for _, tok in tokens], dtype=float)
@@ -405,7 +405,7 @@ def read_pgm(data: bytes) -> np.ndarray:
     return (samples / maxval).reshape(height, width)
 
 
-def write_frame_dir(frames: Sequence[np.ndarray], directory: str | Path) -> None:
+def write_frame_dir(frames: Iterable[np.ndarray], directory: str | Path) -> None:
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(frames):
@@ -417,18 +417,27 @@ def frame_files(directory: str | Path) -> list[Path]:
     return sorted(p for p in Path(directory).iterdir() if p.suffix.lower() == ".pgm")
 
 
-def load_frame_dir(directory: str | Path) -> list[np.ndarray]:
-    """Load a directory of PGM frames in frame_files order."""
+def load_frame_dir(directory: str | Path) -> Iterator[tuple[Path, np.ndarray]]:
+    """Read a directory of PGM frames in frame_files order, one at a time.
+
+    The directory is listed, and refused when it holds no frame, on the call;
+    each (path, frame) pair is read as it is asked for, so one frame is held
+    at a time. A frame that does not parse raises a DataFormatError that
+    names its file.
+    """
     files = frame_files(directory)
     if not files:
         raise DataFormatError(f"no .pgm frames in {directory}")
-    frames = []
-    for p in files:
-        try:
-            frames.append(read_pgm(p.read_bytes()))
-        except DataFormatError as exc:
-            raise DataFormatError(f"{p.name}: {exc}") from None
-    return frames
+
+    def read():
+        for path in files:
+            try:
+                frame = read_pgm(path.read_bytes())
+            except DataFormatError as exc:
+                raise DataFormatError(f"{path.name}: {exc}") from None
+            yield path, frame
+
+    return read()
 
 
 # ---------------------------------------------------------------------------

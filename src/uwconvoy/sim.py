@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -584,22 +585,23 @@ def _trace_frame_records(trace: SimTrace, fps: float):
         i += 1
 
 
-def render_trace_frames(trace: SimTrace, config: ConvoyConfig) -> list[np.ndarray]:
-    """Render footage at config.frame_rate from the trace of a run of config.
+def render_trace_frames(trace: SimTrace, config: ConvoyConfig) -> Iterator[np.ndarray]:
+    """Yield footage at config.frame_rate from the trace of a run of config.
 
     The scene uses the run's camera and target and the footage stream of its
     seed. Frame i samples the most recent trace record at or before time
     i / frame_rate, so footage is a pure function of the trace and the config.
+    Each frame is rendered as it is asked for, so one frame is held at a time.
     """
     scene = FootageScene(camera=config.camera, target=config.target, rng=_run_rng(config.seed, 1))
-    return [
+    return (
         scene.render(record.leader, record.follower, t)
         for _, record, t in _trace_frame_records(trace, config.frame_rate)
-    ]
+    )
 
 
 def trace_annotations(trace: SimTrace, config: ConvoyConfig) -> list[Annotation]:
-    """Ground-truth annotations aligned with render_trace_frames output."""
+    """Ground-truth annotations aligned with the frames render_trace_frames yields."""
     return [
         Annotation(i, record.true_box is not None, record.true_box)
         for i, record, _ in _trace_frame_records(trace, config.frame_rate)

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -486,6 +487,49 @@ def test_mdpm_error_names_the_frame_file(tmp_path, capsys, sizes, message):
     assert run_cli(["mdpm", "--frames", str(frame_dir), "--fps", "15", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_mdpm_names_a_truncated_last_frame_and_writes_nothing(tmp_path, capsys):
+    # the frames before it are pushed, but no partial prediction file is left
+    frame_dir = _noise_frame_dir(tmp_path, 12)
+    last = frame_dir / "frame_000011.pgm"
+    last.write_bytes(last.read_bytes()[:-1])
+    out = tmp_path / "detections.csv"
+    assert run_cli(["mdpm", "--frames", str(frame_dir), "--fps", "15", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: frame_000011.pgm: PGM pixel payload truncated\n"
+    assert not out.exists()
+
+
+def _traced_peak_mb(argv):
+    """Peak of the memory Python and numpy allocate while run_cli(argv) runs."""
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_sim_and_mdpm_memory_stays_flat_in_clip_length(tmp_path):
+    # 90 frames of 320x240 are 55 MB as float64 and one frame 0.6 MB, so a
+    # bound of 8 MB holds only if the frames stream one at a time
+    config = tmp_path / "run.cfg"
+    config.write_text("sim.duration = 6\n")
+    frames_dir = tmp_path / "frames"
+    peaks = {
+        "sim": _traced_peak_mb([
+            "sim",
+            "--config", str(config),
+            "--out", str(tmp_path / "trace.csv"),
+            "--seed", "3",
+            "--frames-out", str(frames_dir),
+        ]),
+        "mdpm": _traced_peak_mb([
+            "mdpm", "--frames", str(frames_dir), "--fps", "15", "--out", str(tmp_path / "p.csv")
+        ]),
+    }
+    assert len(list(frames_dir.iterdir())) == 90
+    assert max(peaks.values()) < 8.0, peaks
 
 
 @pytest.mark.parametrize("command", ["sim", "servo-sim"])

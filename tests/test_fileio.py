@@ -326,15 +326,61 @@ def test_parse_config_corrupted_value_parses_or_names_its_line(key, value, blank
 # ---------------------------------------------------------------------------
 # PGM
 
-def test_pgm_round_trip_binary():
-    rng = np.random.default_rng(5)
-    frame = rng.uniform(0, 1, (9, 17))
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 20), st.integers(1, 20)), seed=st.integers(0, 2**32 - 1))
+@example(shape=(9, 17), seed=5)
+def test_pgm_round_trip_binary(shape, seed):
+    frame = np.random.default_rng(seed).uniform(0, 1, shape)
     data = write_pgm(frame)
     back = read_pgm(data)
-    assert back.shape == (9, 17)
+    assert back.shape == shape
     # quantized to 8 bits on write
     assert np.max(np.abs(back - frame)) <= 0.5 / 255 + 1e-12
     assert write_pgm(back) == data
+
+
+def _ascii_int(n):
+    return b"%d" % n
+
+
+# stand-ins for a token of a PGM header: other magic numbers, and fields
+# that int() takes (-1, +3, 3_0) or refuses (1e3, 0x10, 3.0)
+_PGM_TOKEN = st.sampled_from(
+    [b"P6", b"p5", b"P2", b"P5", b"", b"0", b"-1", b"+3", b"1e3", b"3_0", b"0x10", b"3.0",
+     b"256", b"65535", b"\xff"]
+) | st.integers(0, 300).map(_ascii_int)
+_PGM_SPACE = st.sampled_from([b" ", b"\t", b"\r\n", b"  ", b"#c\n", b" # c 3\n", b"\n#\n", b"#", b""])
+
+
+@st.composite
+def _pgm_ish_bytes(draw):
+    """A well-formed P5 or P2 file with up to three of its parts (a header
+    token, the whitespace after it, or the payload) swapped for another."""
+    magic = draw(st.sampled_from([b"P5", b"P2"]))
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    maxval = draw(st.integers(1, 255))
+    samples = draw(st.lists(st.integers(0, maxval), min_size=width * height, max_size=width * height))
+    payload = bytes(samples) if magic == b"P5" else b" ".join(map(_ascii_int, samples))
+    parts = [magic, b"\n", _ascii_int(width), b" ", _ascii_int(height), b"\n",
+             _ascii_int(maxval), b"\n", payload]
+    other_payload = st.binary(max_size=24) | st.lists(_PGM_TOKEN, max_size=20).map(b" ".join)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(parts) - 1))
+        parts[i] = draw(other_payload if i == 8 else _PGM_SPACE if i % 2 else _PGM_TOKEN)
+    return b"".join(parts)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=_pgm_ish_bytes())
+@example(data=b"P5 3_0 +1 1e3\n")
+@example(data=b"P2 2 1 3 0 3")
+def test_read_pgm_reads_or_refuses_any_bytes(data):
+    try:
+        frame = read_pgm(data)
+    except DataFormatError:
+        return
+    assert frame.ndim == 2
+    assert 0.0 <= frame.min() and frame.max() <= 1.0
 
 
 def test_pgm_ascii_variant():
@@ -372,14 +418,14 @@ def test_load_frame_dir_error_names_the_file(tmp_path):
     write_frame_dir(frames, tmp_path)
     (tmp_path / "frame_000001.pgm").write_bytes(b"P5\n4 4\n255\nxx")
     with pytest.raises(DataFormatError, match="^frame_000001.pgm: PGM pixel payload truncated$"):
-        load_frame_dir(tmp_path)
+        list(load_frame_dir(tmp_path))
 
 
 def test_frame_dir_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     frames = [rng.uniform(0, 1, (8, 12)) for _ in range(4)]
     write_frame_dir(frames, tmp_path / "frames")
-    loaded = load_frame_dir(tmp_path / "frames")
+    _, loaded = zip(*load_frame_dir(tmp_path / "frames"))
     assert len(loaded) == 4
     for a, b in zip(frames, loaded):
         assert np.max(np.abs(a - b)) <= 0.5 / 255 + 1e-12

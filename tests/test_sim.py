@@ -471,7 +471,7 @@ def test_render_trace_frames_deterministic():
     cfg = ConvoyConfig(duration=1.0, seed=5)
     trace = run_convoy(cfg)
 
-    a, b = (render_trace_frames(trace, cfg) for _ in range(2))
+    a, b = (list(render_trace_frames(trace, cfg)) for _ in range(2))
     assert len(a) == len(b) == 15  # trace ends at t = 0.98; frames 0/15 .. 14/15
     for fa, fb in zip(a, b):
         assert np.array_equal(fa, fb)
