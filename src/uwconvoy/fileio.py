@@ -352,8 +352,11 @@ def write_pgm(frame: np.ndarray) -> bytes:
     """Binary 8-bit PGM (P5) with a fixed header layout."""
     height, width = frame.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    data = np.clip(np.rint(frame * 255.0), 0, 255).astype(np.uint8)
-    return header + data.tobytes()
+    # quantise in one new buffer; the caller's frame is not written to
+    data = frame * 255.0
+    np.rint(data, out=data)
+    np.clip(data, 0, 255, out=data)
+    return header + data.astype(np.uint8).tobytes()
 
 
 def _pgm_tokens(data: bytes):

@@ -145,6 +145,27 @@ def _transition_log_scores(paths: np.ndarray, cols: int) -> np.ndarray:
     return -d2.sum(axis=1) / (2.0 * _MOTION_SIGMA * _MOTION_SIGMA)
 
 
+@dataclass(frozen=True)
+class _PathTables:
+    """What scoring needs of the candidate paths of one grid and buffer length."""
+
+    paths: np.ndarray  # (n_paths, length) flat cell indices, lexicographic
+    gather: np.ndarray  # each path's samples as indices into the flattened means
+    transition: np.ndarray  # transition log-score of each path
+    terminal: np.ndarray  # terminal window of each path
+
+
+def _path_tables(rows: int, cols: int, length: int) -> _PathTables:
+    """The tables of a rows x cols grid for buffers of `length` frames."""
+    paths = _candidate_paths(rows, cols, length)
+    return _PathTables(
+        paths=paths,
+        gather=paths + rows * cols * np.arange(length),
+        transition=_transition_log_scores(paths, cols),
+        terminal=np.ascontiguousarray(paths[:, -1]),
+    )
+
+
 def _emission_log_scores(series: np.ndarray) -> np.ndarray:
     """Sum of normalized squared-change log-weights along each series.
 
@@ -156,20 +177,20 @@ def _emission_log_scores(series: np.ndarray) -> np.ndarray:
     return np.log((q + _EMISSION_EPS) / (top + _EMISSION_EPS)).sum(axis=1)
 
 
-def _ranked_paths(means: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _ranked_paths(
+    means: np.ndarray, tables: _PathTables
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score every candidate path over buffered cell means (T, rows, cols).
 
-    Returns the paths (lexicographic order), their intensity series, their
+    Returns the intensity series of the paths in `tables`, their
     log-likelihoods, and the path indices by descending likelihood; ties go
-    to the lowest terminal window, then the lexicographically first path.
+    to the lowest terminal window, then the lexicographically first path
+    (lexsort is stable).
     """
-    length, rows, cols = means.shape
-    paths = _candidate_paths(rows, cols, length)
-    series = means.reshape(length, -1)[np.arange(length)[None, :], paths].astype(float)
-    scores = _transition_log_scores(paths, cols)
-    scores = scores + _emission_log_scores(series)
-    order = np.lexsort((np.arange(len(scores)), paths[:, -1], -scores))
-    return paths, series, scores, order
+    series = means.ravel()[tables.gather]
+    scores = tables.transition + _emission_log_scores(series)
+    order = np.lexsort((tables.terminal, -scores))
+    return series, scores, order
 
 
 def _frame_cell_means(samples: np.ndarray, grid: SubWindowGrid) -> np.ndarray:
@@ -179,59 +200,63 @@ def _frame_cell_means(samples: np.ndarray, grid: SubWindowGrid) -> np.ndarray:
     return cropped.reshape(grid.rows, ws, grid.columns, ws).mean(axis=(1, 3))
 
 
-def _amplitude_matrix(series: np.ndarray, sample_rate: float, freqs: np.ndarray) -> np.ndarray:
-    """|DTFT| of each mean-removed series at each frequency, (n_series, n_freqs)."""
+def _median(values: np.ndarray) -> float:
+    """np.median of all of `values`, bit for bit, from a one-kth partition.
+
+    np.median partitions at the middle pair and at the end (its nan check),
+    and that costs several times more on a few thousand values.
+    """
+    flat = values.ravel()
+    half = flat.size // 2
+    part = np.partition(flat, half)
+    # nan sorts last, so any nan lands at or after half
+    if np.isnan(part[half:].max()):
+        return math.nan
+    if flat.size % 2:
+        return float(part[half])
+    return float((part[:half].max() + part[half]) / 2.0)
+
+
+def _dtft_kernel(length: int, sample_rate: float, freqs: np.ndarray) -> np.ndarray:
+    """DTFT terms of `length` samples at sample_rate, shape (length, n_freqs)."""
+    t = np.arange(length)
+    return np.exp(-2j * np.pi * np.outer(t, freqs) / sample_rate)
+
+
+def _amplitude_matrix(
+    series: np.ndarray,
+    kernel: np.ndarray,
+    spectrum: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """|DTFT| of each mean-removed series at each kernel frequency, (n_series, n_freqs).
+
+    The complex `spectrum` and the real `out`, when given, are written in
+    place of new arrays.
+    """
     centered = series - series.mean(axis=1, keepdims=True)
-    t = np.arange(series.shape[1])
-    kernel = np.exp(-2j * np.pi * np.outer(t, freqs) / sample_rate)
-    return np.abs(centered @ kernel)
-
-
-def _detect_from_means(
-    means: np.ndarray, grid: SubWindowGrid, config: MdpmConfig, freqs: np.ndarray
-) -> SpectralDetection | None:
-    paths, series, _, order = _ranked_paths(means)
-    survivors = order[: config.prune_count]
-
-    amplitudes = _amplitude_matrix(series, config.sample_rate, freqs)
-    if config.amplitude_threshold is not None:
-        threshold = config.amplitude_threshold
-    else:
-        threshold = config.threshold_factor * float(np.median(amplitudes))
-
-    sub = amplitudes[survivors]
-    best_amp = float(sub.max())
-    if not best_amp > threshold:
-        return None
-    hits = np.argwhere(sub == best_amp)
-    # lowest terminal window first, then lowest frequency
-    key = [(int(paths[survivors[d], -1]), float(freqs[k])) for d, k in hits]
-    d_best, k_best = hits[min(range(len(key)), key=key.__getitem__)]
-    window = int(paths[survivors[d_best], -1])
-    confidence = min(1.0, best_amp / (means.shape[0] / 2.0))
-    return SpectralDetection(
-        window_index=window,
-        peak_frequency=float(freqs[k_best]),
-        amplitude=best_amp,
-        bbox=grid.cell_bbox(window, confidence),
-    )
+    return np.abs(np.matmul(centered, kernel, out=spectrum), out=out)
 
 
 class MdpmTracker:
     """Rolling-buffer front end for per-frame detection.
 
     Buffers the sub-window means of the last buffer_length frames, so each
-    pushed frame is reduced exactly once.
+    pushed frame is reduced exactly once. The DTFT kernel is built with the
+    tracker and the path tables with the first frame, so a push builds
+    neither.
     """
 
     def __init__(self, config: MdpmConfig = MdpmConfig()):
         self.config = config
         self.grid: SubWindowGrid | None = None  # set by the first frame
+        self._tables: _PathTables | None = None  # set with the grid
         self._means: deque[np.ndarray] = deque(maxlen=config.buffer_length)
         # the scanned frequencies: the gait band in _BAND_STEP steps
         lo, hi = config.band
         steps = int(math.floor((hi - lo) / _BAND_STEP + 1e-9))
         self._freqs = lo + _BAND_STEP * np.arange(steps + 1)
+        self._kernel = _dtft_kernel(config.buffer_length, config.sample_rate, self._freqs)
 
     def push(self, frame: np.ndarray) -> SpectralDetection | None:
         """Add a frame (samples in [0, 1], shape (height, width)); detect once full."""
@@ -241,6 +266,14 @@ class MdpmTracker:
         height, width = frame.shape
         if self.grid is None:
             self.grid = SubWindowGrid.for_frame(width, height, self.config.window_size)
+            self._tables = _path_tables(
+                self.grid.rows, self.grid.columns, self.config.buffer_length
+            )
+            # every push writes these in place: malloc may map a fresh array
+            # of this size anew on each push, at a page fault per 4 kB
+            shape = (len(self._tables.paths), len(self._freqs))
+            self._spectrum = np.empty(shape, dtype=complex)
+            self._amplitudes = np.empty(shape)
         elif (width, height) != (self.grid.frame_width, self.grid.frame_height):
             raise ValueError(
                 f"frame dimensions changed mid-stream: {width}x{height} after "
@@ -249,5 +282,33 @@ class MdpmTracker:
         self._means.append(_frame_cell_means(frame, self.grid))
         if len(self._means) < self.config.buffer_length:
             return None
-        return _detect_from_means(np.stack(self._means), self.grid, self.config, self._freqs)
+        return self._detect(np.stack(self._means))
 
+    def _detect(self, means: np.ndarray) -> SpectralDetection | None:
+        """Detection over a full buffer of cell means (T, rows, cols)."""
+        config, freqs, terminal = self.config, self._freqs, self._tables.terminal
+        series, _, order = _ranked_paths(means, self._tables)
+        survivors = order[: config.prune_count]
+
+        amplitudes = _amplitude_matrix(series, self._kernel, self._spectrum, self._amplitudes)
+        if config.amplitude_threshold is not None:
+            threshold = config.amplitude_threshold
+        else:
+            threshold = config.threshold_factor * _median(amplitudes)
+
+        sub = amplitudes[survivors]
+        best_amp = float(sub.max())
+        if not best_amp > threshold:
+            return None
+        hits = np.argwhere(sub == best_amp)
+        # lowest terminal window first, then lowest frequency
+        key = [(int(terminal[survivors[d]]), float(freqs[k])) for d, k in hits]
+        d_best, k_best = hits[min(range(len(key)), key=key.__getitem__)]
+        window = int(terminal[survivors[d_best]])
+        confidence = min(1.0, best_amp / (means.shape[0] / 2.0))
+        return SpectralDetection(
+            window_index=window,
+            peak_frequency=float(freqs[k_best]),
+            amplitude=best_amp,
+            bbox=self.grid.cell_bbox(window, confidence),
+        )

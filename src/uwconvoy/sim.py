@@ -40,6 +40,13 @@ def wrap_angle(a: float) -> float:
     return math.pi - (math.pi - a) % (2.0 * math.pi)
 
 
+def _heading(yaw: float, pitch: float) -> tuple[float, float, float]:
+    """Unit forward axis of a body at yaw and pitch."""
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    return cy * cp, sy * cp, sp
+
+
 @dataclass(frozen=True)
 class Pose:
     position: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -55,9 +62,7 @@ class Pose:
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
     def forward(self) -> np.ndarray:
-        cy, sy = math.cos(self.yaw), math.sin(self.yaw)
-        cp, sp = math.cos(self.pitch), math.sin(self.pitch)
-        return np.array([cy * cp, sy * cp, sp])
+        return np.array(_heading(self.yaw, self.pitch))
 
     def left(self) -> np.ndarray:
         return np.array([-math.sin(self.yaw), math.cos(self.yaw), 0.0])
@@ -151,27 +156,36 @@ def leader_trajectory(script: TrajectoryScript, t: float) -> Pose:
     if t < 0:
         raise ValueError("t must be >= 0")
     start = script.start_pose
-    if script.kind == "forward":
-        pos = np.asarray(start.position) + start.forward() * script.speed * t
-        return replace(start, position=tuple(pos))
-    if script.kind == "turn_in_place":
-        return replace(start, yaw=wrap_angle(start.yaw + script.rate * t))
-    # depth_change, the one kind left that TrajectoryScript admits
     x, y, z = start.position
-    return replace(start, position=(x, y, z + script.speed * t))
+    if script.kind == "forward":
+        fx, fy, fz = _heading(start.yaw, start.pitch)
+        d = script.speed
+        position = (x + fx * d * t, y + fy * d * t, z + fz * d * t)
+        return Pose(position, start.yaw, start.pitch)
+    if script.kind == "turn_in_place":
+        return Pose(start.position, wrap_angle(start.yaw + script.rate * t), start.pitch)
+    # depth_change, the one kind left that TrajectoryScript admits
+    return Pose((x, y, z + script.speed * t), start.yaw, start.pitch)
 
 
 def step_follower(pose: Pose, cmd: ControlCommand, dt: float) -> Pose:
     """Integrate one velocity command over dt (velocity-level kinematics)."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    yaw = wrap_angle(pose.yaw + cmd.yaw_rate * dt)
+    # wrapped twice here and once more by Pose: wrap_angle takes a yaw one
+    # ulp above pi to -pi and only a second pass to pi, and traces pin this
+    yaw = wrap_angle(wrap_angle(pose.yaw + cmd.yaw_rate * dt))
     pitch = min(max(pose.pitch + cmd.pitch_rate * dt, -_PITCH_LIMIT), _PITCH_LIMIT)
-    turned = replace(pose, yaw=yaw, pitch=pitch)
-    pos = np.asarray(pose.position)
-    pos = pos + turned.forward() * cmd.forward_speed * dt
-    pos = pos + np.array([0.0, 0.0, cmd.vertical_speed * dt])
-    return replace(turned, position=tuple(pos))
+    fx, fy, fz = _heading(yaw, pitch)
+    v = cmd.forward_speed
+    x, y, z = pose.position
+    # adding 0.0 turns a -0.0 into +0.0, which the trace CSV would show
+    position = (
+        x + fx * v * dt + 0.0,
+        y + fy * v * dt + 0.0,
+        z + fz * v * dt + cmd.vertical_speed * dt,
+    )
+    return Pose(position, yaw, pitch)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +324,13 @@ class FootageScene:
     def render(self, leader: Pose, follower: Pose, t: float) -> np.ndarray:
         """The frame at time t: samples in [0, 1], shape (height, width)."""
         cam = self.camera
-        img = np.full((cam.image_height, cam.image_width), _BACKGROUND)
+        shape = (cam.image_height, cam.image_width)
         if self.noise_sigma > 0:
-            img += self.rng.normal(0.0, self.noise_sigma, img.shape)
+            # one pass: numpy draws loc + scale * z, the same bits as
+            # _BACKGROUND + normal(0, sigma)
+            img = self.rng.normal(_BACKGROUND, self.noise_sigma, shape)
+        else:
+            img = np.full(shape, _BACKGROUND)
         phase = self._gait.at(t)
 
         body = project_bbox(cam, follower, leader, self.target)
@@ -541,7 +559,8 @@ def run_convoy(config: ConvoyConfig) -> SimTrace:
     det_i = 0
     ctl_i = 0
     records = []
-    drift = np.asarray(config.current)
+    # the current's displacement over one tick, when there is a current
+    drift = [c * dt for c in config.current] if any(config.current) else None
 
     for k in range(n_ticks):
         t = k / config.physics_rate
@@ -561,10 +580,10 @@ def run_convoy(config: ConvoyConfig) -> SimTrace:
 
         leader = leader_trajectory(config.script, (k + 1) / config.physics_rate)
         follower = step_follower(follower, command, dt)
-        if drift.any():
-            follower = replace(
-                follower, position=tuple(np.asarray(follower.position) + drift * dt)
-            )
+        if drift is not None:
+            x, y, z = follower.position
+            position = (x + drift[0], y + drift[1], z + drift[2])
+            follower = Pose(position, follower.yaw, follower.pitch)
 
     return SimTrace(records)
 

@@ -223,3 +223,33 @@ def ray_sample_projection(
             us.append(0.5 - az / hfov)
             vs.append(0.5 - el / vfov)
     return min(us), max(us), min(vs), max(vs)
+
+
+def one_line_write_pgm(frame) -> bytes:
+    """The P5 encoder as first written: one clip(rint(frame * 255)) expression."""
+    height, width = frame.shape
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    return header + np.clip(np.rint(frame * 255.0), 0, 255).astype(np.uint8).tobytes()
+
+
+def _wrap(a: float) -> float:
+    return math.pi - (math.pi - a) % (2.0 * math.pi)
+
+
+def vector_step_follower(pose, cmd, dt: float):
+    """One follower step as first written, as numpy vector sums.
+
+    Returns the (position, yaw, pitch) of the stepped pose. That version
+    built a turned pose copy and then a moved one, and each pose wrapped its
+    yaw, so the heading uses a yaw wrapped twice and the result one wrapped
+    three times.
+    """
+    limit = math.pi / 2 - 1e-6
+    yaw = _wrap(_wrap(pose.yaw + cmd.yaw_rate * dt))
+    pitch = min(max(pose.pitch + cmd.pitch_rate * dt, -limit), limit)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    pos = np.asarray(pose.position)
+    pos = pos + np.array([cy * cp, sy * cp, sp]) * cmd.forward_speed * dt
+    pos = pos + np.array([0.0, 0.0, cmd.vertical_speed * dt])
+    return tuple(pos), _wrap(yaw), pitch

@@ -27,6 +27,8 @@ from uwconvoy.fileio import (
 from uwconvoy.geometry import Annotation, BoundingBox
 from uwconvoy.sim import ConvoyConfig, depth_script, run_convoy
 
+from oracles import one_line_write_pgm
+
 
 def test_parse_annotations_header_only():
     assert parse_annotations("frame,present,x,y,w,h\n") == []
@@ -337,6 +339,18 @@ def test_pgm_round_trip_binary(shape, seed):
     # quantized to 8 bits on write
     assert np.max(np.abs(back - frame)) <= 0.5 / 255 + 1e-12
     assert write_pgm(back) == data
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_write_pgm_matches_the_one_line_encoder_and_keeps_its_input(dtype):
+    # below 0, above 1, and the half steps (k + 0.5) / 255, which round to even
+    edges = [-np.inf, -1.0, -0.5 / 255, -1e-12, 0.0, 1.0, 1.0 + 1e-12, 255.5 / 255, 2.0, np.inf]
+    half_steps = (np.arange(255) + 0.5) / 255
+    frame = np.concatenate([edges, half_steps, np.nextafter(half_steps, 2.0)])
+    frame = frame.astype(dtype).reshape(5, -1)
+    before = frame.copy()
+    assert write_pgm(frame) == one_line_write_pgm(frame)
+    assert frame.dtype == dtype and np.array_equal(frame, before)
 
 
 def _ascii_int(n):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uwconvoy import mdpm
 from uwconvoy.mdpm import (
     MdpmConfig,
     MdpmTracker,
@@ -14,7 +15,10 @@ from uwconvoy.mdpm import (
     _MOTION_SIGMA,
     _amplitude_matrix,
     _candidate_paths,
+    _dtft_kernel,
     _frame_cell_means,
+    _median,
+    _path_tables,
     _ranked_paths,
 )
 
@@ -41,13 +45,21 @@ def detect(frames, config: MdpmConfig = MdpmConfig()):
 def amplitude(series, sample_rate: float, frequency: float) -> float:
     """The detector's spectral amplitude of one series at one frequency."""
     row = np.asarray(series, dtype=float)[None, :]
-    return float(_amplitude_matrix(row, sample_rate, np.array([frequency]))[0, 0])
+    kernel = _dtft_kernel(row.shape[1], sample_rate, np.array([frequency]))
+    return float(_amplitude_matrix(row, kernel)[0, 0])
+
+
+def tables_for(cells: np.ndarray):
+    """The path tables of buffered cell means (T, rows, cols)."""
+    length, rows, cols = cells.shape
+    return _path_tables(rows, cols, length)
 
 
 def ranked(cells: np.ndarray):
     """Ranked candidate paths as tuples, with their series and scores."""
-    paths, series, scores, order = _ranked_paths(cells)
-    return [(tuple(paths[i].tolist()), series[i], float(scores[i])) for i in order]
+    tables = tables_for(cells)
+    series, scores, order = _ranked_paths(cells, tables)
+    return [(tuple(tables.paths[i].tolist()), series[i], float(scores[i])) for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +76,7 @@ def test_dtft_integer_period_sine_peak():
     series = np.sin(2 * np.pi * 2.0 * np.arange(n) / fs)
     assert amplitude(series, fs, 2.0) == pytest.approx(75.0, abs=1e-6)
     scan = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
-    amps = _amplitude_matrix(series[None, :], fs, scan)[0]
+    amps = _amplitude_matrix(series[None, :], _dtft_kernel(n, fs, scan))[0]
     assert scan[int(np.argmax(amps))] == 2.0
 
 
@@ -129,7 +141,7 @@ def test_uniform_frames_give_constant_series():
     frames = frames_from_cells(np.full((10, 3, 4), 0.5))
     grid = SubWindowGrid.for_frame(40, 30, 10)
     means = np.stack([_frame_cell_means(f, grid) for f in frames])
-    _, series, _, _ = _ranked_paths(means)
+    series, _, _ = _ranked_paths(means, tables_for(means))
     assert series.shape == (len(_candidate_paths(3, 4, 10)), 10)
     assert np.all(series == 0.5)
 
@@ -400,6 +412,69 @@ def test_tracker_matches_one_shot_detection():
             assert got.window_index == expected.window_index
             assert got.peak_frequency == expected.peak_frequency
             assert got.amplitude == pytest.approx(expected.amplitude, rel=1e-12)
+
+
+def test_push_builds_the_kernel_and_the_path_tables_once(monkeypatch):
+    calls = {"_dtft_kernel": 0, "_path_tables": 0, "_transition_log_scores": 0}
+
+    def counted(name):
+        original = getattr(mdpm, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mdpm, name, counted(name))
+    tracker = MdpmTracker()
+    pushed = [tracker.push(f) for f in oscillating_cell_frames(n_frames=30, seed=2)]
+    assert any(pushed)
+    assert calls == {"_dtft_kernel": 1, "_path_tables": 1, "_transition_log_scores": 1}
+
+
+def test_trackers_of_other_grids_and_rates_do_not_share_tables():
+    """Trackers fed in turn in one process detect what each does alone."""
+    from uwconvoy.sim import CameraModel, FootageScene, Pose
+
+    streams = []
+    for width, height in ((320, 240), (640, 480)):
+        scene = FootageScene(
+            camera=CameraModel(image_width=width, image_height=height),
+            rng=np.random.default_rng(width),
+            gait_phase0=0.3,
+        )
+        frames = scene.render_sequence(Pose(position=(1.2, 0.0, 0.0)), Pose(), 16, 15.0)
+        for rate in (15.0, 10.0):
+            streams.append((MdpmConfig(sample_rate=rate), frames))
+
+    alone = []
+    for config, frames in streams:
+        tracker = MdpmTracker(config)
+        alone.append([tracker.push(f) for f in frames])
+    trackers = [MdpmTracker(config) for config, _ in streams]
+    together = [[] for _ in streams]
+    for i in range(16):
+        for k, (_, frames) in enumerate(streams):
+            together[k].append(trackers[k].push(frames[i]))
+    assert together == alone
+    # every stream detects, and no two alike, so a table shared by mistake shows
+    assert all(any(detections) for detections in alone)
+    assert all(a != b for i, a in enumerate(alone) for b in alone[i + 1 :])
+
+
+def test_median_equals_numpy_bit_for_bit():
+    rng = np.random.default_rng(8)
+    arrays = [np.array([2.0]), np.array([3.0, 1.0]), np.full((4, 5), 0.25)]
+    for n in range(1, 200):
+        arrays.append(rng.uniform(0.0, 1.0, n))
+        arrays.append(rng.integers(0, 3, (n, 2)).astype(float))
+    with_nan = rng.uniform(0.0, 1.0, (7, 3))
+    with_nan[2, 1] = math.nan
+    for values in arrays:
+        assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
+    assert math.isnan(_median(with_nan)) and math.isnan(np.median(with_nan))
 
 
 def test_detect_never_reports_out_of_band_frequency():

@@ -29,7 +29,7 @@ from uwconvoy.sim import (
     wrap_angle,
 )
 
-from oracles import ray_sample_projection, reference_dft_amplitude
+from oracles import ray_sample_projection, reference_dft_amplitude, vector_step_follower
 
 CAM = CameraModel()
 TARGET = TargetModel()
@@ -97,6 +97,37 @@ def test_yaw_wraps_and_pitch_clamps():
         assert -math.pi < pose.yaw <= math.pi
         assert -math.pi / 2 < pose.pitch < math.pi / 2
     assert pose.pitch == pytest.approx(math.pi / 2, abs=1e-5)
+
+
+def test_step_matches_the_vector_formula_bit_for_bit():
+    rng = np.random.default_rng(11)
+    cases = [
+        # a -0.0 coordinate comes out +0.0, as the vector sum made it
+        (Pose(position=(-0.0, -0.0, -0.0), yaw=math.pi), STOP_COMMAND, 0.02),
+        (Pose(position=(-0.0, 1.0, -0.0), yaw=-3.0), ControlCommand(forward_speed=0.0), 0.02),
+        (Pose(yaw=math.pi, pitch=1.5), ControlCommand(yaw_rate=1e-9, pitch_rate=1.0), 0.02),
+        # one ulp above pi wraps to -pi, and only a second wrap gives pi
+        (Pose(yaw=math.pi), ControlCommand(yaw_rate=2.0**-50, forward_speed=1.0), 0.5),
+    ]
+    for _ in range(2000):
+        pose = Pose(
+            position=tuple(rng.uniform(-50.0, 50.0, 3)),
+            yaw=rng.uniform(-math.pi, math.pi),
+            pitch=rng.uniform(-1.5, 1.5),
+        )
+        forward, vertical, yaw_rate, pitch_rate = rng.uniform(-2.0, 2.0, 4)
+        cmd = ControlCommand(
+            yaw_rate=yaw_rate,
+            pitch_rate=pitch_rate,
+            forward_speed=forward,
+            vertical_speed=vertical,
+        )
+        cases.append((pose, cmd, float(rng.choice([0.02, 0.1, 1 / 3, 1.7]))))
+    for pose, cmd, dt in cases:
+        position, yaw, pitch = vector_step_follower(pose, cmd, dt)
+        stepped = step_follower(pose, cmd, dt)
+        assert np.array(stepped.position).tobytes() == np.array(position).tobytes()
+        assert (stepped.yaw, stepped.pitch) == (yaw, pitch)
 
 
 def test_step_rejects_bad_dt():
@@ -208,6 +239,16 @@ def test_render_empty_scene_uniform_background():
     frame = scene.render(Pose(position=(-5.0, 0.0, 0.0)), Pose(), 0.0)
     assert np.all(frame == 0.4)
     assert frame.shape == (240, 320)
+
+
+def test_render_empty_scene_is_background_plus_one_normal_draw():
+    scene = FootageScene(rng=np.random.default_rng(4), noise_sigma=0.02, gait_phase0=0.0)
+    rng = np.random.default_rng(4)
+    for i in range(3):
+        frame = scene.render(Pose(position=(-5.0, 0.0, 0.0)), Pose(), i / 15.0)
+        expected = np.full((240, 320), 0.4) + rng.normal(0.0, 0.02, (240, 320))
+        np.clip(expected, 0.0, 1.0, out=expected)
+        assert frame.tobytes() == expected.tobytes()
 
 
 def test_flipper_mid_value_at_sine_zero_crossing():
