@@ -45,10 +45,9 @@ from .sim import (
     leader_trajectory,
     noisy_detector,
     project_bbox,
-    render_trace_frames,
     run_convoy,
     step_follower,
-    trace_annotations,
+    trace_footage,
 )
 from .evaluation import (
     FrameResult,

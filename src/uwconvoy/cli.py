@@ -22,7 +22,7 @@ import numpy as np
 from . import evaluation, fileio
 from .mdpm import MdpmConfig, MdpmTracker
 from .servo import compute_errors
-from .sim import ConvoyConfig, run_convoy, render_trace_frames, trace_annotations
+from .sim import ConvoyConfig, run_convoy, trace_footage
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -132,11 +132,12 @@ def _cmd_sim(args) -> int:
             raise fileio.DataFormatError(f"{args.frames_out} already holds .pgm frames")
     trace = run_convoy(config)
     Path(args.out).write_text(fileio.format_trace_csv(trace))
-    if args.frames_out:
-        fileio.write_frame_dir(render_trace_frames(trace, config), args.frames_out)
-    if args.annotations_out:
-        annotations = trace_annotations(trace, config)
-        Path(args.annotations_out).write_text(fileio.format_annotations(annotations))
+    if args.frames_out or args.annotations_out:
+        annotations, frames = trace_footage(trace, config)
+        if args.frames_out:
+            fileio.write_frame_dir(frames, args.frames_out)
+        if args.annotations_out:
+            Path(args.annotations_out).write_text(fileio.format_annotations(annotations))
     return 0
 
 

@@ -12,6 +12,7 @@ with the best recall.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Sequence
@@ -187,10 +188,16 @@ def track_statistics(results: Sequence[FrameResult], fps: float) -> TrackStats:
     if not spans:
         return TrackStats(0, (), None, None, None)
     durations = tuple((last - first + 1) / fps for first, last in spans)
+    try:
+        total = math.fsum(durations)
+    except OverflowError:  # the exact sum lies past the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"fps {fps:g} is so small that track durations overflow")
     return TrackStats(
         count=len(durations),
         durations=durations,
-        mean_duration=statistics.fmean(durations),
+        mean_duration=total / len(durations),
         std_duration=statistics.pstdev(durations),
         max_duration=max(durations),
     )

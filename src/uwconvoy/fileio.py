@@ -99,7 +99,7 @@ def _frame_rows(text: str, header: str) -> Iterator[tuple[int, int, list[str]]]:
     """Yield (line_no, frame, fields) for each row of a frame-indexed CSV.
 
     Checks the header and the field count, skips blank lines, and requires
-    non-negative, strictly increasing frame indices.
+    strictly increasing frame indices in [0, 2**53].
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
@@ -120,6 +120,9 @@ def _frame_rows(text: str, header: str) -> Iterator[tuple[int, int, list[str]]]:
             raise DataFormatError(f"line {line_no}: bad frame index {parts[0]!r}") from None
         if frame < 0:
             raise DataFormatError(f"line {line_no}: frame index {frame} is negative")
+        if frame > 2**53:
+            # evaluation divides frame counts by the frame rate as floats
+            raise DataFormatError(f"line {line_no}: frame index above 2**53")
         if frame <= prev_frame:
             raise DataFormatError(
                 f"line {line_no}: frame {frame} not after frame {prev_frame}"

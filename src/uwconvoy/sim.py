@@ -15,6 +15,7 @@ flipper region, and field-statistics-shaped noisy detections.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator
@@ -458,6 +459,11 @@ class SimTrace:
     records: list[TraceRecord]
 
 
+# Tick times k / physics_rate and event times i / rate (detector, servo and
+# frame schedules) are quotients that may round apart at the same instant; an
+# event is due on a tick when it is due within this slack.
+_TICK_SLACK = 1e-12
+
 # Most physics ticks one run may take: 5.5 h at the default 50 Hz, about
 # 1 GB of trace records held in memory.
 MAX_TICKS = 10**6
@@ -477,7 +483,7 @@ class ConvoyConfig:
     duration: float = 60.0
     physics_rate: float = 50.0
     detector_rate: float = 7.0
-    # rate at which render_trace_frames samples the trace into footage
+    # rate at which trace_footage samples the trace into footage
     frame_rate: float = 15.0
     seed: int = 0
     script: TrajectoryScript = field(
@@ -535,7 +541,7 @@ def _occluded(t: float, occlusions: tuple[tuple[float, float], ...]) -> bool:
 
 def _run_rng(seed: int, stream: int) -> np.random.Generator:
     """One of a run's two independent random streams: 0 drives the detector
-    noise in run_convoy, 1 the footage in render_trace_frames."""
+    noise in run_convoy, 1 the footage in trace_footage."""
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[stream])
 
 
@@ -566,13 +572,13 @@ def run_convoy(config: ConvoyConfig) -> SimTrace:
         t = k / config.physics_rate
         true_box = project_bbox(config.camera, follower, leader, config.target)
 
-        if t >= det_i / config.detector_rate - 1e-12:
+        if t >= det_i / config.detector_rate - _TICK_SLACK:
             if _occluded(t, config.occlusions):
                 latched = None
             else:
                 latched = noisy_detector(true_box, rng, config.detector_noise)
             det_i += 1
-        if t >= ctl_i / config.servo.command_rate - 1e-12:
+        if t >= ctl_i / config.servo.command_rate - _TICK_SLACK:
             command, servo_state = servo_update(servo_state, latched, t)
             ctl_i += 1
 
@@ -588,40 +594,24 @@ def run_convoy(config: ConvoyConfig) -> SimTrace:
     return SimTrace(records)
 
 
-def _trace_frame_records(trace: SimTrace, fps: float):
-    """Yield (frame_index, record, frame_time) sampling the trace at fps, a
-    ConvoyConfig.frame_rate and so positive and finite; the trace of a
-    ConvoyConfig holds at least one tick."""
-    records = trace.records
-    idx = 0
-    end = records[-1].t
-    i = 0
-    while i / fps <= end + 1e-12:
-        t = i / fps
-        while idx + 1 < len(records) and records[idx + 1].t <= t + 1e-12:
-            idx += 1
-        yield i, records[idx], t
-        i += 1
+def trace_footage(
+    trace: SimTrace, config: ConvoyConfig
+) -> tuple[list[Annotation], Iterator[np.ndarray]]:
+    """Sample the trace of a run of config into footage at config.frame_rate.
 
-
-def render_trace_frames(trace: SimTrace, config: ConvoyConfig) -> Iterator[np.ndarray]:
-    """Yield footage at config.frame_rate from the trace of a run of config.
-
-    The scene uses the run's camera and target and the footage stream of its
-    seed. Frame i samples the most recent trace record at or before time
-    i / frame_rate, so footage is a pure function of the trace and the config.
-    Each frame is rendered as it is asked for, so one frame is held at a time.
+    Frame i, at time i / frame_rate up to the last tick, takes the last record
+    at or before that time. Returns each frame's ground-truth annotation, and
+    a generator that renders the frames from the same samples with the run's
+    camera, target and footage stream, one frame held at a time.
     """
-    scene = FootageScene(camera=config.camera, target=config.target, rng=_run_rng(config.seed, 1))
-    return (
-        scene.render(record.leader, record.follower, t)
-        for _, record, t in _trace_frame_records(trace, config.frame_rate)
-    )
-
-
-def trace_annotations(trace: SimTrace, config: ConvoyConfig) -> list[Annotation]:
-    """Ground-truth annotations aligned with the frames render_trace_frames yields."""
-    return [
+    records, fps = trace.records, config.frame_rate
+    samples = []
+    while (t := len(samples) / fps) <= records[-1].t + _TICK_SLACK:
+        at = bisect.bisect_right(records, t + _TICK_SLACK, key=lambda r: r.t)
+        samples.append((t, records[at - 1]))
+    annotations = [
         Annotation(i, record.true_box is not None, record.true_box)
-        for i, record, _ in _trace_frame_records(trace, config.frame_rate)
+        for i, (_, record) in enumerate(samples)
     ]
+    scene = FootageScene(camera=config.camera, target=config.target, rng=_run_rng(config.seed, 1))
+    return annotations, (scene.render(r.leader, r.follower, t) for t, r in samples)

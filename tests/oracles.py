@@ -253,3 +253,19 @@ def vector_step_follower(pose, cmd, dt: float):
     pos = pos + np.array([cy * cp, sy * cp, sp]) * cmd.forward_speed * dt
     pos = pos + np.array([0.0, 0.0, cmd.vertical_speed * dt])
     return tuple(pos), _wrap(yaw), pitch
+
+
+def record_walk_samples(records, fps: float):
+    """(frame_index, record) pairs of footage sampled at fps, by the forward
+    walk first written: frame i takes the last record at or before time
+    i / fps, with 1e-12 s of slack, and frames run up to the last record."""
+    samples = []
+    idx = 0
+    i = 0
+    while i / fps <= records[-1].t + 1e-12:
+        t = i / fps
+        while idx + 1 < len(records) and records[idx + 1].t <= t + 1e-12:
+            idx += 1
+        samples.append((i, records[idx]))
+        i += 1
+    return samples

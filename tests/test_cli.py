@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import uwconvoy
 from uwconvoy.cli import run_cli
@@ -132,6 +134,73 @@ def test_eval_rejects_meaningless_threshold_and_fps(eval_files, capsys, extra, c
     argv = ["eval", "--annotations", str(ann_path), "--predictions", str(pred_path)]
     assert run_cli(argv + extra) == code
     assert capsys.readouterr().err
+
+
+def _write_eval_pair(directory: Path, rows) -> tuple[Path, Path]:
+    """Annotation and prediction files in which each (frame, present) row is
+    a TP when present and a TN when not."""
+    ann_path, pred_path = directory / "ann.csv", directory / "pred.csv"
+    ann_path.write_text("frame,present,x,y,w,h\n" + "".join(
+        f"{f},1,0.2,0.2,0.4,0.4\n" if present else f"{f},0,,,,\n" for f, present in rows
+    ))
+    pred_path.write_text("frame,confidence,x,y,w,h\n" + "".join(
+        f"{f},0.9,0.2,0.2,0.4,0.4\n" if present else f"{f},0.0,,,,\n" for f, present in rows
+    ))
+    return ann_path, pred_path
+
+
+# four tracks of five TP frames, one TN frame apart
+FOUR_TRACKS = [(f, f % 6 != 5) for f in range(23)]
+
+
+@pytest.mark.parametrize(
+    "rows, extra, message",
+    [
+        # frame gaps of TPs and of TNs do not fit a float
+        ([(0, True), (1, False), (10**400, True), (10**400 + 1, False)],
+         ["--fps", "15"], "line 4: frame index above 2**53"),
+        ([(0, True), (1, False), (10**400, True), (10**400 + 1, False)],
+         ["--report-dir", "report"], "line 4: frame index above 2**53"),
+        # durations of 1e308 s, whose sum overflows
+        (FOUR_TRACKS, ["--fps", "5e-308"], "fps 5e-308 is so small"),
+        # each duration overflows
+        (FOUR_TRACKS, ["--fps", "5e-324"], "fps 4.94066e-324 is so small"),
+    ],
+    ids=["huge-frame-fps", "huge-frame-report-dir", "fps-5e-308", "fps-5e-324"],
+)
+def test_eval_refuses_numbers_past_the_float_range(
+    tmp_path, capsys, monkeypatch, rows, extra, message
+):
+    monkeypatch.chdir(tmp_path)  # where --report-dir report would go
+    ann_path, pred_path = _write_eval_pair(tmp_path, rows)
+    argv = ["eval", "--annotations", str(ann_path), "--predictions", str(pred_path)]
+    assert run_cli(argv + ["--threshold", "0.5"] + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.fixture(scope="module")
+def four_track_files(tmp_path_factory):
+    return _write_eval_pair(tmp_path_factory.mktemp("eval"), FOUR_TRACKS)
+
+
+@settings(max_examples=200, deadline=None)
+@example(fps=5e-324)
+@example(fps=2.2250738585072014e-308)
+@example(fps=sys.float_info.max)
+@given(fps=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_eval_fps_either_scores_or_exits_2(four_track_files, fps):
+    ann_path, pred_path = four_track_files
+    argv = ["eval", "--annotations", str(ann_path), "--predictions", str(pred_path),
+            "--threshold", "0.5", "--fps", repr(fps)]
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run_cli(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
 
 
 def test_usage_errors():

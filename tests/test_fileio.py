@@ -52,6 +52,12 @@ def test_parse_annotations_rejects_non_monotone_frames():
         parse_annotations("frame,present,x,y,w,h\n-1,0,,,,\n")
 
 
+def test_frame_index_is_at_most_2_to_the_53():
+    assert parse_annotations(f"frame,present,x,y,w,h\n{2**53},0,,,,\n")[0].frame_index == 2**53
+    with pytest.raises(DataFormatError, match=r"^line 2: frame index above 2\*\*53$"):
+        parse_predictions(f"frame,confidence,x,y,w,h\n{2**53 + 1},0.0,,,,\n")
+
+
 def test_parse_annotations_rejects_garbage():
     with pytest.raises(DataFormatError, match="line 2"):
         parse_annotations("frame,present,x,y,w,h\n0,1,a,b,c,d\n")

@@ -1,11 +1,14 @@
 import dataclasses
 import math
+from fractions import Fraction
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from uwconvoy.geometry import BoundingBox, box_area, box_center, iou
+from uwconvoy.geometry import Annotation, BoundingBox, box_area, box_center, iou
 from uwconvoy.mdpm import MdpmConfig
 from uwconvoy.servo import ControlCommand, STOP_COMMAND, ServoConfig
 from uwconvoy.sim import (
@@ -23,13 +26,18 @@ from uwconvoy.sim import (
     noisy_detector,
     project_bbox,
     run_convoy,
-    render_trace_frames,
     step_follower,
+    trace_footage,
     turn_script,
     wrap_angle,
 )
 
-from oracles import ray_sample_projection, reference_dft_amplitude, vector_step_follower
+from oracles import (
+    ray_sample_projection,
+    record_walk_samples,
+    reference_dft_amplitude,
+    vector_step_follower,
+)
 
 CAM = CameraModel()
 TARGET = TargetModel()
@@ -229,6 +237,24 @@ def test_projection_output_always_valid_box():
             assert 0.0 <= box.x <= 1.0 and 0.0 <= box.y <= 1.0
             assert box.x + box.w <= 1.0 + 1e-9
             assert box.y + box.h <= 1.0 + 1e-9
+
+
+def _fma(x: float, y: float, z: float) -> float:
+    """x * y + z rounded once, from exact rational arithmetic."""
+    return float(Fraction(x) * Fraction(y) + Fraction(z))
+
+
+def test_dot_product_of_3_vectors_is_an_fma_chain():
+    # _project_rect projects every box corner with `rel @ axis` on 3-vectors
+    rng = np.random.default_rng(2017)
+    for a, b in zip(rng.standard_normal((500, 3)), rng.standard_normal((500, 3))):
+        chain = _fma(a[2], b[2], _fma(a[1], b[1], a[0] * b[0]))
+        assert a @ b == chain, (
+            f"numpy's 3-vector dot product {a!r} @ {b!r} is not rounded as an fma"
+            " chain. The golden trace and servo-sim hashes in tests/test_cli.py"
+            " assume this rounding; a BLAS that rounds otherwise fails them with"
+            " correct code."
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -508,14 +534,40 @@ def test_convoy_follows_forward_leader_noiseless():
         assert abs(area - 0.5) / 0.5 < 0.2
 
 
-def test_render_trace_frames_deterministic():
+def test_trace_footage_deterministic():
     cfg = ConvoyConfig(duration=1.0, seed=5)
     trace = run_convoy(cfg)
 
-    a, b = (list(render_trace_frames(trace, cfg)) for _ in range(2))
+    a, b = (list(trace_footage(trace, cfg)[1]) for _ in range(2))
     assert len(a) == len(b) == 15  # trace ends at t = 0.98; frames 0/15 .. 14/15
     for fa, fb in zip(a, b):
         assert np.array_equal(fa, fb)
+
+
+@settings(max_examples=60, deadline=None)
+@example(physics_rate=50.0, frame_share=0.3, ticks=400)  # the golden 15 fps at 50 Hz
+@example(physics_rate=50.0, frame_share=1.0, ticks=400)
+@example(physics_rate=30.0, frame_share=7 / 30, ticks=400)
+@example(physics_rate=44.1, frame_share=29.97 / 44.1, ticks=1)
+@given(
+    physics_rate=st.floats(1.0, 200.0) | st.integers(1, 200).map(float),
+    frame_share=st.floats(0.001, 1.0) | st.just(1.0),
+    ticks=st.integers(1, 400),
+)
+def test_trace_footage_samples_as_the_record_walk(physics_rate, frame_share, ticks):
+    cfg = ConvoyConfig(
+        duration=ticks / physics_rate,
+        physics_rate=physics_rate,
+        detector_rate=min(7.0, physics_rate),
+        frame_rate=min(frame_share * physics_rate, physics_rate),
+        servo=ServoConfig(command_rate=min(10.0, physics_rate)),
+    )
+    trace = run_convoy(cfg)
+    annotations, _ = trace_footage(trace, cfg)
+    assert annotations == [
+        Annotation(i, record.true_box is not None, record.true_box)
+        for i, record in record_walk_samples(trace.records, cfg.frame_rate)
+    ]
 
 
 @pytest.mark.parametrize("fps", [0.0, -3.0, math.inf])
