@@ -27,7 +27,6 @@ from .sim import (
     ScheduleError,
     SimTrace,
     TargetModel,
-    TraceRecord,
     depth_script,
     forward_script,
     turn_script,
@@ -59,11 +58,6 @@ def _box_cells(box: BoundingBox | None) -> tuple[str, ...]:
     if box is None:
         return ("",) * 4
     return _fmt(box.x), _fmt(box.y), _fmt(box.w), _fmt(box.h)
-
-
-def _pose_cells(pose: Pose) -> tuple[str, ...]:
-    x, y, z = pose.position
-    return _fmt(x), _fmt(y), _fmt(z), _fmt(pose.yaw), _fmt(pose.pitch)
 
 
 # ---------------------------------------------------------------------------
@@ -458,19 +452,30 @@ TRACE_HEADER = (
 )
 
 
-def _trace_row(r: TraceRecord) -> tuple[str, ...]:
-    tb, db, cmd = r.true_box, r.detection, r.command
-    return (
-        _fmt(r.t), *_pose_cells(r.leader), *_pose_cells(r.follower),
-        "0" if tb is None else "1", *_box_cells(tb),
-        "0" if db is None else "1", _fmt_opt(None if db is None else db.p), *_box_cells(db),
-        _fmt(cmd.yaw_rate), _fmt(cmd.pitch_rate), _fmt(cmd.roll_rate),
-        _fmt(cmd.forward_speed), _fmt(cmd.vertical_speed),
-    )
+def _trace_template(true_present: bool, det_present: bool) -> str:
+    """%-template of one trace row: a cell per TRACE_HEADER column, each
+    value printed as _fmt prints it, empty cells for a missing box."""
+    true_cells = "1" + ",%.6f" * 4 if true_present else "0" + "," * 4
+    det_cells = "1" + ",%.6f" * 5 if det_present else "0" + "," * 5
+    return ",".join(["%.6f"] * 11 + [true_cells, det_cells] + ["%.6f"] * 5) + "\n"
+
+
+# (true box present, detection present) -> the template of a row
+_TRACE_ROWS = {(tp, dp): _trace_template(tp, dp) for tp in (False, True) for dp in (False, True)}
 
 
 def format_trace_csv(trace: SimTrace) -> str:
-    return _csv(TRACE_HEADER, map(_trace_row, trace.records))
+    rows = [TRACE_HEADER + "\n"]
+    for r in trace.records:
+        tb, db, cmd, leader, follower = r.true_box, r.detection, r.command, r.leader, r.follower
+        rows.append(_TRACE_ROWS[tb is not None, db is not None] % (
+            r.t, *leader.position, leader.yaw, leader.pitch,
+            *follower.position, follower.yaw, follower.pitch,
+            *(() if tb is None else (tb.x, tb.y, tb.w, tb.h)),
+            *(() if db is None else (db.p, db.x, db.y, db.w, db.h)),
+            cmd.yaw_rate, cmd.pitch_rate, cmd.roll_rate, cmd.forward_speed, cmd.vertical_speed,
+        ))
+    return "".join(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +485,12 @@ def _cell(v: float | None, percent: bool = False) -> str:
     if v is None:
         return "—"
     return f"{100 * v:.1f}%" if percent else f"{v:.4f}"
+
+
+def _seconds(v: float | None) -> str:
+    """A track duration; from 1e9 s up, which only a tiny frame rate gives,
+    in exponent form, so that no line grows with the exponent."""
+    return _cell(v) if v is None or v < 1e9 else f"{v:.4e}"
 
 
 def format_metrics_text(report: MetricsReport, tracks: TrackStats | None = None) -> str:
@@ -494,9 +505,9 @@ def format_metrics_text(report: MetricsReport, tracks: TrackStats | None = None)
     ]
     if tracks is not None:
         rows.append(("tracks", str(tracks.count)))
-        rows.append(("track mean (s)", _cell(tracks.mean_duration)))
-        rows.append(("track std (s)", _cell(tracks.std_duration)))
-        rows.append(("track max (s)", _cell(tracks.max_duration)))
+        rows.append(("track mean (s)", _seconds(tracks.mean_duration)))
+        rows.append(("track std (s)", _seconds(tracks.std_duration)))
+        rows.append(("track max (s)", _seconds(tracks.max_duration)))
     width = max(len(name) for name, _ in rows)
     return "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
 

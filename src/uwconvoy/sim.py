@@ -62,16 +62,9 @@ class Pose:
             raise ValueError(f"yaw {self.yaw} is not finite")
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
-    def forward(self) -> np.ndarray:
-        return np.array(_heading(self.yaw, self.pitch))
-
-    def left(self) -> np.ndarray:
-        return np.array([-math.sin(self.yaw), math.cos(self.yaw), 0.0])
-
-    def up(self) -> np.ndarray:
-        cy, sy = math.cos(self.yaw), math.sin(self.yaw)
-        cp, sp = math.cos(self.pitch), math.sin(self.pitch)
-        return np.array([-sp * cy, -sp * sy, cp])
+    def left(self) -> tuple[float, float, float]:
+        """Unit left axis; level, since the body does not roll."""
+        return -math.sin(self.yaw), math.cos(self.yaw), 0.0
 
 
 @dataclass(frozen=True)
@@ -195,52 +188,96 @@ def step_follower(pose: Pose, cmd: ControlCommand, dt: float) -> Pose:
 def _project_rect(
     cam: CameraModel,
     follower: Pose,
-    center: np.ndarray,
-    h_axis: np.ndarray,
-    v_axis: np.ndarray,
+    center: tuple[float, float, float],
+    h_axis: tuple[float, float, float],
+    v_axis: tuple[float, float, float],
     half_w: float,
     half_h: float,
 ) -> BoundingBox | None:
-    """Enclosing normalized box of an upright rectangle, or None if hidden."""
-    fwd, left, up = follower.forward(), follower.left(), follower.up()
-    eye = np.asarray(follower.position)
+    """Enclosing normalized box of an upright rectangle, or None if hidden.
 
-    rel_c = center - eye
-    if rel_c @ fwd <= 0.0:
+    The centre and the four corners, relative to the eye, are projected onto
+    the follower's forward, left and up axes by one (5, 3) @ (3, 3) matrix
+    product, the one numpy call that does the work of fifteen 3-vector dot
+    products. OpenBLAS's dgemm rounds each entry as the fma chain
+    fma(a2, b2, fma(a1, b1, a0 * b0)), as its ddot rounds a 3-vector
+    `rel @ axis`, so the boxes keep the bits the golden traces hold. A
+    matrix-vector product or np.einsum rounds otherwise, so the centre goes
+    into the same product as row 0 and no product has a single row.
+    """
+    ex, ey, ez = follower.position
+    cx, cy, cz = center
+    hx, hy, hz = h_axis
+    vx, vy, vz = v_axis
+    rel = [[cx - ex, cy - ey, cz - ez]]
+    for sx in (-1.0, 1.0):
+        a = sx * half_w
+        for sy in (-1.0, 1.0):
+            b = sy * half_h
+            rel.append(
+                [cx + a * hx + b * vx - ex, cy + a * hy + b * vy - ey, cz + a * hz + b * vz - ez]
+            )
+    cos_y, sin_y = math.cos(follower.yaw), math.sin(follower.yaw)
+    cos_p, sin_p = math.cos(follower.pitch), math.sin(follower.pitch)
+    # columns: forward, left, up
+    axes = np.array([
+        [cos_y * cos_p, -sin_y, -sin_p * cos_y],
+        [sin_y * cos_p, cos_y, -sin_p * sin_y],
+        [sin_p, 0.0, cos_p],
+    ])
+    (xc, _, _), *corners = (np.array(rel) @ axes).tolist()
+    if xc <= 0.0:
         return None
 
-    corners = [
-        center + sx * half_w * h_axis + sy * half_h * v_axis
-        for sx in (-1.0, 1.0)
-        for sy in (-1.0, 1.0)
-    ]
+    hfov, vfov = cam.horizontal_fov, cam.vertical_fov
     us, vs = [], []
-    for corner in corners:
-        rel = corner - eye
-        xc, yc, zc = rel @ fwd, rel @ left, rel @ up
+    for xc, yc, zc in corners:
         if xc <= 1e-9:
             return None
         az = math.atan2(yc, xc)
         el = math.atan2(zc, math.hypot(xc, yc))
-        us.append(0.5 - az / cam.horizontal_fov)
-        vs.append(0.5 - el / cam.vertical_fov)
+        us.append(0.5 - az / hfov)
+        vs.append(0.5 - el / vfov)
     x, y = min(us), min(vs)
     return clip_box_to_image(x, y, max(us) - x, max(vs) - y)
+
+
+_UP = (0.0, 0.0, 1.0)
 
 
 def project_bbox(
     cam: CameraModel, follower: Pose, leader: Pose, target: TargetModel
 ) -> BoundingBox | None:
     """Ground-truth box of the leader's body as seen by the follower."""
-    center = np.asarray(leader.position)
+    return _project_rect(
+        cam,
+        follower,
+        leader.position,
+        leader.left(),
+        _UP,
+        target.body_length / 2.0,
+        target.body_height / 2.0,
+    )
+
+
+def _flipper_box(
+    cam: CameraModel, follower: Pose, leader: Pose, target: TargetModel
+) -> BoundingBox | None:
+    """Box of the leader's flipper patch as seen by the follower."""
+    x, y, z = leader.position
+    left = lx, ly, lz = leader.left()
+    along, above = target.flipper_offset
+    # position + along * left + (0, 0, above) summed as 3-vectors are; the
+    # + 0.0 terms turn a -0.0 into +0.0 as that sum does
+    center = (x + along * lx + 0.0, y + along * ly + 0.0, z + along * lz + above)
     return _project_rect(
         cam,
         follower,
         center,
-        leader.left(),
-        np.array([0.0, 0.0, 1.0]),
-        target.body_length / 2.0,
-        target.body_height / 2.0,
+        left,
+        _UP,
+        target.flipper_size[0] / 2.0,
+        target.flipper_size[1] / 2.0,
     )
 
 
@@ -338,17 +375,7 @@ class FootageScene:
         if body is not None:
             x0, x1, y0, y1 = self._pixel_rect(body)
             img[y0:y1, x0:x1] = _BODY_INTENSITY
-            flipper = _project_rect(
-                cam,
-                follower,
-                np.asarray(leader.position)
-                + self.target.flipper_offset[0] * leader.left()
-                + np.array([0.0, 0.0, self.target.flipper_offset[1]]),
-                leader.left(),
-                np.array([0.0, 0.0, 1.0]),
-                self.target.flipper_size[0] / 2.0,
-                self.target.flipper_size[1] / 2.0,
-            )
+            flipper = _flipper_box(cam, follower, leader, self.target)
             if flipper is not None:
                 lo, hi = self.flipper_range
                 level = lo + (hi - lo) * 0.5 * (1.0 + math.sin(phase))

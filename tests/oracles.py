@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: pixel
 counting for overlap, straight-line trigonometry for losses, central
 differences for their gradients, plain-loop path enumeration for direction
-scoring, and ray sampling for projection.
+scoring, ray sampling for projection, and the first-written forms of
+functions since rewritten for speed.
 """
 
 from __future__ import annotations
@@ -223,6 +224,71 @@ def ray_sample_projection(
             us.append(0.5 - az / hfov)
             vs.append(0.5 - el / vfov)
     return min(us), max(us), min(vs), max(vs)
+
+
+def pose_axes(pose):
+    """Forward, left and up unit axes of a pose, as numpy 3-vectors."""
+    cy, sy = math.cos(pose.yaw), math.sin(pose.yaw)
+    cp, sp = math.cos(pose.pitch), math.sin(pose.pitch)
+    return (
+        np.array([cy * cp, sy * cp, sp]),
+        np.array([-sy, cy, 0.0]),
+        np.array([-sp * cy, -sp * sy, cp]),
+    )
+
+
+def project_rect_per_corner(cam, follower, center, h_axis, v_axis, half_w: float, half_h: float):
+    """Box projection as first written: numpy 3-vectors, and a `rel @ axis`
+    dot product for each axis of the centre and of each corner."""
+    from uwconvoy.geometry import clip_box_to_image
+
+    fwd, left, up = pose_axes(follower)
+    eye = np.asarray(follower.position)
+
+    rel_c = center - eye
+    if rel_c @ fwd <= 0.0:
+        return None
+
+    corners = [
+        center + sx * half_w * h_axis + sy * half_h * v_axis
+        for sx in (-1.0, 1.0)
+        for sy in (-1.0, 1.0)
+    ]
+    us, vs = [], []
+    for corner in corners:
+        rel = corner - eye
+        xc, yc, zc = rel @ fwd, rel @ left, rel @ up
+        if xc <= 1e-9:
+            return None
+        az = math.atan2(yc, xc)
+        el = math.atan2(zc, math.hypot(xc, yc))
+        us.append(0.5 - az / cam.horizontal_fov)
+        vs.append(0.5 - el / cam.vertical_fov)
+    x, y = min(us), min(vs)
+    return clip_box_to_image(x, y, max(us) - x, max(vs) - y)
+
+
+def _cells(*values) -> list[str]:
+    return [f"{v:.6f}" for v in values]
+
+
+def trace_row_cells(r) -> str:
+    """One trace CSV line as first written, one formatted cell at a time."""
+    def pose(p):
+        return _cells(*p.position, p.yaw, p.pitch)
+
+    def box(b):
+        return [""] * 4 if b is None else _cells(b.x, b.y, b.w, b.h)
+
+    tb, db, cmd = r.true_box, r.detection, r.command
+    cells = [
+        *_cells(r.t), *pose(r.leader), *pose(r.follower),
+        "0" if tb is None else "1", *box(tb),
+        "0" if db is None else "1", *([""] if db is None else _cells(db.p)), *box(db),
+        *_cells(cmd.yaw_rate, cmd.pitch_rate, cmd.roll_rate, cmd.forward_speed,
+                cmd.vertical_speed),
+    ]
+    return ",".join(cells)
 
 
 def one_line_write_pgm(frame) -> bytes:

@@ -203,6 +203,23 @@ def test_eval_fps_either_scores_or_exits_2(four_track_files, fps):
         assert out.getvalue() == ""
 
 
+# tracks of one, two and four TP frames, so their durations have a spread
+UNEVEN_TRACKS = [(f, f not in (1, 4, 9)) for f in range(10)]
+
+
+@pytest.mark.parametrize("fps", ["1e-300", "1e-200", "1e-9", "4e-9", "15"])
+def test_eval_stdout_lines_stay_short_at_any_fps(tmp_path, capsys, fps):
+    # track durations of 1e9 s and more print in exponent form
+    ann_path, pred_path = _write_eval_pair(tmp_path, UNEVEN_TRACKS)
+    argv = ["eval", "--annotations", str(ann_path), "--predictions", str(pred_path),
+            "--threshold", "0.5", "--fps", fps]
+    assert run_cli(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("track")] and all(
+        len(line) < 60 for line in lines
+    ), lines
+
+
 def test_usage_errors():
     assert run_cli([]) == 1
     assert run_cli(["bogus"]) == 1

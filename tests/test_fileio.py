@@ -9,6 +9,7 @@ from uwconvoy.evaluation import MetricsReport, classify_frames, histogram_report
 from uwconvoy.fileio import (
     CONFIG_KEYS,
     DataFormatError,
+    TRACE_HEADER,
     format_annotations,
     format_area_histogram_csv,
     format_bias_histogram_csv,
@@ -25,9 +26,10 @@ from uwconvoy.fileio import (
     write_pgm,
 )
 from uwconvoy.geometry import Annotation, BoundingBox
-from uwconvoy.sim import ConvoyConfig, depth_script, run_convoy
+from uwconvoy.servo import ControlCommand
+from uwconvoy.sim import ConvoyConfig, Pose, SimTrace, depth_script, run_convoy
 
-from oracles import one_line_write_pgm
+from oracles import one_line_write_pgm, trace_row_cells
 
 
 def test_parse_annotations_header_only():
@@ -467,6 +469,24 @@ def test_trace_csv_shape():
     assert lines[0].startswith("t,leader_x")
     assert len(lines) == 1 + len(trace.records)
     assert all(line.count(",") == lines[0].count(",") for line in lines)
+
+
+def test_trace_csv_matches_cell_by_cell_oracle():
+    # a noisy run with an occlusion, then a record by hand for each (true box,
+    # detection) presence pair, with cells that print as -0.000000
+    trace = run_convoy(ConvoyConfig(duration=6.0, seed=2, occlusions=((1.0, 2.0),)))
+    box = BoundingBox(0.25, 0.0, 0.125, 0.2, 0.7)
+    pose = Pose((-0.0, -4e-7, 1e-7), yaw=-1e-9, pitch=-0.0)
+    command = ControlCommand(-0.0, -1e-7, 0.0, -4.9e-7, 2.5)
+    by_hand = [
+        replace(trace.records[-1], t=t, leader=pose, follower=pose, true_box=tb, detection=db,
+                command=command)
+        for t, (tb, db) in enumerate([(box, None), (None, box), (None, None), (box, box)], 7)
+    ]
+    records = trace.records + by_hand + [replace(r, t=-0.0) for r in by_hand]
+    text = format_trace_csv(SimTrace(records))
+    assert text == TRACE_HEADER + "\n" + "".join(trace_row_cells(r) + "\n" for r in records)
+    assert "-0.000000" in text
 
 
 def test_metrics_rendering_undefined_cells():

@@ -33,6 +33,8 @@ from uwconvoy.sim import (
 )
 
 from oracles import (
+    pose_axes,
+    project_rect_per_corner,
     ray_sample_projection,
     record_walk_samples,
     reference_dft_amplitude,
@@ -49,7 +51,7 @@ TARGET = TargetModel()
 def test_forward_script_advances_along_heading():
     start = Pose(position=(1.0, 2.0, -3.0), yaw=0.5)
     pose = leader_trajectory(forward_script(0.6, start), 10.0)
-    expected = np.array([1.0, 2.0, -3.0]) + start.forward() * 6.0
+    expected = np.array([1.0, 2.0, -3.0]) + pose_axes(start)[0] * 6.0
     assert pose.position == pytest.approx(tuple(expected), abs=1e-12)
     assert pose.yaw == start.yaw
 
@@ -202,11 +204,9 @@ def test_projection_matches_ray_sampling_oracle():
             CAM.horizontal_fov,
             CAM.vertical_fov,
             np.zeros(3),
-            follower.forward(),
-            follower.left(),
-            follower.up(),
+            *pose_axes(follower),
             np.asarray(leader.position),
-            leader.left(),
+            np.asarray(leader.left()),
             np.array([0.0, 0.0, 1.0]),
             TARGET.body_length / 2.0,
             TARGET.body_height / 2.0,
@@ -245,16 +245,69 @@ def _fma(x: float, y: float, z: float) -> float:
 
 
 def test_dot_product_of_3_vectors_is_an_fma_chain():
-    # _project_rect projects every box corner with `rel @ axis` on 3-vectors
+    # _project_rect projects a box's centre and corners with one
+    # (5, 3) @ (3, 3) product
     rng = np.random.default_rng(2017)
-    for a, b in zip(rng.standard_normal((500, 3)), rng.standard_normal((500, 3))):
-        chain = _fma(a[2], b[2], _fma(a[1], b[1], a[0] * b[0]))
-        assert a @ b == chain, (
-            f"numpy's 3-vector dot product {a!r} @ {b!r} is not rounded as an fma"
-            " chain. The golden trace and servo-sim hashes in tests/test_cli.py"
-            " assume this rounding; a BLAS that rounds otherwise fails them with"
-            " correct code."
-        )
+    for rel, axes in zip(rng.standard_normal((100, 5, 3)), rng.standard_normal((100, 3, 3))):
+        product = (rel @ axes).tolist()
+        for i, a in enumerate(rel):
+            for j, b in enumerate(axes.T):
+                chain = _fma(a[2], b[2], _fma(a[1], b[1], a[0] * b[0]))
+                assert product[i][j] == chain, (
+                    f"entry ({i}, {j}) of numpy's (5, 3) @ (3, 3) product {rel!r} @ {axes!r}"
+                    " is not rounded as the fma chain fma(a2, b2, fma(a1, b1, a0 * b0))."
+                    " The golden trace and servo-sim hashes in tests/test_cli.py assume"
+                    " this rounding; a BLAS that rounds otherwise can fail them with"
+                    " correct code. A matrix-vector product or np.einsum rounds"
+                    " otherwise even on a BLAS that passes here."
+                )
+
+
+@st.composite
+def _projection_poses(draw):
+    """A follower, pitched or level, and a leader along a bearing from it:
+    ahead, behind (negative reach), at the image edges or past them; or a
+    broadside leader whose near corners lie about 1e-9 m ahead of the eye,
+    where _project_rect starts to count a corner as behind the camera."""
+    if draw(st.booleans()):
+        half_w = TARGET.body_length / 2.0
+        eps = draw(st.floats(-3e-9, 3e-9))
+        return Pose(), Pose((half_w + eps, draw(st.floats(-0.2, 0.2)), 0.0), math.pi / 2)
+    position = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(3))
+    yaw = draw(st.floats(-math.pi, math.pi))
+    pitch = draw(st.floats(-1.5, 1.5))
+    reach = draw(st.floats(-2.0, 6.0))
+    bearing = yaw + draw(st.floats(-1.2, 1.2))
+    rise = pitch + draw(st.floats(-1.0, 1.0))
+    step = (math.cos(bearing) * math.cos(rise), math.sin(bearing) * math.cos(rise), math.sin(rise))
+    leader_position = tuple(p + reach * s for p, s in zip(position, step))
+    return Pose(position, yaw, pitch), Pose(leader_position, draw(st.floats(-math.pi, math.pi)))
+
+
+@settings(max_examples=400, deadline=None)
+@example(poses=(Pose(), Pose(position=(-2.0, 0.0, 0.0))))  # behind
+@example(poses=(Pose(), Pose(position=(0.325 + 1e-9, 0.0, 0.0), yaw=math.pi / 2)))  # 1e-9 edge
+@example(poses=(Pose(pitch=0.6), Pose(position=(2.0, 0.0, 0.5))))  # pitched
+@example(poses=(Pose(), Pose(position=(1.0, 1.0, 0.0))))  # clipped at the left edge
+@example(poses=(Pose(), Pose(position=(1.0, 0.0, -0.75))))  # clipped at the bottom edge
+@given(poses=_projection_poses())
+def test_projection_matches_per_corner_oracle(poses):
+    from uwconvoy.sim import _flipper_box  # white-box: the flipper patch projection
+
+    follower, leader = poses
+    position, left = np.asarray(leader.position), np.asarray(leader.left())
+    up = np.array([0.0, 0.0, 1.0])
+    half_w, half_h = TARGET.body_length / 2.0, TARGET.body_height / 2.0
+    assert project_bbox(CAM, follower, leader, TARGET) == project_rect_per_corner(
+        CAM, follower, position, left, up, half_w, half_h
+    )
+    # the flipper centre as first written, numpy sums of 3-vectors
+    along, above = TARGET.flipper_offset
+    center = position + along * left + np.array([0.0, 0.0, above])
+    half_w, half_h = TARGET.flipper_size[0] / 2.0, TARGET.flipper_size[1] / 2.0
+    assert _flipper_box(CAM, follower, leader, TARGET) == project_rect_per_corner(
+        CAM, follower, center, left, up, half_w, half_h
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +340,9 @@ def test_flipper_mid_value_at_sine_zero_crossing():
 
 
 def _flipper_series(frames, scene, leader, follower):
-    from uwconvoy.sim import _project_rect  # white-box: flipper patch region
+    from uwconvoy.sim import _flipper_box  # white-box: flipper patch region
 
-    flipper = _project_rect(
-        scene.camera,
-        follower,
-        np.asarray(leader.position)
-        + scene.target.flipper_offset[0] * leader.left()
-        + np.array([0.0, 0.0, scene.target.flipper_offset[1]]),
-        leader.left(),
-        np.array([0.0, 0.0, 1.0]),
-        scene.target.flipper_size[0] / 2.0,
-        scene.target.flipper_size[1] / 2.0,
-    )
+    flipper = _flipper_box(scene.camera, follower, leader, scene.target)
     x0, x1, y0, y1 = scene._pixel_rect(flipper)
     return np.array([f[y0:y1, x0:x1].mean() for f in frames])
 
