@@ -162,8 +162,11 @@ def leader_trajectory(script: TrajectoryScript, t: float) -> Pose:
     return Pose((x, y, z + script.speed * t), start.yaw, start.pitch)
 
 
-def step_follower(pose: Pose, cmd: ControlCommand, dt: float) -> Pose:
-    """Integrate one velocity command over dt (velocity-level kinematics)."""
+def step_follower(
+    pose: Pose, cmd: ControlCommand, dt: float, drift: tuple[float, float, float] = (0.0, 0.0, 0.0)
+) -> Pose:
+    """Integrate one velocity command over dt (velocity-level kinematics),
+    then displace the pose by drift, the water current's travel over dt."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     # wrapped twice here and once more by Pose: wrap_angle takes a yaw one
@@ -173,11 +176,12 @@ def step_follower(pose: Pose, cmd: ControlCommand, dt: float) -> Pose:
     fx, fy, fz = _heading(yaw, pitch)
     v = cmd.forward_speed
     x, y, z = pose.position
+    dx, dy, dz = drift
     # adding 0.0 turns a -0.0 into +0.0, which the trace CSV would show
     position = (
-        x + fx * v * dt + 0.0,
-        y + fy * v * dt + 0.0,
-        z + fz * v * dt + cmd.vertical_speed * dt,
+        x + fx * v * dt + 0.0 + dx,
+        y + fy * v * dt + 0.0 + dy,
+        z + fz * v * dt + cmd.vertical_speed * dt + dz,
     )
     return Pose(position, yaw, pitch)
 
@@ -197,47 +201,40 @@ def _project_rect(
     """Enclosing normalized box of an upright rectangle, or None if hidden.
 
     The centre and the four corners, relative to the eye, are projected onto
-    the follower's forward, left and up axes by one (5, 3) @ (3, 3) matrix
-    product, the one numpy call that does the work of fifteen 3-vector dot
-    products. OpenBLAS's dgemm rounds each entry as the fma chain
-    fma(a2, b2, fma(a1, b1, a0 * b0)), as its ddot rounds a 3-vector
-    `rel @ axis`, so the boxes keep the bits the golden traces hold. A
-    matrix-vector product or np.einsum rounds otherwise, so the centre goes
-    into the same product as row 0 and no product has a single row.
+    the follower's forward, left and up axes with plain-float dot products,
+    `a0 * b0 + a1 * b1 + a2 * b2` summed left to right, which round alike on
+    every IEEE host.
     """
     ex, ey, ez = follower.position
     cx, cy, cz = center
+    cos_y, sin_y = math.cos(follower.yaw), math.sin(follower.yaw)
+    cos_p, sin_p = math.cos(follower.pitch), math.sin(follower.pitch)
+    fx, fy, fz = cos_y * cos_p, sin_y * cos_p, sin_p
+    ux, uy = -sin_p * cos_y, -sin_p * sin_y
+    if (cx - ex) * fx + (cy - ey) * fy + (cz - ez) * fz <= 0.0:
+        return None
+
     hx, hy, hz = h_axis
     vx, vy, vz = v_axis
-    rel = [[cx - ex, cy - ey, cz - ez]]
+    hfov, vfov = cam.horizontal_fov, cam.vertical_fov
+    us, vs = [], []
     for sx in (-1.0, 1.0):
         a = sx * half_w
         for sy in (-1.0, 1.0):
             b = sy * half_h
-            rel.append(
-                [cx + a * hx + b * vx - ex, cy + a * hy + b * vy - ey, cz + a * hz + b * vz - ez]
-            )
-    cos_y, sin_y = math.cos(follower.yaw), math.sin(follower.yaw)
-    cos_p, sin_p = math.cos(follower.pitch), math.sin(follower.pitch)
-    # columns: forward, left, up
-    axes = np.array([
-        [cos_y * cos_p, -sin_y, -sin_p * cos_y],
-        [sin_y * cos_p, cos_y, -sin_p * sin_y],
-        [sin_p, 0.0, cos_p],
-    ])
-    (xc, _, _), *corners = (np.array(rel) @ axes).tolist()
-    if xc <= 0.0:
-        return None
-
-    hfov, vfov = cam.horizontal_fov, cam.vertical_fov
-    us, vs = [], []
-    for xc, yc, zc in corners:
-        if xc <= 1e-9:
-            return None
-        az = math.atan2(yc, xc)
-        el = math.atan2(zc, math.hypot(xc, yc))
-        us.append(0.5 - az / hfov)
-        vs.append(0.5 - el / vfov)
+            rx = cx + a * hx + b * vx - ex
+            ry = cy + a * hy + b * vy - ey
+            rz = cz + a * hz + b * vz - ez
+            xc = rx * fx + ry * fy + rz * fz
+            if xc <= 1e-9:
+                return None
+            # the left axis (-sin_y, cos_y, 0) is level
+            yc = rx * -sin_y + ry * cos_y
+            zc = rx * ux + ry * uy + rz * cos_p
+            az = math.atan2(yc, xc)
+            el = math.atan2(zc, math.hypot(xc, yc))
+            us.append(0.5 - az / hfov)
+            vs.append(0.5 - el / vfov)
     x, y = min(us), min(vs)
     return clip_box_to_image(x, y, max(us) - x, max(vs) - y)
 
@@ -359,8 +356,14 @@ class FootageScene:
         y1 = int(round((box.y + box.h) * h))
         return x0, x1, y0, y1
 
-    def render(self, leader: Pose, follower: Pose, t: float) -> np.ndarray:
-        """The frame at time t: samples in [0, 1], shape (height, width)."""
+    def render(
+        self, leader: Pose, follower: Pose, body: BoundingBox | None, t: float
+    ) -> np.ndarray:
+        """The frame at time t: samples in [0, 1], shape (height, width).
+
+        body is project_bbox of the leader as the follower sees it, with this
+        scene's camera and target, or None when it is hidden.
+        """
         cam = self.camera
         shape = (cam.image_height, cam.image_width)
         if self.noise_sigma > 0:
@@ -371,7 +374,6 @@ class FootageScene:
             img = np.full(shape, _BACKGROUND)
         phase = self._gait.at(t)
 
-        body = project_bbox(cam, follower, leader, self.target)
         if body is not None:
             x0, x1, y0, y1 = self._pixel_rect(body)
             img[y0:y1, x0:x1] = _BODY_INTENSITY
@@ -389,7 +391,8 @@ class FootageScene:
         self, leader: Pose, follower: Pose, frame_count: int, fps: float
     ) -> list[np.ndarray]:
         """Static-pose footage: frame i is rendered at time i/fps."""
-        return [self.render(leader, follower, i / fps) for i in range(frame_count)]
+        body = project_bbox(self.camera, follower, leader, self.target)
+        return [self.render(leader, follower, body, i / fps) for i in range(frame_count)]
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +441,7 @@ def noisy_detector(
         if noise.false_positive_prob > 0 and rng.uniform() < noise.false_positive_prob:
             cx, cy = rng.uniform(0.25, 0.75, 2)
             w, h = rng.uniform(0.05, 0.30, 2)
-            conf = float(np.clip(rng.normal(0.35, 0.15), 0.0, 1.0))
+            conf = min(max(rng.normal(0.35, 0.15), 0.0), 1.0)
             return clip_box_to_image(cx - w / 2.0, cy - h / 2.0, w, h, conf)
         return None
 
@@ -450,8 +453,8 @@ def noisy_detector(
     if noise.center_sigma == 0.0 and noise.scale_sigma == 0.0:
         boxed = replace(true_box, p=1.0)
     else:
-        dx, dy = rng.normal(0.0, noise.center_sigma, 2)
-        sw, sh = np.exp(rng.normal(0.0, noise.scale_sigma, 2))
+        dx, dy = rng.normal(0.0, noise.center_sigma, 2).tolist()
+        sw, sh = map(math.exp, rng.normal(0.0, noise.scale_sigma, 2))
         w = min(true_box.w * sw, 1.0)
         h = min(true_box.h * sh, 1.0)
         cx = true_box.x + true_box.w / 2.0 + dx
@@ -463,7 +466,7 @@ def noisy_detector(
     conf = (
         overlap
         if noise.confidence_sigma == 0.0
-        else float(np.clip(overlap + rng.normal(0.0, noise.confidence_sigma), 0.0, 1.0))
+        else min(max(overlap + rng.normal(0.0, noise.confidence_sigma), 0.0), 1.0)
     )
     return replace(boxed, p=conf)
 
@@ -491,8 +494,8 @@ class SimTrace:
 # event is due on a tick when it is due within this slack.
 _TICK_SLACK = 1e-12
 
-# Most physics ticks one run may take: 5.5 h at the default 50 Hz, about
-# 1 GB of trace records held in memory.
+# Most physics ticks one run may take: 5.5 h at the default 50 Hz; `sim`
+# peak memory grows about 1.7 kB a tick with the held trace, so about 1.7 GB.
 MAX_TICKS = 10**6
 
 
@@ -592,8 +595,7 @@ def run_convoy(config: ConvoyConfig) -> SimTrace:
     det_i = 0
     ctl_i = 0
     records = []
-    # the current's displacement over one tick, when there is a current
-    drift = [c * dt for c in config.current] if any(config.current) else None
+    drift = tuple(c * dt for c in config.current)
 
     for k in range(n_ticks):
         t = k / config.physics_rate
@@ -612,11 +614,7 @@ def run_convoy(config: ConvoyConfig) -> SimTrace:
         records.append(TraceRecord(t, leader, follower, true_box, latched, command))
 
         leader = leader_trajectory(config.script, (k + 1) / config.physics_rate)
-        follower = step_follower(follower, command, dt)
-        if drift is not None:
-            x, y, z = follower.position
-            position = (x + drift[0], y + drift[1], z + drift[2])
-            follower = Pose(position, follower.yaw, follower.pitch)
+        follower = step_follower(follower, command, dt, drift)
 
     return SimTrace(records)
 
@@ -641,4 +639,4 @@ def trace_footage(
         for i, (_, record) in enumerate(samples)
     ]
     scene = FootageScene(camera=config.camera, target=config.target, rng=_run_rng(config.seed, 1))
-    return annotations, (scene.render(r.leader, r.follower, t) for t, r in samples)
+    return annotations, (scene.render(r.leader, r.follower, r.true_box, t) for t, r in samples)

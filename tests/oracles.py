@@ -237,16 +237,20 @@ def pose_axes(pose):
     )
 
 
+def _dot(a, b) -> float:
+    """A 3-vector dot product in plain floats, summed left to right."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def project_rect_per_corner(cam, follower, center, h_axis, v_axis, half_w: float, half_h: float):
-    """Box projection as first written: numpy 3-vectors, and a `rel @ axis`
-    dot product for each axis of the centre and of each corner."""
+    """Box projection a corner at a time: each corner a numpy 3-vector sum,
+    projected onto each axis with a plain-float dot product."""
     from uwconvoy.geometry import clip_box_to_image
 
-    fwd, left, up = pose_axes(follower)
+    fwd, left, up = (axis.tolist() for axis in pose_axes(follower))
     eye = np.asarray(follower.position)
 
-    rel_c = center - eye
-    if rel_c @ fwd <= 0.0:
+    if _dot((center - eye).tolist(), fwd) <= 0.0:
         return None
 
     corners = [
@@ -256,8 +260,8 @@ def project_rect_per_corner(cam, follower, center, h_axis, v_axis, half_w: float
     ]
     us, vs = [], []
     for corner in corners:
-        rel = corner - eye
-        xc, yc, zc = rel @ fwd, rel @ left, rel @ up
+        rel = (corner - eye).tolist()
+        xc, yc, zc = _dot(rel, fwd), _dot(rel, left), _dot(rel, up)
         if xc <= 1e-9:
             return None
         az = math.atan2(yc, xc)
@@ -302,8 +306,9 @@ def _wrap(a: float) -> float:
     return math.pi - (math.pi - a) % (2.0 * math.pi)
 
 
-def vector_step_follower(pose, cmd, dt: float):
-    """One follower step as first written, as numpy vector sums.
+def vector_step_follower(pose, cmd, dt: float, drift=(0.0, 0.0, 0.0)):
+    """One follower step as first written, as numpy vector sums, with the
+    current's drift added to the stepped position as a last vector sum.
 
     Returns the (position, yaw, pitch) of the stepped pose. That version
     built a turned pose copy and then a moved one, and each pose wrapped its
@@ -318,6 +323,7 @@ def vector_step_follower(pose, cmd, dt: float):
     pos = np.asarray(pose.position)
     pos = pos + np.array([cy * cp, sy * cp, sp]) * cmd.forward_speed * dt
     pos = pos + np.array([0.0, 0.0, cmd.vertical_speed * dt])
+    pos = pos + np.asarray(drift)
     return tuple(pos), _wrap(yaw), pitch
 
 

@@ -467,24 +467,93 @@ def test_sim_pipeline_golden_hash(golden_run, output):
     assert hashlib.sha256(golden_run[output]).hexdigest() == GOLDEN_PIPELINE_SHA256[output]
 
 
-# SHA-256 of the `sim --seed 3` trace CSV (6 s) for each leader script;
-# frozen so a rewrite of the leader trajectory has to keep its output bytes.
+# SHA-256 of the `sim --seed 3` trace CSV (6 s) for each leader script, and
+# of a 10 s forward run with a water current and an occlusion longer than the
+# 2 s loss timeout; frozen so a rewrite of the leader trajectory, the drift or
+# the lost-target stop has to keep its output bytes.
 GOLDEN_TRACE_SHA256 = {
     "forward": "d13bcd762b662b6adcf6f76f3f9e3467754ace41ee06c26e09856c5caa6eef41",
     "turn_in_place": "9447d9de6ac7aaabd3146f11589d06095920a19b244f2d8eaf863c21df0adfb9",
     "depth_change": "75f21bc249d3e2cbca06ebabd6e12ef9dfe80b9bfbeb2b183ed686bbcc6d441e",
+    "current_and_occlusion": "70897cbb3430c0c9e360c789821cd2fc3cea98d584aa1c2f64b17583fc1ea0f0",
+}
+GOLDEN_TRACE_CONFIGS = {
+    **{
+        script: f"sim.duration = 6\nsim.script = {script}\n"
+        for script in ("forward", "turn_in_place", "depth_change")
+    },
+    "current_and_occlusion": (
+        "sim.duration = 10\nsim.occlusions = 3:6\nsim.current_y = 0.04\nsim.current_z = -0.01\n"
+    ),
 }
 
 
-@pytest.mark.parametrize("script", sorted(GOLDEN_TRACE_SHA256))
-def test_sim_trace_golden_hash(tmp_path, script):
+@pytest.mark.parametrize("run", sorted(GOLDEN_TRACE_SHA256))
+def test_sim_trace_golden_hash(tmp_path, run):
     config = tmp_path / "run.cfg"
-    config.write_text(f"sim.duration = 6\nsim.script = {script}\n")
+    config.write_text(GOLDEN_TRACE_CONFIGS[run])
     trace = tmp_path / "trace.csv"
     assert run_cli(
         ["sim", "--config", str(config), "--out", str(trace), "--seed", "3"]
     ) == 0
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256[script]
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256[run]
+
+
+def _portability_outputs(directory: Path, run) -> dict[str, bytes]:
+    """Outputs of the 60 s forward runs at seeds 1 and 0 and of a 20 s
+    `sim --frames-out` -> `mdpm` pipeline at seed 3, each command given to
+    run(argv)."""
+    long_run, short_run = directory / "60s.cfg", directory / "20s.cfg"
+    long_run.write_text("sim.duration = 60\n")
+    short_run.write_text("sim.duration = 20\n")
+    frames = directory / "frames"
+    for argv in (
+        ["sim", "--config", long_run, "--out", directory / "seed1.csv", "--seed", "1"],
+        ["sim", "--config", long_run, "--out", directory / "seed0.csv", "--seed", "0"],
+        [
+            "sim", "--config", short_run, "--out", directory / "trace.csv", "--seed", "3",
+            "--frames-out", frames, "--annotations-out", directory / "truth.csv",
+        ],
+        ["mdpm", "--frames", frames, "--fps", "15", "--out", directory / "predictions.csv"],
+    ):
+        run([str(arg) for arg in argv])
+    outputs = {
+        name: (directory / name).read_bytes()
+        for name in ("seed1.csv", "seed0.csv", "trace.csv", "predictions.csv")
+    }
+    outputs["frames"] = b"".join(f.read_bytes() for f in sorted(frames.iterdir()))
+    return outputs
+
+
+def _run_in_process(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(argv) == 0
+
+
+@pytest.fixture(scope="module")
+def portability_outputs(tmp_path_factory):
+    return _portability_outputs(tmp_path_factory.mktemp("portability"), _run_in_process)
+
+
+# Each setting once gave other trace bytes: OpenBLAS's Prescott kernels
+# round a small matrix product otherwise (seed 1), and numpy's AVX2 tier
+# rounds np.exp otherwise (seed 0). A disabled feature the host lacks is
+# accepted, so on such a host the second setting tests less.
+@pytest.mark.parametrize(
+    "setting", [{"OPENBLAS_CORETYPE": "Prescott"}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}]
+)
+def test_outputs_hold_on_other_blas_kernels_and_simd_tiers(
+    tmp_path, portability_outputs, setting
+):
+    env = dict(os.environ, PYTHONPATH=str(Path(uwconvoy.__file__).parents[1]), **setting)
+
+    def in_child(argv):
+        subprocess.run(
+            [sys.executable, "-m", "uwconvoy.cli", *argv], env=env, check=True, capture_output=True
+        )
+
+    got = _portability_outputs(tmp_path, in_child)
+    assert [name for name, data in portability_outputs.items() if got[name] != data] == []
 
 
 # SHA-256 of the footage ("frames": the PGM files concatenated in name order)

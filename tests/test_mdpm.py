@@ -512,7 +512,7 @@ def test_detect_on_sim_footage_localizes_flipper():
 
 def test_recall_and_precision_on_sim_sequences():
     """100-frame sequences, target visible for the first half only."""
-    from uwconvoy.sim import FootageScene, Pose, TargetModel
+    from uwconvoy.sim import FootageScene, Pose, TargetModel, project_bbox
 
     tp = fn = fp = tn = 0
     for i, gait in enumerate((1.5, 2.0, 2.5)):
@@ -521,11 +521,12 @@ def test_recall_and_precision_on_sim_sequences():
             rng=np.random.default_rng(600 + i),
         )
         visible = Pose(position=(1.2, 0.0, 0.0))
+        body = project_bbox(scene.camera, Pose(), visible, scene.target)
         hidden = Pose(position=(-5.0, 0.0, 0.0))
         tracker = MdpmTracker()
         for frame_index in range(100):
-            leader = visible if frame_index < 50 else hidden
-            det = tracker.push(scene.render(leader, Pose(), frame_index / 15.0))
+            leader, box = (visible, body) if frame_index < 50 else (hidden, None)
+            det = tracker.push(scene.render(leader, Pose(), box, frame_index / 15.0))
             if 9 <= frame_index < 50:  # buffers fully inside the visible span
                 tp += det is not None
                 fn += det is None

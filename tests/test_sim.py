@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from fractions import Fraction
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -133,11 +132,13 @@ def test_step_matches_the_vector_formula_bit_for_bit():
             vertical_speed=vertical,
         )
         cases.append((pose, cmd, float(rng.choice([0.02, 0.1, 1 / 3, 1.7]))))
-    for pose, cmd, dt in cases:
-        position, yaw, pitch = vector_step_follower(pose, cmd, dt)
-        stepped = step_follower(pose, cmd, dt)
-        assert np.array(stepped.position).tobytes() == np.array(position).tobytes()
-        assert (stepped.yaw, stepped.pitch) == (yaw, pitch)
+    # each case in still water and in a current
+    for (pose, cmd, dt), current in zip(cases, rng.uniform(-0.01, 0.01, (len(cases), 3))):
+        for drift in ((0.0, 0.0, 0.0), tuple(current.tolist())):
+            position, yaw, pitch = vector_step_follower(pose, cmd, dt, drift)
+            stepped = step_follower(pose, cmd, dt, drift)
+            assert np.array(stepped.position).tobytes() == np.array(position).tobytes()
+            assert (stepped.yaw, stepped.pitch) == (yaw, pitch)
 
 
 def test_step_rejects_bad_dt():
@@ -239,30 +240,6 @@ def test_projection_output_always_valid_box():
             assert box.y + box.h <= 1.0 + 1e-9
 
 
-def _fma(x: float, y: float, z: float) -> float:
-    """x * y + z rounded once, from exact rational arithmetic."""
-    return float(Fraction(x) * Fraction(y) + Fraction(z))
-
-
-def test_dot_product_of_3_vectors_is_an_fma_chain():
-    # _project_rect projects a box's centre and corners with one
-    # (5, 3) @ (3, 3) product
-    rng = np.random.default_rng(2017)
-    for rel, axes in zip(rng.standard_normal((100, 5, 3)), rng.standard_normal((100, 3, 3))):
-        product = (rel @ axes).tolist()
-        for i, a in enumerate(rel):
-            for j, b in enumerate(axes.T):
-                chain = _fma(a[2], b[2], _fma(a[1], b[1], a[0] * b[0]))
-                assert product[i][j] == chain, (
-                    f"entry ({i}, {j}) of numpy's (5, 3) @ (3, 3) product {rel!r} @ {axes!r}"
-                    " is not rounded as the fma chain fma(a2, b2, fma(a1, b1, a0 * b0))."
-                    " The golden trace and servo-sim hashes in tests/test_cli.py assume"
-                    " this rounding; a BLAS that rounds otherwise can fail them with"
-                    " correct code. A matrix-vector product or np.einsum rounds"
-                    " otherwise even on a BLAS that passes here."
-                )
-
-
 @st.composite
 def _projection_poses(draw):
     """A follower, pitched or level, and a leader along a bearing from it:
@@ -315,7 +292,7 @@ def test_projection_matches_per_corner_oracle(poses):
 
 def test_render_empty_scene_uniform_background():
     scene = FootageScene(noise_sigma=0.0, gait_phase0=0.0)
-    frame = scene.render(Pose(position=(-5.0, 0.0, 0.0)), Pose(), 0.0)
+    frame = scene.render(Pose(position=(-5.0, 0.0, 0.0)), Pose(), None, 0.0)
     assert np.all(frame == 0.4)
     assert frame.shape == (240, 320)
 
@@ -324,7 +301,7 @@ def test_render_empty_scene_is_background_plus_one_normal_draw():
     scene = FootageScene(rng=np.random.default_rng(4), noise_sigma=0.02, gait_phase0=0.0)
     rng = np.random.default_rng(4)
     for i in range(3):
-        frame = scene.render(Pose(position=(-5.0, 0.0, 0.0)), Pose(), i / 15.0)
+        frame = scene.render(Pose(position=(-5.0, 0.0, 0.0)), Pose(), None, i / 15.0)
         expected = np.full((240, 320), 0.4) + rng.normal(0.0, 0.02, (240, 320))
         np.clip(expected, 0.0, 1.0, out=expected)
         assert frame.tobytes() == expected.tobytes()
@@ -333,7 +310,8 @@ def test_render_empty_scene_is_background_plus_one_normal_draw():
 def test_flipper_mid_value_at_sine_zero_crossing():
     scene = FootageScene(noise_sigma=0.0, gait_phase0=0.0)
     # gait 2 Hz, phase0 0: at t = 0.5 s the phase is exactly 2*pi -> sin = 0
-    frame = scene.render(Pose(position=(1.2, 0.0, 0.0)), Pose(), 0.5)
+    leader = Pose(position=(1.2, 0.0, 0.0))
+    frame = scene.render(leader, Pose(), project_bbox(CAM, Pose(), leader, TARGET), 0.5)
     lo, hi = scene.flipper_range
     mid = lo + (hi - lo) * 0.5
     assert np.any(np.isclose(frame, mid, atol=1e-12))
@@ -361,9 +339,9 @@ def test_gait_jitter_requires_monotonic_time():
     scene = FootageScene(
         target=TargetModel(gait_jitter=0.2), noise_sigma=0.0, gait_phase0=0.0
     )
-    scene.render(Pose(position=(1.2, 0, 0)), Pose(), 1.0)
+    scene.render(Pose(position=(1.2, 0, 0)), Pose(), None, 1.0)
     with pytest.raises(ValueError):
-        scene.render(Pose(position=(1.2, 0, 0)), Pose(), 0.5)
+        scene.render(Pose(position=(1.2, 0, 0)), Pose(), None, 0.5)
 
 
 # ---------------------------------------------------------------------------
