@@ -22,7 +22,7 @@ import numpy as np
 from . import evaluation, fileio
 from .mdpm import MdpmConfig, MdpmTracker
 from .servo import compute_errors
-from .sim import ConvoyConfig, run_convoy, trace_footage
+from .sim import ConvoyConfig, SimTrace, run_convoy, trace_footage
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -79,6 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_servo = sub.add_parser("servo-sim", help="convoy run with a servo error summary")
     p_servo.add_argument("--config", required=True)
     p_servo.add_argument("--out", required=True, help="trace CSV path")
+    p_servo.set_defaults(seed=None, frames_out=None, annotations_out=None)
     return parser
 
 
@@ -110,18 +111,21 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _load_config(args) -> ConvoyConfig:
+def _run_and_write(args) -> tuple[ConvoyConfig, SimTrace]:
+    """The run of `sim` and `servo-sim`: load the config, refuse every output
+    path before the first tick, so that a refusal leaves no partial output
+    behind, then run the loop and write the trace and any footage."""
     config = fileio.parse_config(Path(args.config).read_text())
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = replace(config, seed=args.seed)
-    return config
-
-
-def _cmd_sim(args) -> int:
-    config = _load_config(args)
-    # refuse a missing output directory before writing anything, so the
-    # failure leaves no partial output behind
+    outputs = [p for p in (args.out, args.annotations_out, args.frames_out) if p]
+    resolved = [Path(p).resolve() for p in outputs]
+    for i, path in enumerate(outputs):
+        if resolved[i] in resolved[:i]:
+            raise ValueError(f"{path} is named for two outputs")
     for path in filter(None, (args.out, args.annotations_out)):
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"cannot write {path}: it is a directory")
         parent = Path(path).parent
         if not parent.is_dir():
             raise FileNotFoundError(f"cannot write {path}: no directory {parent}")
@@ -138,6 +142,11 @@ def _cmd_sim(args) -> int:
             fileio.write_frame_dir(frames, args.frames_out)
         if args.annotations_out:
             Path(args.annotations_out).write_text(fileio.format_annotations(annotations))
+    return config, trace
+
+
+def _cmd_sim(args) -> int:
+    _run_and_write(args)
     return 0
 
 
@@ -166,9 +175,7 @@ def _cmd_mdpm(args) -> int:
 
 
 def _cmd_servo_sim(args) -> int:
-    config = _load_config(args)
-    trace = run_convoy(config)
-    Path(args.out).write_text(fileio.format_trace_csv(trace))
+    config, trace = _run_and_write(args)
     servo = config.servo
     tail = [r for r in trace.records if r.t >= trace.records[-1].t / 2 and r.true_box]
     if tail:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -120,7 +119,6 @@ class MdpmConfig:
             )
 
 
-@lru_cache(maxsize=32)
 def _candidate_paths(rows: int, cols: int, length: int) -> np.ndarray:
     """All straight-line sub-window paths, border-clamped and deduplicated.
 

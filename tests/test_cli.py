@@ -278,6 +278,10 @@ def _unwritable_or_unreadable_path_argv(tmp_path, case):
         return ["sim", "--config", str(config), "--out", str(missing)], missing
     if case == "servo-sim --out missing dir":
         return ["servo-sim", "--config", str(config), "--out", str(missing)], missing
+    if case == "servo-sim --out existing dir":
+        existing_dir = tmp_path / "taken_dir"
+        existing_dir.mkdir()
+        return ["servo-sim", "--config", str(config), "--out", str(existing_dir)], existing_dir
     if case == "sim --frames-out existing file":
         argv = ["sim", "--config", str(config), "--out", str(tmp_path / "trace.csv")]
         return argv + ["--frames-out", str(existing_file)], existing_file
@@ -289,6 +293,17 @@ def _unwritable_or_unreadable_path_argv(tmp_path, case):
         argv = ["sim", "--config", str(config), "--out", str(tmp_path / "trace.csv")]
         argv += ["--frames-out", str(tmp_path / "footage"), "--annotations-out", str(missing)]
         return argv, missing
+    if case == "sim --annotations-out existing dir":
+        existing_dir = tmp_path / "taken_dir"
+        existing_dir.mkdir()
+        argv = ["sim", "--config", str(config), "--out", str(tmp_path / "trace.csv")]
+        argv += ["--frames-out", str(tmp_path / "footage"), "--annotations-out", str(existing_dir)]
+        return argv, existing_dir
+    if case == "sim --out existing dir":
+        existing_dir = tmp_path / "taken_dir"
+        existing_dir.mkdir()
+        argv = ["sim", "--config", str(config), "--out", str(existing_dir)]
+        return argv + ["--frames-out", str(tmp_path / "footage")], existing_dir
     assert case == "eval --report-dir existing file"
     ann = tmp_path / "ann.csv"
     ann.write_text(format_annotations([Annotation(0, False)]))
@@ -306,19 +321,48 @@ def _unwritable_or_unreadable_path_argv(tmp_path, case):
         "mdpm --out missing dir",
         "sim --out missing dir",
         "servo-sim --out missing dir",
+        "servo-sim --out existing dir",
         "sim --frames-out existing file",
         "sim --frames-out dir holding frames",
         "sim --annotations-out missing dir",
+        "sim --annotations-out existing dir",
+        "sim --out existing dir",
         "eval --report-dir existing file",
     ],
 )
-def test_path_the_os_refuses_is_data_error(tmp_path, capsys, case):
+def test_path_the_os_refuses_is_data_error(tmp_path, capsys, monkeypatch, case):
+    # a sim or servo-sim refusal comes before the first tick
+    monkeypatch.setattr("uwconvoy.cli.run_convoy", lambda config: pytest.fail("the run started"))
     argv, path = _unwritable_or_unreadable_path_argv(tmp_path, case)
     before = sorted(tmp_path.rglob("*"))
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert str(path) in captured.err
     # the refusal comes before any output: no trace, no frames, no report
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "flag, spelling",
+    [
+        ("--annotations-out", "trace.csv"),
+        ("--frames-out", "trace.csv"),
+        ("--annotations-out", "footage/../trace.csv"),
+    ],
+    ids=["annotations", "frames", "annotations through .."],
+)
+def test_two_outputs_on_one_path_exit_2(tmp_path, capsys, monkeypatch, flag, spelling):
+    # refused before the first tick: neither output would hold what it names
+    monkeypatch.setattr("uwconvoy.cli.run_convoy", lambda config: pytest.fail("the run started"))
+    config = tmp_path / "run.cfg"
+    config.write_text("sim.duration = 1\n")
+    before = sorted(tmp_path.rglob("*"))
+    second = str(tmp_path / spelling)
+    argv = ["sim", "--config", str(config), "--out", str(tmp_path / "trace.csv"), flag, second]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {second} is named for two outputs" in captured.err
     assert captured.out == ""
     assert sorted(tmp_path.rglob("*")) == before
 

@@ -1,7 +1,7 @@
 """Every name a uwconvoy module imports is used in that module, every
 module-level private name is used somewhere in the package, no module
-reaches into another's private names, and every name the package exports
-has a caller outside the tests.
+reaches into another's private names, and every public name and public
+method of the package has a caller outside the tests.
 
 No linter ships with the test extra, so this stands in for the unused-import
 and dead-code checks: a refactor that leaves an import or a private helper
@@ -16,9 +16,8 @@ import pytest
 import uwconvoy
 
 PACKAGE = sorted(Path(uwconvoy.__file__).parent.glob("*.py"))
-MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
-# exported with no caller but the tests: the reference objectives of
+# public with no caller but the tests: the reference objectives of
 # acceptance criteria 2 and 3, which no detector in the package trains
 REFERENCE_LOSSES = {"rrolo_gradient", "rrolo_loss", "vgg_gradient", "vgg_loss"}
 
@@ -42,24 +41,29 @@ def test_guard_flags_an_unused_import():
     assert _unused_imports(source) == ["line 1: field"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def _defined_names(stmt: ast.stmt) -> list[str]:
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return [stmt.name]
+def _defined_names(stmt: ast.stmt) -> list[tuple[str, int]]:
+    """The module-level names a top-level statement binds, with their lines;
+    for a class, also each of its methods and properties, as `Class.method`."""
+    if isinstance(stmt, ast.ClassDef):
+        methods = (n for n in stmt.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        return [(stmt.name, stmt.lineno)] + [(f"{stmt.name}.{m.name}", m.lineno) for m in methods]
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [(stmt.name, stmt.lineno)]
     if isinstance(stmt, ast.Assign):
-        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        return [(t.id, stmt.lineno) for t in stmt.targets if isinstance(t, ast.Name)]
     if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-        return [stmt.target.id]
+        return [(stmt.target.id, stmt.lineno)]
     return []
 
 
-def _referenced_names(stmt: ast.stmt) -> set[str]:
+def _referenced_names(tree: ast.AST) -> set[str]:
     names = set()
-    for node in ast.walk(stmt):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -69,20 +73,23 @@ def _referenced_names(stmt: ast.stmt) -> set[str]:
     return names
 
 
-def _unreferenced(sources: dict[str, str], wanted) -> list[str]:
-    """Module-level names, among those `wanted` accepts, that no top-level
-    statement of any source references, other than the statement that
-    defines them."""
+def _unreferenced(sources: dict[str, str], wanted, readers: dict[str, str]) -> list[str]:
+    """Names `sources` define, among those `wanted` accepts, that no top-level
+    statement of `sources` other than the defining one references, and that
+    nothing in `readers` references. A method counts as referenced wherever
+    an attribute of its name is read."""
     statements = [
         (module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body
     ]
     references = [_referenced_names(stmt) for _, stmt in statements]
+    outside = set().union(*(_referenced_names(ast.parse(source)) for source in readers.values()))
     dead = []
     for i, (module, stmt) in enumerate(statements):
-        for name in _defined_names(stmt):
-            used = any(name in refs for j, refs in enumerate(references) if j != i)
+        for name, line in _defined_names(stmt):
+            attr = name.rsplit(".", 1)[-1]
+            used = attr in outside or any(attr in refs for j, refs in enumerate(references) if j != i)
             if wanted(name) and not used:
-                dead.append(f"{module} line {stmt.lineno}: {name}")
+                dead.append(f"{module} line {line}: {name}")
     return dead
 
 
@@ -91,19 +98,17 @@ def _private(name: str) -> bool:
 
 
 def _dead_private_names(sources: dict[str, str]) -> list[str]:
-    return _unreferenced(sources, _private)
+    # module-level only: a private method is called from its own class
+    return _unreferenced(sources, lambda name: "." not in name and _private(name), {})
 
 
-def _test_only_exports(init_source: str, sources: dict[str, str]) -> list[str]:
-    """Names the package `__init__` imports that nothing in `sources`
-    (the other modules and the benchmark) references."""
-    exported = {
-        alias.name
-        for node in ast.parse(init_source).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    return _unreferenced(sources, exported.__contains__)
+def _test_only_public_names(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Public module-level names and public methods of public classes in
+    `sources` (the package) that neither another statement of the package
+    nor `readers` (the benchmark) references."""
+    return _unreferenced(
+        sources, lambda name: not any(part.startswith("_") for part in name.split(".")), readers
+    )
 
 
 def test_guard_flags_a_dead_private_name():
@@ -121,21 +126,40 @@ def test_package_uses_every_private_name():
     assert _dead_private_names({p.name: p.read_text() for p in PACKAGE}) == []
 
 
-def test_guard_flags_an_export_only_tests_call():
-    init = "from .m import called, benched, tested\n"
-    sources = {
-        "m.py": "def called():\n    pass\n\n"
+def test_guard_flags_a_public_function_only_tests_call():
+    source = (
+        "def called():\n    pass\n\n"
         "def benched():\n    return called()\n\n"
-        "def tested():\n    pass\n",
-        "bench.py": "import m\n\nm.benched()\n",
-    }
-    assert _test_only_exports(init, sources) == ["m.py line 7: tested"]
+        "def tested(n):\n    return tested(n - 1)\n"
+    )
+    bench = {"bench.py": "import m\n\nm.benched()\n"}
+    assert _test_only_public_names({"m.py": source}, bench) == ["m.py line 7: tested"]
 
 
-def test_every_export_has_a_caller_outside_the_tests():
-    sources = {p.relative_to(p.parents[1]).as_posix(): p.read_text() for p in MODULES + PERFBENCH}
-    found = _test_only_exports(Path(uwconvoy.__file__).read_text(), sources)
+def test_guard_flags_a_public_method_only_tests_call():
+    source = (
+        "class A:\n"
+        "    def __init__(self):\n        self.n = 0\n\n"
+        "    @property\n    def size(self):\n        return 1\n\n"
+        "    def benched(self):\n        return 2\n\n"
+        "    def tested(self):\n        return 3\n\n"
+        "def make():\n    return A().size\n"
+    )
+    bench = {"bench.py": "import m\n\nm.make()\nm.A().benched()\n"}
+    assert _test_only_public_names({"m.py": source}, bench) == ["m.py line 12: A.tested"]
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    readers = {p.name: p.read_text() for p in PERFBENCH}
+    found = _test_only_public_names(sources, readers)
     assert {entry.rsplit(": ", 1)[1] for entry in found} == REFERENCE_LOSSES, found
+
+
+def test_package_re_exports_nothing():
+    # an import in `__init__` would count as a caller of every name it names
+    body = ast.parse(Path(uwconvoy.__file__).read_text()).body
+    assert [type(stmt) for stmt in body] == [ast.Expr]
 
 
 def _foreign_private_names(source: str) -> list[str]:
