@@ -83,9 +83,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_input(path: str, parse):
+    """parse(text) of an input file, read as strict UTF-8 whatever the locale;
+    a DataFormatError, or a byte that is not UTF-8, names the path and line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise fileio.DataFormatError(f"{path}: line {line_no}: {exc}") from None
+    try:
+        return parse(text)
+    except fileio.DataFormatError as exc:
+        raise fileio.DataFormatError(f"{path}: {exc}") from None
+
+
 def _cmd_eval(args) -> int:
-    annotations = fileio.parse_annotations(Path(args.annotations).read_text())
-    predictions = fileio.parse_predictions(Path(args.predictions).read_text())
+    annotations = _parse_input(args.annotations, fileio.parse_annotations)
+    predictions = _parse_input(args.predictions, fileio.parse_predictions)
     if args.auto_threshold:
         threshold = evaluation.select_threshold(annotations, predictions)
     else:
@@ -115,7 +130,7 @@ def _run_and_write(args) -> tuple[ConvoyConfig, SimTrace]:
     """The run of `sim` and `servo-sim`: load the config, refuse every output
     path before the first tick, so that a refusal leaves no partial output
     behind, then run the loop and write the trace and any footage."""
-    config = fileio.parse_config(Path(args.config).read_text())
+    config = _parse_input(args.config, fileio.parse_config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     outputs = [p for p in (args.out, args.annotations_out, args.frames_out) if p]

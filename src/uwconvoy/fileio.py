@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, get_type_hints
+from typing import Callable, Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -71,78 +71,71 @@ def format_annotations(annotations: Sequence[Annotation]) -> str:
     return _csv(ANNOTATION_HEADER, rows)
 
 
-def _parse_float(raw: str, line_no: int, name: str) -> float:
+def _parse_float(raw: str, name: str) -> float:
     try:
         v = float(raw)
     except ValueError:
-        raise DataFormatError(f"line {line_no}: field {name} is not a number: {raw!r}") from None
+        raise DataFormatError(f"field {name} is not a number: {raw!r}") from None
     if not math.isfinite(v):
-        raise DataFormatError(f"line {line_no}: field {name} is not finite")
+        raise DataFormatError(f"field {name} is not finite")
     return v
 
 
-def _parse_box(parts: list[str], line_no: int, confidence: float) -> BoundingBox:
-    vals = [_parse_float(raw, line_no, name) for raw, name in zip(parts, "xywh")]
-    try:
-        return BoundingBox(*vals, p=confidence)
-    except ValueError as exc:
-        raise DataFormatError(f"line {line_no}: {exc}") from None
+def _parse_box(parts: list[str], confidence: float) -> BoundingBox:
+    return BoundingBox(*(_parse_float(raw, name) for raw, name in zip(parts, "xywh")), p=confidence)
 
 
-def _frame_rows(text: str, header: str) -> Iterator[tuple[int, int, list[str]]]:
-    """Yield (line_no, frame, fields) for each row of a frame-indexed CSV.
+def _frame_rows(text: str, header: str, parse_row: Callable[[int, list[str]], object]) -> list:
+    """parse_row(frame, fields) of each row of a frame-indexed CSV.
 
     Checks the header and the field count, skips blank lines, and requires
-    strictly increasing frame indices in [0, 2**53].
+    strictly increasing frame indices in [0, 2**53]. Any ValueError raised
+    while a row is parsed becomes a DataFormatError that names its line.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise DataFormatError(f"line 1: expected header {header!r}")
     n_fields = header.count(",") + 1
     prev_frame = -1
+    rows = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != n_fields:
-            raise DataFormatError(
-                f"line {line_no}: expected {n_fields} fields, got {len(parts)}"
-            )
         try:
-            frame = int(parts[0])
-        except ValueError:
-            raise DataFormatError(f"line {line_no}: bad frame index {parts[0]!r}") from None
-        if frame < 0:
-            raise DataFormatError(f"line {line_no}: frame index {frame} is negative")
-        if frame > 2**53:
-            # evaluation divides frame counts by the frame rate as floats
-            raise DataFormatError(f"line {line_no}: frame index above 2**53")
-        if frame <= prev_frame:
-            raise DataFormatError(
-                f"line {line_no}: frame {frame} not after frame {prev_frame}"
-            )
-        prev_frame = frame
-        yield line_no, frame, parts
+            if len(parts) != n_fields:
+                raise DataFormatError(f"expected {n_fields} fields, got {len(parts)}")
+            try:
+                frame = int(parts[0])
+            except ValueError:
+                raise DataFormatError(f"bad frame index {parts[0]!r}") from None
+            if frame < 0:
+                raise DataFormatError(f"frame index {frame} is negative")
+            if frame > 2**53:
+                # evaluation divides frame counts by the frame rate as floats
+                raise DataFormatError("frame index above 2**53")
+            if frame <= prev_frame:
+                raise DataFormatError(f"frame {frame} not after frame {prev_frame}")
+            prev_frame = frame
+            rows.append(parse_row(frame, parts))
+        except ValueError as exc:
+            raise DataFormatError(f"line {line_no}: {exc}") from None
+    return rows
+
+
+def _annotation(frame: int, parts: list[str]) -> Annotation:
+    if parts[1] == "1":
+        return Annotation(frame, True, _parse_box(parts[2:6], confidence=1.0))
+    if parts[1] != "0":
+        raise DataFormatError(f"present flag must be 0 or 1, got {parts[1]!r}")
+    if any(p.strip() for p in parts[2:6]):
+        raise DataFormatError("absent frame must leave box fields empty")
+    return Annotation(frame, False)
 
 
 def parse_annotations(text: str) -> list[Annotation]:
     """Parse an annotation file; frames must be strictly increasing."""
-    annotations = []
-    for line_no, frame, parts in _frame_rows(text, ANNOTATION_HEADER):
-        if parts[1] == "1":
-            box = _parse_box(parts[2:6], line_no, confidence=1.0)
-            annotations.append(Annotation(frame, True, box))
-        elif parts[1] == "0":
-            if any(p.strip() for p in parts[2:6]):
-                raise DataFormatError(
-                    f"line {line_no}: absent frame must leave box fields empty"
-                )
-            annotations.append(Annotation(frame, False))
-        else:
-            raise DataFormatError(
-                f"line {line_no}: present flag must be 0 or 1, got {parts[1]!r}"
-            )
-    return annotations
+    return _frame_rows(text, ANNOTATION_HEADER, _annotation)
 
 
 # ---------------------------------------------------------------------------
@@ -156,45 +149,39 @@ def format_predictions(predictions: Sequence[tuple[int, BoundingBox | None]]) ->
     return _csv(PREDICTION_HEADER, rows)
 
 
+def _prediction(frame: int, parts: list[str]) -> tuple[int, BoundingBox | None]:
+    confidence = _parse_float(parts[1], "confidence")
+    if not 0.0 <= confidence <= 1.0:
+        raise DataFormatError(f"confidence {confidence} outside [0,1]")
+    box = _parse_box(parts[2:6], confidence) if any(p.strip() for p in parts[2:6]) else None
+    return frame, box
+
+
 def parse_predictions(text: str) -> list[tuple[int, BoundingBox | None]]:
     """Parse a prediction file into (frame, optional box) pairs.
 
     The parsed box carries the row's confidence in its p field.
     """
-    predictions: list[tuple[int, BoundingBox | None]] = []
-    for line_no, frame, parts in _frame_rows(text, PREDICTION_HEADER):
-        confidence = _parse_float(parts[1], line_no, "confidence")
-        if not 0.0 <= confidence <= 1.0:
-            raise DataFormatError(
-                f"line {line_no}: confidence {confidence} outside [0,1]"
-            )
-        if any(p.strip() for p in parts[2:6]):
-            box = _parse_box(parts[2:6], line_no, confidence)
-            predictions.append((frame, box))
-        else:
-            predictions.append((frame, None))
-    return predictions
+    return _frame_rows(text, PREDICTION_HEADER, _prediction)
 
 
 # ---------------------------------------------------------------------------
 # config files
 
-def _parse_int(raw: str, line_no: int, key: str) -> int:
+def _parse_int(raw: str, key: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise DataFormatError(f"line {line_no}: key {key} needs an integer, got {raw!r}") from None
+        raise DataFormatError(f"key {key} needs an integer, got {raw!r}") from None
 
 
-def _parse_occlusions(raw: str, line_no: int, key: str) -> tuple[tuple[float, float], ...]:
+def _parse_occlusions(raw: str, key: str) -> tuple[tuple[float, float], ...]:
     intervals = []
     for chunk in raw.split(","):
         bounds = chunk.split(":")
         if len(bounds) != 2:
-            raise DataFormatError(
-                f"line {line_no}: occlusions must be start:end pairs, got {chunk!r}"
-            )
-        intervals.append(tuple(_parse_float(b, line_no, key) for b in bounds))
+            raise DataFormatError(f"occlusions must be start:end pairs, got {chunk!r}")
+        intervals.append(tuple(_parse_float(b, key) for b in bounds))
     return tuple(intervals)
 
 
@@ -208,11 +195,9 @@ _SCRIPTS = {
 
 def _choice(*options: str):
     """Parser for a key that takes one of the given words."""
-    def parse(raw: str, line_no: int, key: str) -> str:
+    def parse(raw: str, key: str) -> str:
         if raw not in options:
-            raise DataFormatError(
-                f"line {line_no}: key {key} must be one of {', '.join(options)}, got {raw!r}"
-            )
+            raise DataFormatError(f"key {key} must be one of {', '.join(options)}, got {raw!r}")
         return raw
     return parse
 
@@ -273,7 +258,8 @@ def parse_config(text: str) -> ConvoyConfig:
 
     Unknown keys, and keys that the rest of the file makes ineffective, are
     rejected with their line number; '#' starts a comment. Absent keys take
-    the defaults of the dataclasses they set.
+    the defaults of the dataclasses they set. Any ValueError raised while a
+    line is parsed becomes a DataFormatError that names the line.
     """
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
@@ -281,26 +267,29 @@ def parse_config(text: str) -> ConvoyConfig:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise DataFormatError(f"line {line_no}: expected key=value, got {raw_line!r}")
-        key, raw_value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise DataFormatError(f"line {line_no}: unknown config key {key!r}")
-        if key in values:
-            raise DataFormatError(f"line {line_no}: duplicate config key {key!r}")
-        parse, cls, name = CONFIG_KEYS[key]
-        values[key] = parse(raw_value, line_no, key)
-        lines[key] = line_no
-        if cls is not None:
-            # a field's own invariant is checked here, where its line number
-            # is known; a ScheduleError involves other lines, so it waits for
-            # the whole file
-            try:
-                cls(**{name: values[key]})
-            except ScheduleError:
-                pass
-            except ValueError as exc:
-                raise DataFormatError(f"line {line_no}: invalid {key}: {exc}") from None
+        try:
+            if "=" not in line:
+                raise DataFormatError(f"expected key=value, got {raw_line!r}")
+            key, raw_value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise DataFormatError(f"unknown config key {key!r}")
+            if key in values:
+                raise DataFormatError(f"duplicate config key {key!r}")
+            parse, cls, name = CONFIG_KEYS[key]
+            values[key] = parse(raw_value, key)
+            lines[key] = line_no
+            if cls is not None:
+                # a field's own invariant is checked here, where its line
+                # number is known; a ScheduleError involves other lines, so it
+                # waits for the whole file
+                try:
+                    cls(**{name: values[key]})
+                except ScheduleError:
+                    pass
+                except ValueError as exc:
+                    raise DataFormatError(f"invalid {key}: {exc}") from None
+        except ValueError as exc:
+            raise DataFormatError(f"line {line_no}: {exc}") from None
 
     def set_fields(cls: type) -> dict[str, object]:
         return {

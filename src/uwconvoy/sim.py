@@ -30,6 +30,13 @@ _PITCH_LIMIT = math.pi / 2 - 1e-6
 _BACKGROUND = 0.4
 _BODY_INTENSITY = 0.85
 
+# Most physics ticks one run may take: 5.5 h at the default 50 Hz; `sim`
+# peak memory grows about 1.7 kB a tick with the held trace, so about 1.7 GB.
+MAX_TICKS = 10**6
+
+# Largest image width or height: a float64 frame of 4096x4096 takes 128 MiB.
+MAX_IMAGE_SIDE = 4096
+
 
 def _require_finite(name: str, values: tuple[float, ...]) -> None:
     if not all(map(math.isfinite, values)):
@@ -76,9 +83,10 @@ class CameraModel:
     def __post_init__(self):
         if not 0.0 < self.horizontal_fov < math.pi:
             raise ValueError(f"horizontal_fov {self.horizontal_fov} outside (0, pi)")
-        if self.image_width <= 0 or self.image_height <= 0:
+        if not all(0 < side <= MAX_IMAGE_SIDE for side in (self.image_width, self.image_height)):
             raise ValueError(
-                f"image size {self.image_width}x{self.image_height} must be positive"
+                f"image size {self.image_width}x{self.image_height}: each side must lie in"
+                f" 1..{MAX_IMAGE_SIDE}"
             )
 
     @property
@@ -493,10 +501,6 @@ class SimTrace:
 # frame schedules) are quotients that may round apart at the same instant; an
 # event is due on a tick when it is due within this slack.
 _TICK_SLACK = 1e-12
-
-# Most physics ticks one run may take: 5.5 h at the default 50 Hz; `sim`
-# peak memory grows about 1.7 kB a tick with the held trace, so about 1.7 GB.
-MAX_TICKS = 10**6
 
 
 class ScheduleError(ValueError):

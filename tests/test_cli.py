@@ -245,6 +245,53 @@ def test_data_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_names_the_file_that_holds_a_bad_row(eval_files, capsys):
+    # both files have six fields a row, so only the path tells them apart
+    ann_path, pred_path = eval_files
+    lines = pred_path.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0]
+    pred_path.write_text("\n".join(lines) + "\n")
+    argv = ["eval", "--annotations", str(ann_path), "--predictions", str(pred_path)]
+    assert run_cli(argv + ["--threshold", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pred_path}: line 2: expected 6 fields, got 5")
+    assert str(ann_path) not in err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--annotations", "--predictions"])
+def test_byte_that_is_not_utf8_names_the_input_and_its_line(eval_files, tmp_path, capsys, flag):
+    ann_path, pred_path = eval_files
+    if flag == "--config":
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"sim.seed = 3\nsim.duration = 1\n")
+        argv = ["sim", "--config", str(path), "--out", str(tmp_path / "trace.csv")]
+    else:
+        path = ann_path if flag == "--annotations" else pred_path
+        argv = ["eval", "--annotations", str(ann_path), "--predictions", str(pred_path)]
+        argv += ["--threshold", "0.5"]
+    lines = path.read_bytes().split(b"\n")
+    lines[2] += b" \xff"
+    path.write_bytes(b"\n".join(lines))
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 3: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_text_inputs_are_read_as_utf8_whatever_the_locale(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("# réglage\nsim.duration = 2\n", encoding="utf-8")
+    argv = ["servo-sim", "--config", str(config), "--out"]
+    _run_in_process(argv + [str(tmp_path / "parent.csv")])
+    # the C locale without coercion or UTF-8 mode: the locale encoding is ASCII
+    locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    env = dict(os.environ, PYTHONPATH=str(Path(uwconvoy.__file__).parents[1]), **locale)
+    subprocess.run(
+        [sys.executable, "-m", "uwconvoy.cli", *argv, str(tmp_path / "child.csv")],
+        env=env, check=True, capture_output=True,
+    )
+    assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "parent.csv").read_bytes()
+
+
 def test_missing_file_is_data_error(tmp_path):
     code = run_cli(
         [
@@ -740,8 +787,9 @@ def test_sim_and_mdpm_memory_stays_flat_in_clip_length(tmp_path):
         ("sim.duration = 0.001", "duration 0.001 s gives 0.05 ticks"),
         ("sim.duration = 1e9", "duration 1e+09 s gives 5e+10 ticks"),
         ("sim.frame_rate = 1e9", "frame_rate 1e+09 Hz exceeds physics_rate 50 Hz"),
+        ("sim.image_width = 1000000000", "image size 1000000000x240: each side must lie in"),
     ],
-    ids=["servo too fast", "zero duration", "too short", "too long", "frames too fast"],
+    ids=["servo too fast", "zero duration", "too short", "too long", "frames too fast", "too wide"],
 )
 def test_run_the_loop_cannot_honour_exits_2(tmp_path, capsys, monkeypatch, command, line, message):
     # refused with the config, before the first tick
@@ -751,7 +799,7 @@ def test_run_the_loop_cannot_honour_exits_2(tmp_path, capsys, monkeypatch, comma
     out = tmp_path / "trace.csv"
     assert run_cli([command, "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: line 2: ") and message in err
+    assert err.startswith(f"error: {config}: line 2: ") and message in err
     assert not out.exists()
 
 

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uwconvoy.evaluation import MetricsReport, classify_frames, histogram_report
@@ -166,6 +166,35 @@ def test_predictions_format_parse_format_is_byte_stable(rows):
     assert format_predictions(parse_predictions(text)) == text
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    predictions=st.booleans(),
+    rows=_increasing_frames(st.none() | _boxes(st.just(1.0))),
+    junk=st.sampled_from(["nan", "inf", "", "1e400", "-1", "2", "banana", "1_0", "9" * 5000]),
+    data=st.data(),
+)
+def test_csv_corrupted_cell_parses_or_names_its_line(predictions, rows, junk, data):
+    assume(rows)
+    if predictions:
+        text, parse = format_predictions(rows), parse_predictions
+    else:
+        text = format_annotations([Annotation(f, box is not None, box) for f, box in rows])
+        parse = parse_annotations
+    lines = text.splitlines()
+    line_no = data.draw(st.integers(2, len(lines)), label="line")
+    cells = lines[line_no - 1].split(",")
+    column = data.draw(st.integers(0, len(cells) - 1), label="column")
+    cells[column] = junk
+    lines[line_no - 1] = ",".join(cells)
+    try:
+        parse("\n".join(lines) + "\n")
+    except DataFormatError as exc:
+        # a frame index that parses may instead put the next row out of order
+        assert str(exc).startswith(f"line {line_no}: ") or (
+            column == 0 and str(exc).startswith(f"line {line_no + 1}: frame ")
+        )
+
+
 # ---------------------------------------------------------------------------
 # config
 
@@ -298,6 +327,8 @@ def test_parse_config_rejects_camera_aspect():
         "sim.physics_rate = 1e308",
         "sim.duration = 1e9",
         "sim.frame_rate = 1e9",
+        "sim.image_width = 4097",
+        pytest.param("sim.image_height = 1" + "0" * 400, id="sim.image_height = 10**400"),
     ],
 )
 def test_parse_config_rejects_bad_value_naming_its_line(line):
