@@ -12,6 +12,7 @@ cannot be read or written).
 from __future__ import annotations
 
 import argparse
+import codecs
 import math
 import sys
 from dataclasses import replace
@@ -84,9 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_input(path: str, parse):
-    """parse(text) of an input file, read as strict UTF-8 whatever the locale;
-    a DataFormatError, or a byte that is not UTF-8, names the path and line."""
-    data = Path(path).read_bytes()
+    """parse(text) of an input file, read as strict UTF-8 whatever the locale,
+    after a byte-order mark if it starts with one; a DataFormatError, or a
+    byte that is not UTF-8, names the path and line."""
+    # the byte-order mark is dropped before decoding, not by the utf-8-sig
+    # codec, whose error offsets would count from after the mark
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

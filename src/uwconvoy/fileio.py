@@ -71,9 +71,25 @@ def format_annotations(annotations: Sequence[Annotation]) -> str:
     return _csv(ANNOTATION_HEADER, rows)
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of text as an editor counts them: split at each line feed
+    alone, each without one trailing carriage return, so that a CRLF file
+    reads as its LF form."""
+    return [line.removesuffix("\r") for line in text.split("\n")]
+
+
+def _number(convert: Callable[[str], object], raw: str):
+    """convert(raw) for int or float, refusing the forms that only Python
+    reads and no writer here produces: an underscore, or a character
+    outside ASCII, such as a digit of another script."""
+    if "_" in raw or not raw.isascii():
+        raise ValueError(f"not a plain number: {raw!r}")
+    return convert(raw)
+
+
 def _parse_float(raw: str, name: str) -> float:
     try:
-        v = float(raw)
+        v = _number(float, raw)
     except ValueError:
         raise DataFormatError(f"field {name} is not a number: {raw!r}") from None
     if not math.isfinite(v):
@@ -92,8 +108,8 @@ def _frame_rows(text: str, header: str, parse_row: Callable[[int, list[str]], ob
     strictly increasing frame indices in [0, 2**53]. Any ValueError raised
     while a row is parsed becomes a DataFormatError that names its line.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != header:
+    lines = _lines(text)
+    if lines[0].strip() != header:
         raise DataFormatError(f"line 1: expected header {header!r}")
     n_fields = header.count(",") + 1
     prev_frame = -1
@@ -106,7 +122,7 @@ def _frame_rows(text: str, header: str, parse_row: Callable[[int, list[str]], ob
             if len(parts) != n_fields:
                 raise DataFormatError(f"expected {n_fields} fields, got {len(parts)}")
             try:
-                frame = int(parts[0])
+                frame = _number(int, parts[0])
             except ValueError:
                 raise DataFormatError(f"bad frame index {parts[0]!r}") from None
             if frame < 0:
@@ -170,7 +186,7 @@ def parse_predictions(text: str) -> list[tuple[int, BoundingBox | None]]:
 
 def _parse_int(raw: str, key: str) -> int:
     try:
-        return int(raw)
+        return _number(int, raw)
     except ValueError:
         raise DataFormatError(f"key {key} needs an integer, got {raw!r}") from None
 
@@ -263,7 +279,7 @@ def parse_config(text: str) -> ConvoyConfig:
     """
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    for line_no, raw_line in enumerate(_lines(text), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue

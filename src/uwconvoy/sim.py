@@ -16,9 +16,11 @@ flipper region, and field-statistics-shaped noisy detections.
 from __future__ import annotations
 
 import bisect
+import collections
 import math
+import threading
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -364,13 +366,12 @@ class FootageScene:
         y1 = int(round((box.y + box.h) * h))
         return x0, x1, y0, y1
 
-    def render(
-        self, leader: Pose, follower: Pose, body: BoundingBox | None, t: float
-    ) -> np.ndarray:
-        """The frame at time t: samples in [0, 1], shape (height, width).
+    def background(self, t: float) -> tuple[np.ndarray, float]:
+        """The noisy background of the frame at time t and the gait phase at t.
 
-        body is project_bbox of the leader as the follower sees it, with this
-        scene's camera and target, or None when it is hidden.
+        The only method that draws from the scene's stream: one normal draw
+        for the pixel noise, then any gait jitter draws. Call it once per
+        frame, in frame order, before that frame's render.
         """
         cam = self.camera
         shape = (cam.image_height, cam.image_width)
@@ -380,12 +381,27 @@ class FootageScene:
             img = self.rng.normal(_BACKGROUND, self.noise_sigma, shape)
         else:
             img = np.full(shape, _BACKGROUND)
-        phase = self._gait.at(t)
+        return img, self._gait.at(t)
 
+    def render(
+        self,
+        leader: Pose,
+        follower: Pose,
+        body: BoundingBox | None,
+        background: tuple[np.ndarray, float],
+    ) -> np.ndarray:
+        """The frame at time t, painted into background, this scene's
+        background(t): samples in [0, 1], shape (height, width). Draws
+        nothing; paints into the background's array and returns it.
+
+        body is project_bbox of the leader as the follower sees it, with this
+        scene's camera and target, or None when it is hidden.
+        """
+        img, phase = background
         if body is not None:
             x0, x1, y0, y1 = self._pixel_rect(body)
             img[y0:y1, x0:x1] = _BODY_INTENSITY
-            flipper = _flipper_box(cam, follower, leader, self.target)
+            flipper = _flipper_box(self.camera, follower, leader, self.target)
             if flipper is not None:
                 lo, hi = self.flipper_range
                 level = lo + (hi - lo) * 0.5 * (1.0 + math.sin(phase))
@@ -400,7 +416,10 @@ class FootageScene:
     ) -> list[np.ndarray]:
         """Static-pose footage: frame i is rendered at time i/fps."""
         body = project_bbox(self.camera, follower, leader, self.target)
-        return [self.render(leader, follower, body, i / fps) for i in range(frame_count)]
+        return [
+            self.render(leader, follower, body, self.background(i / fps))
+            for i in range(frame_count)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +650,10 @@ def trace_footage(
     Frame i, at time i / frame_rate up to the last tick, takes the last record
     at or before that time. Returns each frame's ground-truth annotation, and
     a generator that renders the frames from the same samples with the run's
-    camera, target and footage stream, one frame held at a time.
+    camera, target and footage stream. Each frame is painted on the caller's
+    thread into a background that a worker thread draws at most _DRAW_AHEAD
+    frames ahead, so a few frames are held at a time, never the clip; the
+    draws keep the stream's order, so the bytes do not depend on timing.
     """
     records, fps = trace.records, config.frame_rate
     samples = []
@@ -643,4 +665,65 @@ def trace_footage(
         for i, (_, record) in enumerate(samples)
     ]
     scene = FootageScene(camera=config.camera, target=config.target, rng=_run_rng(config.seed, 1))
-    return annotations, (scene.render(r.leader, r.follower, r.true_box, t) for t, r in samples)
+
+    def frames():
+        backgrounds = _drawn_ahead(scene.background, [t for t, _ in samples])
+        try:
+            for (_, r), background in zip(samples, backgrounds):
+                yield scene.render(r.leader, r.follower, r.true_box, background)
+        finally:
+            backgrounds.close()
+
+    return annotations, frames()
+
+
+# Items _drawn_ahead's worker may draw before the caller takes them: one
+# ready while the caller paints and writes a frame, one being drawn.
+_DRAW_AHEAD = 2
+
+
+def _drawn_ahead(
+    draw: Callable[[float], tuple[np.ndarray, float]], args: list[float]
+) -> Iterator[tuple[np.ndarray, float]]:
+    """draw(a) for each a of args, in order, each computed on one worker
+    thread at most _DRAW_AHEAD items before the caller takes it.
+
+    The worker starts with the first item asked for. An error that draw
+    raises is raised here in its turn, after the items drawn before it. The
+    worker is joined when the items end, when an error is raised, and when
+    the generator is closed; it ends without drawing further.
+    """
+    free = threading.Semaphore(_DRAW_AHEAD)
+    drawn = threading.Semaphore(0)
+    results = collections.deque()
+    closing = threading.Event()
+
+    def work():
+        for a in args:
+            free.acquire()
+            if closing.is_set():
+                return
+            try:
+                results.append((draw(a), None))
+            except Exception as exc:
+                results.append((None, exc))
+                return
+            finally:
+                drawn.release()
+
+    # a daemon, so that frames never closed cannot keep the process alive
+    worker = threading.Thread(target=work, name="uwconvoy-draw-ahead", daemon=True)
+    worker.start()
+    try:
+        for _ in args:
+            drawn.acquire()
+            value, error = results.popleft()
+            if error is not None:
+                raise error
+            free.release()
+            yield value
+    finally:
+        # wakes a worker waiting for a free slot; it sees closing and ends
+        closing.set()
+        free.release()
+        worker.join()

@@ -341,3 +341,13 @@ def record_walk_samples(records, fps: float):
         samples.append((i, records[idx]))
         i += 1
     return samples
+
+
+def serial_footage(scene, samples, fps: float):
+    """Frames of (frame_index, record) samples rendered one after another
+    on the calling thread, as first written: the scene draws frame i's
+    background at time i / fps inline, then paints that frame into it."""
+    return [
+        scene.render(r.leader, r.follower, r.true_box, scene.background(i / fps))
+        for i, r in samples
+    ]

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -17,12 +18,15 @@ from uwconvoy.cli import run_cli
 from uwconvoy.fileio import (
     format_annotations,
     format_predictions,
+    parse_config,
     parse_predictions,
     write_frame_dir,
 )
 from uwconvoy.geometry import Annotation, BoundingBox
 from uwconvoy.mdpm import MdpmConfig
-from uwconvoy.sim import FootageScene, Pose, TargetModel
+from uwconvoy.sim import FootageScene, Pose, TargetModel, run_convoy
+
+from oracles import one_line_write_pgm, record_walk_samples, serial_footage
 
 
 @pytest.fixture
@@ -292,6 +296,36 @@ def test_text_inputs_are_read_as_utf8_whatever_the_locale(tmp_path):
     assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "parent.csv").read_bytes()
 
 
+@pytest.mark.parametrize("flag", ["--config", "--annotations", "--predictions"])
+def test_byte_order_mark_is_read_past(eval_files, tmp_path, capsys, flag):
+    ann_path, pred_path = eval_files
+    if flag == "--config":
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"sim.seed = 3\nsim.duration = 1\n")
+        argv = ["sim", "--config", str(path), "--out", str(tmp_path / "trace.csv")]
+        output = tmp_path / "trace.csv"
+    else:
+        path = ann_path if flag == "--annotations" else pred_path
+        argv = ["eval", "--annotations", str(ann_path), "--predictions", str(pred_path)]
+        argv += ["--threshold", "0.5", "--report-dir", str(tmp_path / "report")]
+        output = tmp_path / "report" / "metrics.csv"
+
+    def run():
+        assert run_cli(argv) == 0
+        return capsys.readouterr().out, output.read_bytes()
+
+    plain = path.read_bytes()
+    without = run()
+    path.write_bytes(b"\xef\xbb\xbf" + plain)
+    assert run() == without
+    # a bad byte after the mark names its line as in the file without it
+    lines = plain.split(b"\n")
+    lines[2] += b" \xff"
+    path.write_bytes(b"\xef\xbb\xbf" + b"\n".join(lines))
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 3: 'utf-8' codec can't")
+
+
 def test_missing_file_is_data_error(tmp_path):
     code = run_cli(
         [
@@ -439,6 +473,50 @@ def test_sim_deterministic_outputs(tmp_path):
     assert trace_a == trace_b
     assert len(frames_a) > 0
     assert frames_a == frames_b
+
+
+def test_sim_footage_is_the_serial_render_with_gait_jitter_and_current(tmp_path):
+    # the goldens pin gait jitter 0 only; jitter draws come from the stream
+    # that draws the pixel noise, so they must keep its order
+    from uwconvoy.sim import _run_rng  # white-box: the run's footage stream
+
+    text = "sim.seed = 3\nsim.duration = 3\nsim.gait_jitter = 0.3\nsim.current_y = 0.03\n"
+    config_path, frames = tmp_path / "run.cfg", tmp_path / "frames"
+    config_path.write_text(text)
+    before = threading.active_count()
+    argv = ["sim", "--config", str(config_path), "--out", str(tmp_path / "trace.csv")]
+    assert run_cli(argv + ["--frames-out", str(frames)]) == 0
+    assert threading.active_count() == before
+    config = parse_config(text)
+    trace = run_convoy(config)
+    scene = FootageScene(camera=config.camera, target=config.target, rng=_run_rng(3, 1))
+    samples = record_walk_samples(trace.records, config.frame_rate)
+    expected = serial_footage(scene, samples, config.frame_rate)
+    assert len(expected) == 45
+    assert [p.read_bytes() for p in sorted(frames.iterdir())] == list(
+        map(one_line_write_pgm, expected)
+    )
+
+
+def test_sim_frame_write_error_exits_2_and_keeps_the_frames_before(tmp_path, capsys, monkeypatch):
+    write_pgm = uwconvoy.fileio.write_pgm
+    calls = []
+
+    def fails_on_the_fifth(frame):
+        calls.append(None)
+        if len(calls) == 5:
+            raise OSError("No space left on device")
+        return write_pgm(frame)
+
+    monkeypatch.setattr("uwconvoy.fileio.write_pgm", fails_on_the_fifth)
+    config, frames = tmp_path / "run.cfg", tmp_path / "frames"
+    config.write_text("sim.seed = 3\nsim.duration = 2\n")
+    before = threading.active_count()
+    argv = ["sim", "--config", str(config), "--out", str(tmp_path / "trace.csv")]
+    assert run_cli(argv + ["--frames-out", str(frames)]) == 2
+    assert threading.active_count() == before
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert sorted(p.name for p in frames.iterdir()) == [f"frame_{i:06d}.pgm" for i in range(4)]
 
 
 def test_sim_seed_changes_trace(tmp_path):

@@ -166,11 +166,18 @@ def test_predictions_format_parse_format_is_byte_stable(rows):
     assert format_predictions(parse_predictions(text)) == text
 
 
+# numbers that Python's int() and float() read but no writer produces:
+# underscores, Arabic-Indic and fullwidth digits
+PYTHON_ONLY_NUMBERS = ["1_0", "0.5_0", "\u0661\u0662", "\uff11"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     predictions=st.booleans(),
     rows=_increasing_frames(st.none() | _boxes(st.just(1.0))),
-    junk=st.sampled_from(["nan", "inf", "", "1e400", "-1", "2", "banana", "1_0", "9" * 5000]),
+    junk=st.sampled_from(
+        ["nan", "inf", "", "1e400", "-1", "2", "banana", "9" * 5000, *PYTHON_ONLY_NUMBERS]
+    ),
     data=st.data(),
 )
 def test_csv_corrupted_cell_parses_or_names_its_line(predictions, rows, junk, data):
@@ -193,6 +200,8 @@ def test_csv_corrupted_cell_parses_or_names_its_line(predictions, rows, junk, da
         assert str(exc).startswith(f"line {line_no}: ") or (
             column == 0 and str(exc).startswith(f"line {line_no + 1}: frame ")
         )
+    else:
+        assert junk not in PYTHON_ONLY_NUMBERS
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +338,38 @@ def test_parse_config_rejects_camera_aspect():
         "sim.frame_rate = 1e9",
         "sim.image_width = 4097",
         pytest.param("sim.image_height = 1" + "0" * 400, id="sim.image_height = 10**400"),
+        "sim.seed = 1_0",
+        "sim.duration = 2_0",
+        pytest.param("sim.seed = \u0661\u0662", id="sim.seed = arabic-indic 12"),
+        pytest.param("sim.duration = \uff15", id="sim.duration = fullwidth 5"),
     ],
 )
 def test_parse_config_rejects_bad_value_naming_its_line(line):
     with pytest.raises(DataFormatError, match="^line 2: "):
         parse_config(f"# run\n{line}\n")
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"])
+def test_config_lines_end_at_line_feeds_alone(separator):
+    # characters that str.splitlines breaks at, but an editor does not
+    with pytest.raises(DataFormatError, match="^line 1: key sim.seed needs an integer"):
+        parse_config(f"sim.seed = 1{separator}sim.duration = 5\n")
+    with pytest.raises(DataFormatError, match="^line 2: unknown config key 'sim.bogus'"):
+        parse_config(f"sim.seed = 1{separator}\nsim.bogus = 2\n")
+
+
+def test_crlf_files_parse_as_their_lf_form():
+    assert parse_config(GOOD_CONFIG.replace("\n", "\r\n")) == parse_config(GOOD_CONFIG)
+    with pytest.raises(DataFormatError, match="^line 3: unknown config key 'sim.bogus'"):
+        parse_config("sim.seed = 1\r\n\r\nsim.bogus = 2\r\n")
+    box = BoundingBox(0.1, 0.2, 0.3, 0.4, 0.75)
+    annotations = format_annotations([Annotation(0, True, replace(box, p=1.0)), Annotation(2, False)])
+    predictions = format_predictions([(0, box), (1, None)])
+    for text, parse in ((annotations, parse_annotations), (predictions, parse_predictions)):
+        assert parse(text.replace("\n", "\r\n")) == parse(text)
+        header, row = text.split("\n")[:2]
+        with pytest.raises(DataFormatError, match="^line 3: frame 0 not after frame 0"):
+            parse(f"{header}\r\n{row}\r\n{row}\r\n")
 
 
 def test_parse_config_checks_rates_against_the_whole_file():

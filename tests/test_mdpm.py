@@ -526,7 +526,8 @@ def test_recall_and_precision_on_sim_sequences():
         tracker = MdpmTracker()
         for frame_index in range(100):
             leader, box = (visible, body) if frame_index < 50 else (hidden, None)
-            det = tracker.push(scene.render(leader, Pose(), box, frame_index / 15.0))
+            frame = scene.render(leader, Pose(), box, scene.background(frame_index / 15.0))
+            det = tracker.push(frame)
             if 9 <= frame_index < 50:  # buffers fully inside the visible span
                 tp += det is not None
                 fn += det is None

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+import time
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -292,7 +294,7 @@ def test_projection_matches_per_corner_oracle(poses):
 
 def test_render_empty_scene_uniform_background():
     scene = FootageScene(noise_sigma=0.0, gait_phase0=0.0)
-    frame = scene.render(Pose(position=(-5.0, 0.0, 0.0)), Pose(), None, 0.0)
+    frame = scene.render(Pose(position=(-5.0, 0.0, 0.0)), Pose(), None, scene.background(0.0))
     assert np.all(frame == 0.4)
     assert frame.shape == (240, 320)
 
@@ -301,7 +303,9 @@ def test_render_empty_scene_is_background_plus_one_normal_draw():
     scene = FootageScene(rng=np.random.default_rng(4), noise_sigma=0.02, gait_phase0=0.0)
     rng = np.random.default_rng(4)
     for i in range(3):
-        frame = scene.render(Pose(position=(-5.0, 0.0, 0.0)), Pose(), None, i / 15.0)
+        frame = scene.render(
+            Pose(position=(-5.0, 0.0, 0.0)), Pose(), None, scene.background(i / 15.0)
+        )
         expected = np.full((240, 320), 0.4) + rng.normal(0.0, 0.02, (240, 320))
         np.clip(expected, 0.0, 1.0, out=expected)
         assert frame.tobytes() == expected.tobytes()
@@ -311,7 +315,8 @@ def test_flipper_mid_value_at_sine_zero_crossing():
     scene = FootageScene(noise_sigma=0.0, gait_phase0=0.0)
     # gait 2 Hz, phase0 0: at t = 0.5 s the phase is exactly 2*pi -> sin = 0
     leader = Pose(position=(1.2, 0.0, 0.0))
-    frame = scene.render(leader, Pose(), project_bbox(CAM, Pose(), leader, TARGET), 0.5)
+    body = project_bbox(CAM, Pose(), leader, TARGET)
+    frame = scene.render(leader, Pose(), body, scene.background(0.5))
     lo, hi = scene.flipper_range
     mid = lo + (hi - lo) * 0.5
     assert np.any(np.isclose(frame, mid, atol=1e-12))
@@ -339,9 +344,9 @@ def test_gait_jitter_requires_monotonic_time():
     scene = FootageScene(
         target=TargetModel(gait_jitter=0.2), noise_sigma=0.0, gait_phase0=0.0
     )
-    scene.render(Pose(position=(1.2, 0, 0)), Pose(), None, 1.0)
+    scene.render(Pose(position=(1.2, 0, 0)), Pose(), None, scene.background(1.0))
     with pytest.raises(ValueError):
-        scene.render(Pose(position=(1.2, 0, 0)), Pose(), None, 0.5)
+        scene.render(Pose(position=(1.2, 0, 0)), Pose(), None, scene.background(0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +568,57 @@ def test_trace_footage_deterministic():
     assert len(a) == len(b) == 15  # trace ends at t = 0.98; frames 0/15 .. 14/15
     for fa, fb in zip(a, b):
         assert np.array_equal(fa, fb)
+
+
+def _counted_backgrounds(monkeypatch, fail_at=None):
+    """The times FootageScene.background is called at; with fail_at, the
+    call of that index, counting from 0, and each after it raise."""
+    background = FootageScene.background
+    drawn = []
+
+    def counted(self, t):
+        drawn.append(t)
+        if fail_at is not None and len(drawn) > fail_at:
+            raise RuntimeError(f"draw {len(drawn) - 1} failed")
+        return background(self, t)
+
+    monkeypatch.setattr(FootageScene, "background", counted)
+    return drawn
+
+
+def test_footage_closed_after_one_frame_leaves_no_worker(monkeypatch):
+    cfg = ConvoyConfig(duration=2.0, seed=5)
+    trace = run_convoy(cfg)
+    drawn = _counted_backgrounds(monkeypatch)
+    before = threading.active_count()
+    _, frames = trace_footage(trace, cfg)
+    # the worker starts with the first frame asked for
+    assert threading.active_count() == before and drawn == []
+    next(frames)
+    assert threading.active_count() == before + 1
+    # it draws two frames past the one taken, then waits
+    deadline = time.monotonic() + 10.0
+    while len(drawn) < 3 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.2)
+    assert len(drawn) == 3
+    frames.close()
+    assert threading.active_count() == before
+    assert len(drawn) == 3
+
+
+def test_footage_draw_error_is_raised_in_its_turn(monkeypatch):
+    cfg = ConvoyConfig(duration=2.0, seed=5)
+    trace = run_convoy(cfg)
+    expected = list(trace_footage(trace, cfg)[1])[:2]
+    _counted_backgrounds(monkeypatch, fail_at=2)
+    before = threading.active_count()
+    taken = []
+    with pytest.raises(RuntimeError, match="^draw 2 failed$"):
+        for frame in trace_footage(trace, cfg)[1]:
+            taken.append(frame)
+    assert threading.active_count() == before
+    assert [f.tobytes() for f in taken] == [f.tobytes() for f in expected]
 
 
 @settings(max_examples=60, deadline=None)
