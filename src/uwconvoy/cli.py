@@ -29,15 +29,27 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 
 
+def _plain_number(convert, raw: str):
+    """fileio.plain_number(convert, raw), a usage error when it refuses raw."""
+    try:
+        return fileio.plain_number(convert, raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a plain number: {raw!r}") from None
+
+
+def _seed(raw: str) -> int:
+    return _plain_number(int, raw)
+
+
 def _finite_float(raw: str) -> float:
-    value = float(raw)
+    value = _plain_number(float, raw)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {raw!r}")
     return value
 
 
 def _unit_float(raw: str) -> float:
-    value = float(raw)
+    value = _plain_number(float, raw)
     if not 0.0 <= value <= 1.0:  # nan fails too
         raise argparse.ArgumentTypeError(f"not a number in [0, 1]: {raw!r}")
     return value
@@ -62,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("sim", help="run the convoy simulation")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", required=True, help="trace CSV path")
-    p_sim.add_argument("--seed", type=int, help="override the config seed")
+    p_sim.add_argument("--seed", type=_seed, help="override the config seed")
     p_sim.add_argument("--frames-out", help="also render PGM footage into this directory")
     p_sim.add_argument(
         "--annotations-out",

@@ -78,7 +78,7 @@ def _lines(text: str) -> list[str]:
     return [line.removesuffix("\r") for line in text.split("\n")]
 
 
-def _number(convert: Callable[[str], object], raw: str):
+def plain_number(convert: Callable[[str], object], raw: str):
     """convert(raw) for int or float, refusing the forms that only Python
     reads and no writer here produces: an underscore, or a character
     outside ASCII, such as a digit of another script."""
@@ -89,7 +89,7 @@ def _number(convert: Callable[[str], object], raw: str):
 
 def _parse_float(raw: str, name: str) -> float:
     try:
-        v = _number(float, raw)
+        v = plain_number(float, raw)
     except ValueError:
         raise DataFormatError(f"field {name} is not a number: {raw!r}") from None
     if not math.isfinite(v):
@@ -122,7 +122,7 @@ def _frame_rows(text: str, header: str, parse_row: Callable[[int, list[str]], ob
             if len(parts) != n_fields:
                 raise DataFormatError(f"expected {n_fields} fields, got {len(parts)}")
             try:
-                frame = _number(int, parts[0])
+                frame = plain_number(int, parts[0])
             except ValueError:
                 raise DataFormatError(f"bad frame index {parts[0]!r}") from None
             if frame < 0:
@@ -186,7 +186,7 @@ def parse_predictions(text: str) -> list[tuple[int, BoundingBox | None]]:
 
 def _parse_int(raw: str, key: str) -> int:
     try:
-        return _number(int, raw)
+        return plain_number(int, raw)
     except ValueError:
         raise DataFormatError(f"key {key} needs an integer, got {raw!r}") from None
 
@@ -369,6 +369,11 @@ def _pgm_tokens(data: bytes):
             yield match.start(), match.group()
 
 
+def _pgm_int(token: bytes) -> int:
+    # latin-1 maps each byte to one character, so a byte past ASCII is refused
+    return plain_number(int, token.decode("latin-1"))
+
+
 def read_pgm(data: bytes) -> np.ndarray:
     """Read a binary (P5) or ASCII (P2) PGM: samples in [0, 1], shape (height, width)."""
     tokens = _pgm_tokens(data)
@@ -382,7 +387,7 @@ def read_pgm(data: bytes) -> np.ndarray:
         _, w_tok = next(tokens)
         _, h_tok = next(tokens)
         max_pos, max_tok = next(tokens)
-        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
+        width, height, maxval = map(_pgm_int, (w_tok, h_tok, max_tok))
     except (StopIteration, ValueError):
         raise DataFormatError("malformed PGM header") from None
     if width <= 0 or height <= 0 or maxval <= 0:
@@ -398,7 +403,7 @@ def read_pgm(data: bytes) -> np.ndarray:
         samples = np.frombuffer(raw, np.uint8)  # the division below makes the one float copy
     else:
         try:
-            samples = np.array([int(tok) for _, tok in tokens], dtype=float)
+            samples = np.array([_pgm_int(tok) for _, tok in tokens], dtype=float)
         except (ValueError, OverflowError) as exc:
             raise DataFormatError(f"bad P2 pixel value: {exc}") from None
         if samples.size != width * height:

@@ -16,11 +16,11 @@ flipper region, and field-statistics-shaped noisy detections.
 from __future__ import annotations
 
 import bisect
-import collections
 import math
-import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -651,9 +651,13 @@ def trace_footage(
     at or before that time. Returns each frame's ground-truth annotation, and
     a generator that renders the frames from the same samples with the run's
     camera, target and footage stream. Each frame is painted on the caller's
-    thread into a background that a worker thread draws at most _DRAW_AHEAD
-    frames ahead, so a few frames are held at a time, never the clip; the
-    draws keep the stream's order, so the bytes do not depend on timing.
+    thread into a background that a one-worker ThreadPoolExecutor, started
+    with the first frame asked for, draws at most _DRAW_AHEAD frames ahead,
+    so a few frames are held at a time, never the clip. One worker runs the
+    draws in submission order, so they keep the stream's order and the bytes
+    do not depend on timing. A draw's error is raised in its frame's turn,
+    and the worker is joined, its queued draws cancelled, when the frames
+    end, raise or are closed.
     """
     records, fps = trace.records, config.frame_rate
     samples = []
@@ -667,63 +671,19 @@ def trace_footage(
     scene = FootageScene(camera=config.camera, target=config.target, rng=_run_rng(config.seed, 1))
 
     def frames():
-        backgrounds = _drawn_ahead(scene.background, [t for t, _ in samples])
+        pool = ThreadPoolExecutor(1, thread_name_prefix="uwconvoy-draw-ahead")
+        drawn = deque()
         try:
-            for (_, r), background in zip(samples, backgrounds):
-                yield scene.render(r.leader, r.follower, r.true_box, background)
+            for i, (_, r) in enumerate(samples):
+                for t, _ in samples[i + len(drawn) : i + _DRAW_AHEAD + 1]:
+                    drawn.append(pool.submit(scene.background, t))
+                yield scene.render(r.leader, r.follower, r.true_box, drawn.popleft().result())
         finally:
-            backgrounds.close()
+            pool.shutdown(cancel_futures=True)
 
     return annotations, frames()
 
 
-# Items _drawn_ahead's worker may draw before the caller takes them: one
+# Draws trace_footage's worker is given past the frame being painted: one
 # ready while the caller paints and writes a frame, one being drawn.
 _DRAW_AHEAD = 2
-
-
-def _drawn_ahead(
-    draw: Callable[[float], tuple[np.ndarray, float]], args: list[float]
-) -> Iterator[tuple[np.ndarray, float]]:
-    """draw(a) for each a of args, in order, each computed on one worker
-    thread at most _DRAW_AHEAD items before the caller takes it.
-
-    The worker starts with the first item asked for. An error that draw
-    raises is raised here in its turn, after the items drawn before it. The
-    worker is joined when the items end, when an error is raised, and when
-    the generator is closed; it ends without drawing further.
-    """
-    free = threading.Semaphore(_DRAW_AHEAD)
-    drawn = threading.Semaphore(0)
-    results = collections.deque()
-    closing = threading.Event()
-
-    def work():
-        for a in args:
-            free.acquire()
-            if closing.is_set():
-                return
-            try:
-                results.append((draw(a), None))
-            except Exception as exc:
-                results.append((None, exc))
-                return
-            finally:
-                drawn.release()
-
-    # a daemon, so that frames never closed cannot keep the process alive
-    worker = threading.Thread(target=work, name="uwconvoy-draw-ahead", daemon=True)
-    worker.start()
-    try:
-        for _ in args:
-            drawn.acquire()
-            value, error = results.popleft()
-            if error is not None:
-                raise error
-            free.release()
-            yield value
-    finally:
-        # wakes a worker waiting for a free slot; it sees closing and ends
-        closing.set()
-        free.release()
-        worker.join()

@@ -131,6 +131,10 @@ def test_eval_auto_threshold(eval_files, capsys):
         (["--threshold", "2"], 1),  # confidences lie in [0, 1]
         (["--threshold", "-1"], 1),
         (["--threshold", "1.000001"], 1),
+        # numbers only Python reads: float() takes them as 0.15, 15 and 15
+        (["--threshold", "0.1_5"], 1),
+        (["--threshold", "0.5", "--fps", "1_5"], 1),
+        (["--threshold", "0.5", "--fps", "\uff11\uff15"], 1),
     ],
 )
 def test_eval_rejects_meaningless_threshold_and_fps(eval_files, capsys, extra, code):
@@ -519,6 +523,16 @@ def test_sim_frame_write_error_exits_2_and_keeps_the_frames_before(tmp_path, cap
     assert sorted(p.name for p in frames.iterdir()) == [f"frame_{i:06d}.pgm" for i in range(4)]
 
 
+@pytest.mark.parametrize("seed", ["1_0", "\uff11", "\u0661\u0660"])
+def test_sim_refuses_a_seed_only_python_reads(tmp_path, capsys, seed):
+    # int() reads each as 10 or 1
+    config, out = tmp_path / "run.cfg", tmp_path / "trace.csv"
+    config.write_text("sim.duration = 2\n")
+    assert run_cli(["sim", "--config", str(config), "--out", str(out), "--seed", seed]) == 1
+    assert f"argument --seed: not a plain number: {seed!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sim_seed_changes_trace(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("sim.duration = 2\n")
@@ -768,7 +782,9 @@ def _noise_frame_dir(tmp_path, count):
     return frame_dir
 
 
-@pytest.mark.parametrize("fps, code", [("nan", 1), ("inf", 1), ("0", 2)])
+@pytest.mark.parametrize(
+    "fps, code", [("nan", 1), ("inf", 1), ("0", 2), ("1_5", 1), ("\uff11\uff15", 1)]
+)
 def test_mdpm_rejects_meaningless_fps(tmp_path, capsys, fps, code):
     frame_dir = _noise_frame_dir(tmp_path, 12)
     out = tmp_path / "detections.csv"

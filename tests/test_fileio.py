@@ -502,6 +502,21 @@ def test_pgm_rejects_samples_outside_maxval(data, message):
         read_pgm(data)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5\n3_2 1\n255\n" + bytes(32), "malformed PGM header"),  # read as width 32
+        (b"P5\n2 1\n2_55\n\x00\x00", "malformed PGM header"),
+        (b"P2\n\xef\xbc\x92 1\n255\n0 0\n", "malformed PGM header"),  # fullwidth 2
+        (b"P2\n2 1\n255\n1_0 0\n", "bad P2 pixel value"),  # read as 10
+    ],
+    ids=["width", "maxval", "fullwidth-width", "p2-sample"],
+)
+def test_pgm_refuses_numbers_only_python_reads(data, message):
+    with pytest.raises(DataFormatError, match=message):
+        read_pgm(data)
+
+
 def test_load_frame_dir_error_names_the_file(tmp_path):
     frames = [np.zeros((4, 4))] * 3
     write_frame_dir(frames, tmp_path)

@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import uwconvoy
 from uwconvoy.geometry import Annotation, BoundingBox, box_area, box_center, iou
 from uwconvoy.mdpm import MdpmConfig
 from uwconvoy.servo import ControlCommand, STOP_COMMAND, ServoConfig
@@ -619,6 +624,20 @@ def test_footage_draw_error_is_raised_in_its_turn(monkeypatch):
             taken.append(frame)
     assert threading.active_count() == before
     assert [f.tobytes() for f in taken] == [f.tobytes() for f in expected]
+
+
+def test_footage_never_closed_does_not_hold_the_process_at_exit():
+    child = (
+        "from uwconvoy.sim import ConvoyConfig, run_convoy, trace_footage\n"
+        "cfg = ConvoyConfig(duration=2.0, seed=5)\n"
+        "_, FRAMES = trace_footage(run_convoy(cfg), cfg)\n"
+        "next(FRAMES)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(uwconvoy.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @settings(max_examples=60, deadline=None)
