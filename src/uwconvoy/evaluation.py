@@ -67,6 +67,28 @@ class TrackStats:
     max_duration: float | None
 
 
+def _joined(
+    annotations: Sequence[Annotation],
+    predictions: Sequence[tuple[int, BoundingBox | None]],
+) -> list[tuple[Annotation, BoundingBox | None]]:
+    """(annotation, predicted box) of each frame, in frame order. Annotation
+    and prediction frame sets must match exactly."""
+    ann_by_frame: dict[int, Annotation] = {}
+    for ann in annotations:
+        if ann.frame_index in ann_by_frame:
+            raise ValueError(f"duplicate annotation frame {ann.frame_index}")
+        ann_by_frame[ann.frame_index] = ann
+    pred_by_frame: dict[int, BoundingBox | None] = {}
+    for frame, box in predictions:
+        if frame in pred_by_frame:
+            raise ValueError(f"duplicate prediction frame {frame}")
+        pred_by_frame[frame] = box
+    if ann_by_frame.keys() != pred_by_frame.keys():
+        missing = sorted(ann_by_frame.keys() ^ pred_by_frame.keys())
+        raise ValueError(f"annotation/prediction frame mismatch at frames {missing[:5]}")
+    return [(ann_by_frame[frame], pred_by_frame[frame]) for frame in sorted(ann_by_frame)]
+
+
 def classify_frames(
     annotations: Sequence[Annotation],
     predictions: Sequence[tuple[int, BoundingBox | None]],
@@ -78,24 +100,8 @@ def classify_frames(
     at or above the threshold. Annotation and prediction frame sets must
     match exactly.
     """
-    ann_by_frame: dict[int, Annotation] = {}
-    for ann in annotations:
-        if ann.frame_index in ann_by_frame:
-            raise ValueError(f"duplicate annotation frame {ann.frame_index}")
-        ann_by_frame[ann.frame_index] = ann
-    pred_by_frame: dict[int, BoundingBox | None] = {}
-    for frame, box in predictions:
-        if frame in pred_by_frame:
-            raise ValueError(f"duplicate prediction frame {frame}")
-        pred_by_frame[frame] = box
-    if set(ann_by_frame) != set(pred_by_frame):
-        missing = sorted(set(ann_by_frame) ^ set(pred_by_frame))
-        raise ValueError(f"annotation/prediction frame mismatch at frames {missing[:5]}")
-
     results = []
-    for frame in sorted(ann_by_frame):
-        ann = ann_by_frame[frame]
-        box = pred_by_frame[frame]
+    for ann, box in _joined(annotations, predictions):
         detected = box is not None and box.p >= threshold
         if ann.present and detected:
             label, overlap = "TP", iou(box, ann.truth_box)
@@ -105,7 +111,7 @@ def classify_frames(
             label, overlap = "FP", None
         else:
             label, overlap = "TN", None
-        results.append(FrameResult(frame, ann, box, label, overlap))
+        results.append(FrameResult(ann.frame_index, ann, box, label, overlap))
     return results
 
 
@@ -143,10 +149,12 @@ def select_threshold(
     Recall cannot fall as the threshold falls, so this is the threshold with
     the best recall under the floor, ties going to the lower one.
     """
-    # at threshold -inf every boxed frame is detected, as a TP or an FP
-    results = classify_frames(annotations, predictions, -np.inf)
-    conf = np.array([r.prediction.p for r in results if r.prediction is not None])
-    hit = np.array([r.classification == "TP" for r in results if r.prediction is not None])
+    # a boxed frame is a TP at every threshold up to its confidence when its
+    # target is present, and an FP otherwise
+    joined = _joined(annotations, predictions)
+    boxed = [(box.p, ann.present) for ann, box in joined if box is not None]
+    conf = np.array([p for p, _ in boxed])
+    hit = np.array([present for _, present in boxed])
     order = np.argsort(-conf)
     conf, tp = conf[order], np.cumsum(hit[order])
     # the last index of each run of equal confidences; none when nothing is boxed
@@ -235,10 +243,11 @@ def histogram_report(results: Sequence[FrameResult]) -> HistogramReport:
 
     tps, tp_bins = area_bins("TP")
     _, fn_bins = area_bins("FN")
-    biases = np.array([
-        np.hypot(*np.subtract(box_center(r.prediction), box_center(r.annotation.truth_box)))
-        for r in tps
-    ])
+    # predicted and annotated centre of each TP, one row each
+    centres = np.array(
+        [(*box_center(r.prediction), *box_center(r.annotation.truth_box)) for r in tps]
+    ).reshape(-1, 4)
+    biases = np.hypot(centres[:, 0] - centres[:, 2], centres[:, 1] - centres[:, 3])
     bias_mean = np.zeros(n_bins)
     bias_std = np.zeros(n_bins)
     for b in np.unique(tp_bins):

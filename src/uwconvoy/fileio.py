@@ -80,9 +80,10 @@ def _lines(text: str) -> list[str]:
 
 def plain_number(convert: Callable[[str], object], raw: str):
     """convert(raw) for int or float, refusing the forms that only Python
-    reads and no writer here produces: an underscore, or a character
-    outside ASCII, such as a digit of another script."""
-    if "_" in raw or not raw.isascii():
+    reads and no writer here produces: an underscore, a character outside
+    ASCII (such as a digit of another script), whitespace around the
+    number, or a leading '+'."""
+    if "_" in raw or not raw.isascii() or raw.lstrip("+").strip() != raw:
         raise ValueError(f"not a plain number: {raw!r}")
     return convert(raw)
 
@@ -98,7 +99,11 @@ def _parse_float(raw: str, name: str) -> float:
 
 
 def _parse_box(parts: list[str], confidence: float) -> BoundingBox:
-    return BoundingBox(*(_parse_float(raw, name) for raw, name in zip(parts, "xywh")), p=confidence)
+    x, y, w, h = parts
+    return BoundingBox(
+        _parse_float(x, "x"), _parse_float(y, "y"), _parse_float(w, "w"), _parse_float(h, "h"),
+        confidence,
+    )
 
 
 def _frame_rows(text: str, header: str, parse_row: Callable[[int, list[str]], object]) -> list:
@@ -144,7 +149,7 @@ def _annotation(frame: int, parts: list[str]) -> Annotation:
         return Annotation(frame, True, _parse_box(parts[2:6], confidence=1.0))
     if parts[1] != "0":
         raise DataFormatError(f"present flag must be 0 or 1, got {parts[1]!r}")
-    if any(p.strip() for p in parts[2:6]):
+    if "".join(parts[2:6]).strip():
         raise DataFormatError("absent frame must leave box fields empty")
     return Annotation(frame, False)
 
@@ -169,7 +174,7 @@ def _prediction(frame: int, parts: list[str]) -> tuple[int, BoundingBox | None]:
     confidence = _parse_float(parts[1], "confidence")
     if not 0.0 <= confidence <= 1.0:
         raise DataFormatError(f"confidence {confidence} outside [0,1]")
-    box = _parse_box(parts[2:6], confidence) if any(p.strip() for p in parts[2:6]) else None
+    box = _parse_box(parts[2:6], confidence) if "".join(parts[2:6]).strip() else None
     return frame, box
 
 
@@ -197,7 +202,7 @@ def _parse_occlusions(raw: str, key: str) -> tuple[tuple[float, float], ...]:
         bounds = chunk.split(":")
         if len(bounds) != 2:
             raise DataFormatError(f"occlusions must be start:end pairs, got {chunk!r}")
-        intervals.append(tuple(_parse_float(b, key) for b in bounds))
+        intervals.append(tuple(_parse_float(b.strip(), key) for b in bounds))
     return tuple(intervals)
 
 

@@ -31,6 +31,14 @@ class BoundingBox:
     p: float = 1.0
 
     def __post_init__(self):
+        x, y, w, h = self.x, self.y, self.w, self.h
+        lo, hi = -_FIELD_EPS, 1.0 + _FIELD_EPS
+        # every bound in one chained comparison, which NaN and +-inf fail;
+        # only a box that fails it goes on to the checks that name the fault
+        if lo <= x <= hi >= y >= lo <= w <= hi >= h >= lo <= self.p <= hi and (
+            x + w <= 1.0 + _SUM_EPS >= y + h
+        ):
+            return
         for name in ("x", "y", "w", "h", "p"):
             v = getattr(self, name)
             if not math.isfinite(v):

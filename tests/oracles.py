@@ -295,6 +295,41 @@ def trace_row_cells(r) -> str:
     return ",".join(cells)
 
 
+def per_true_positive_biases(results, area_edges) -> tuple[list[float], list[float]]:
+    """Mean and std of the centre bias per area bin, as first written: one
+    scalar np.hypot per TP of the centre difference."""
+    from uwconvoy.geometry import box_area, box_center
+
+    n_bins = len(area_edges) - 1
+    tps = [r for r in results if r.classification == "TP"]
+    bins = np.clip(
+        np.digitize([box_area(r.annotation.truth_box) for r in tps], area_edges) - 1, 0, n_bins - 1
+    )
+    biases = np.array([
+        np.hypot(*np.subtract(box_center(r.prediction), box_center(r.annotation.truth_box)))
+        for r in tps
+    ])
+    means, stds = [0.0] * n_bins, [0.0] * n_bins
+    for b in np.unique(bins):
+        means[b], stds[b] = float(biases[bins == b].mean()), float(biases[bins == b].std())
+    return means, stds
+
+
+def per_field_box_fault(x, y, w, h, p, field_eps: float, sum_eps: float) -> str | None:
+    """The BoundingBox checks as first written, one field at a time: the
+    message of the first check that the fields fail, None when all pass."""
+    for name, v in zip("xywhp", (x, y, w, h, p)):
+        if not math.isfinite(v):
+            return f"box field {name} is not finite: {v!r}"
+        if not -field_eps <= v <= 1.0 + field_eps:
+            return f"box field {name} out of [0,1]: {v!r}"
+    if x + w > 1.0 + sum_eps:
+        return f"box exceeds right edge: x+w = {x + w!r}"
+    if y + h > 1.0 + sum_eps:
+        return f"box exceeds bottom edge: y+h = {y + h!r}"
+    return None
+
+
 def one_line_write_pgm(frame) -> bytes:
     """The P5 encoder as first written: one clip(rint(frame * 255)) expression."""
     height, width = frame.shape

@@ -135,6 +135,8 @@ def test_eval_auto_threshold(eval_files, capsys):
         (["--threshold", "0.1_5"], 1),
         (["--threshold", "0.5", "--fps", "1_5"], 1),
         (["--threshold", "0.5", "--fps", "\uff11\uff15"], 1),
+        (["--threshold", "+0.5"], 1),
+        (["--threshold", "0.5", "--fps", " 15"], 1),
     ],
 )
 def test_eval_rejects_meaningless_threshold_and_fps(eval_files, capsys, extra, code):
@@ -523,7 +525,7 @@ def test_sim_frame_write_error_exits_2_and_keeps_the_frames_before(tmp_path, cap
     assert sorted(p.name for p in frames.iterdir()) == [f"frame_{i:06d}.pgm" for i in range(4)]
 
 
-@pytest.mark.parametrize("seed", ["1_0", "\uff11", "\u0661\u0660"])
+@pytest.mark.parametrize("seed", ["1_0", "\uff11", "\u0661\u0660", "+10", " 10", "10\t"])
 def test_sim_refuses_a_seed_only_python_reads(tmp_path, capsys, seed):
     # int() reads each as 10 or 1
     config, out = tmp_path / "run.cfg", tmp_path / "trace.csv"
@@ -684,12 +686,12 @@ def test_sim_trace_golden_hash(tmp_path, run):
 
 def _portability_outputs(directory: Path, run) -> dict[str, bytes]:
     """Outputs of the 60 s forward runs at seeds 1 and 0 and of a 20 s
-    `sim --frames-out` -> `mdpm` pipeline at seed 3, each command given to
-    run(argv)."""
+    `sim --frames-out` -> `mdpm` -> `eval --auto-threshold` pipeline at
+    seed 3, each command given to run(argv)."""
     long_run, short_run = directory / "60s.cfg", directory / "20s.cfg"
     long_run.write_text("sim.duration = 60\n")
     short_run.write_text("sim.duration = 20\n")
-    frames = directory / "frames"
+    frames, report = directory / "frames", directory / "report"
     for argv in (
         ["sim", "--config", long_run, "--out", directory / "seed1.csv", "--seed", "1"],
         ["sim", "--config", long_run, "--out", directory / "seed0.csv", "--seed", "0"],
@@ -698,12 +700,19 @@ def _portability_outputs(directory: Path, run) -> dict[str, bytes]:
             "--frames-out", frames, "--annotations-out", directory / "truth.csv",
         ],
         ["mdpm", "--frames", frames, "--fps", "15", "--out", directory / "predictions.csv"],
+        [
+            "eval", "--annotations", directory / "truth.csv",
+            "--predictions", directory / "predictions.csv",
+            "--auto-threshold", "--fps", "15", "--report-dir", report,
+        ],
     ):
         run([str(arg) for arg in argv])
     outputs = {
         name: (directory / name).read_bytes()
         for name in ("seed1.csv", "seed0.csv", "trace.csv", "predictions.csv")
     }
+    # eval computes the centre biases as one array operation
+    outputs.update((f.name, f.read_bytes()) for f in sorted(report.iterdir()))
     outputs["frames"] = b"".join(f.read_bytes() for f in sorted(frames.iterdir()))
     return outputs
 
@@ -783,7 +792,8 @@ def _noise_frame_dir(tmp_path, count):
 
 
 @pytest.mark.parametrize(
-    "fps, code", [("nan", 1), ("inf", 1), ("0", 2), ("1_5", 1), ("\uff11\uff15", 1)]
+    "fps, code",
+    [("nan", 1), ("inf", 1), ("0", 2), ("1_5", 1), ("\uff11\uff15", 1), ("+15", 1)],
 )
 def test_mdpm_rejects_meaningless_fps(tmp_path, capsys, fps, code):
     frame_dir = _noise_frame_dir(tmp_path, 12)

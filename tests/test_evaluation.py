@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from uwconvoy import evaluation
 from uwconvoy.geometry import Annotation, BoundingBox
 from uwconvoy.evaluation import (
+    AREA_EDGES,
     FrameResult,
     ThresholdNotFoundError,
     classify_frames,
@@ -17,7 +20,12 @@ from uwconvoy.evaluation import (
     track_statistics,
 )
 
-from oracles import brute_force_threshold, random_prediction_set
+from oracles import (
+    brute_force_threshold,
+    per_true_positive_biases,
+    random_box_tuple,
+    random_prediction_set,
+)
 
 TRUTH = BoundingBox(0.2, 0.2, 0.4, 0.4)
 
@@ -73,6 +81,23 @@ def test_classify_rejects_mismatched_frames():
         classify_frames([ann(0), ann(0)], [(0, None)], 0.5)
     with pytest.raises(ValueError):
         classify_frames([ann(0)], [(0, None), (0, None)], 0.5)
+
+
+@pytest.mark.parametrize(
+    "frames, predicted, message",
+    [
+        ([0, 0], [0], "duplicate annotation frame 0"),
+        ([0], [0, 0], "duplicate prediction frame 0"),
+        (range(10), range(10, 20), "annotation/prediction frame mismatch at frames [0, 1, 2, 3, 4]"),
+    ],
+)
+def test_classification_and_sweep_refuse_bad_frame_sets_alike(frames, predicted, message):
+    annotations = [ann(f) for f in frames]
+    predictions = [(f, boxed(0.9)) for f in predicted]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        classify_frames(annotations, predictions, 0.5)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        select_threshold(annotations, predictions)
 
 
 def test_metrics_on_confusion_fixture():
@@ -182,8 +207,9 @@ def test_select_threshold_matches_oracle_under_ties(frames, min_precision):
         assert select_threshold(annotations, predictions, min_precision) == expected
 
 
-def test_select_threshold_classifies_once(monkeypatch):
-    calls = {"classify_frames": 0, "metrics_summary": 0}
+def test_select_threshold_builds_no_frame_result_and_no_iou(monkeypatch):
+    # the sweep needs only each boxed frame's confidence and presence
+    calls = {"iou": 0, "FrameResult": 0}
 
     def counted(name):
         original = getattr(evaluation, name)
@@ -197,8 +223,12 @@ def test_select_threshold_classifies_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(evaluation, name, counted(name))
     annotations, predictions = random_prediction_set(np.random.default_rng(5))
+    assert any(a.present and b is not None for a, (_, b) in zip(annotations, predictions))
     select_threshold(annotations, predictions)
-    assert calls == {"classify_frames": 1, "metrics_summary": 0}
+    assert calls == {"iou": 0, "FrameResult": 0}
+    # the counters see the calls that classify_frames makes
+    classify_frames(annotations, predictions, 0.0)
+    assert calls["iou"] > 0 and calls["FrameResult"] == len(annotations)
 
 
 def test_select_threshold_counts_a_confidence_within_round_off_below_zero():
@@ -300,6 +330,27 @@ def test_histogram_confusion_fixture_counts():
     # both in the [2, 5) frame bin
     assert hist.tn_runs == (0, 1, 0, 0, 0, 0)
     assert hist.fn_runs == (0, 1, 0, 0, 0, 0)
+
+
+def test_histogram_biases_equal_the_per_true_positive_form():
+    # in each area bin the first TP is off centre and the others sit on their
+    # truth boxes, so the bin's mean and std carry that one bias to the bit
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        results, off_centre = [], set()
+        for frame in range(100):
+            side = math.sqrt(rng.uniform(0.01, 0.99))
+            truth = BoundingBox(rng.uniform(0, 1 - side), rng.uniform(0, 1 - side), side, side)
+            area_bin = int(side * side * 10)
+            prediction = replace(truth, p=0.9)
+            if area_bin not in off_centre:
+                off_centre.add(area_bin)
+                prediction = BoundingBox(*random_box_tuple(rng, 0.05, 0.95), 0.9)
+            results.append(FrameResult(frame, Annotation(frame, True, truth), prediction, "TP"))
+        hist = histogram_report(results)
+        assert (list(hist.bias_mean), list(hist.bias_std)) == per_true_positive_biases(
+            results, AREA_EDGES
+        )
 
 
 def test_histogram_empty_results_all_zero():

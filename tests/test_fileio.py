@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from uwconvoy.evaluation import MetricsReport, classify_frames, histogram_report
 from uwconvoy.fileio import (
+    ANNOTATION_HEADER,
     CONFIG_KEYS,
     DataFormatError,
+    PREDICTION_HEADER,
     TRACE_HEADER,
     format_annotations,
     format_area_histogram_csv,
@@ -21,6 +23,7 @@ from uwconvoy.fileio import (
     parse_annotations,
     parse_config,
     parse_predictions,
+    plain_number,
     read_pgm,
     write_frame_dir,
     write_pgm,
@@ -167,8 +170,11 @@ def test_predictions_format_parse_format_is_byte_stable(rows):
 
 
 # numbers that Python's int() and float() read but no writer produces:
-# underscores, Arabic-Indic and fullwidth digits
-PYTHON_ONLY_NUMBERS = ["1_0", "0.5_0", "\u0661\u0662", "\uff11"]
+# underscores, Arabic-Indic and fullwidth digits, whitespace around the
+# number and a leading '+'
+PYTHON_ONLY_NUMBERS = [
+    "1_0", "0.5_0", "\u0661\u0662", "\uff11", " 1", "0.5\t", "\x0b0", "1\x0c", "+1", "+0.5",
+]
 
 
 @settings(max_examples=300, deadline=None)
@@ -228,6 +234,38 @@ def test_parse_config_good():
     assert config.occlusions == ((1.0, 2.0), (3.5, 4.0))
     assert config.servo.speed_gain == 12.0
     assert config.detector_noise.center_sigma == 0.05
+
+
+def test_occlusions_take_spaces_around_their_separators():
+    config = parse_config("sim.duration = 10\nsim.occlusions = 1.0 : 4.0, 5:6\n")
+    assert config.occlusions == ((1.0, 4.0), (5.0, 6.0))
+
+
+@pytest.mark.parametrize("convert", [int, float])
+@pytest.mark.parametrize("raw", [" 7", "7 ", " 7\t", "\t7", "7\n", "\x0c7", "7\x0b", "+7"])
+def test_plain_number_refuses_space_around_a_number_and_a_leading_plus(convert, raw):
+    # int() and float() both read each of these as 7
+    with pytest.raises(ValueError, match="^not a plain number: "):
+        plain_number(convert, raw)
+
+
+@pytest.mark.parametrize("raw, value", [("7", 7.0), ("-7", -7.0), (".5", 0.5), ("1e+3", 1e3)])
+def test_plain_number_reads_plain_numbers(raw, value):
+    assert plain_number(float, raw) == value
+
+
+@pytest.mark.parametrize(
+    "text, parse",
+    [
+        (ANNOTATION_HEADER + "\n 0 ,0,,,,\n", parse_annotations),
+        (ANNOTATION_HEADER + "\n+0,0,,,,\n", parse_annotations),
+        (PREDICTION_HEADER + "\n0, 0.5,0.1,0.1,0.2,0.2\n", parse_predictions),
+        (PREDICTION_HEADER + "\n0,0.5,0.1,+0.1,0.2,0.2\n", parse_predictions),
+    ],
+)
+def test_csv_refuses_a_number_cell_with_space_or_plus(text, parse):
+    with pytest.raises(DataFormatError, match="^line 2: "):
+        parse(text)
 
 
 def test_parse_config_unknown_key_with_line():
@@ -342,6 +380,9 @@ def test_parse_config_rejects_camera_aspect():
         "sim.duration = 2_0",
         pytest.param("sim.seed = \u0661\u0662", id="sim.seed = arabic-indic 12"),
         pytest.param("sim.duration = \uff15", id="sim.duration = fullwidth 5"),
+        "sim.seed = +1",
+        "sim.duration = +5",
+        "sim.occlusions = +1:2",
     ],
 )
 def test_parse_config_rejects_bad_value_naming_its_line(line):
@@ -433,7 +474,8 @@ def _ascii_int(n):
 
 
 # stand-ins for a token of a PGM header: other magic numbers, and fields
-# that int() takes (-1, +3, 3_0) or refuses (1e3, 0x10, 3.0)
+# that int() takes but the reader refuses (-1, +3, 3_0), and that int()
+# refuses (1e3, 0x10, 3.0)
 _PGM_TOKEN = st.sampled_from(
     [b"P6", b"p5", b"P2", b"P5", b"", b"0", b"-1", b"+3", b"1e3", b"3_0", b"0x10", b"3.0",
      b"256", b"65535", b"\xff"]
@@ -509,8 +551,10 @@ def test_pgm_rejects_samples_outside_maxval(data, message):
         (b"P5\n2 1\n2_55\n\x00\x00", "malformed PGM header"),
         (b"P2\n\xef\xbc\x92 1\n255\n0 0\n", "malformed PGM header"),  # fullwidth 2
         (b"P2\n2 1\n255\n1_0 0\n", "bad P2 pixel value"),  # read as 10
+        (b"P5\n+1 1\n255\n\x10", "malformed PGM header"),  # read as width 1
+        (b"P2\n2 1\n255\n+1 0\n", "bad P2 pixel value"),  # read as 1
     ],
-    ids=["width", "maxval", "fullwidth-width", "p2-sample"],
+    ids=["width", "maxval", "fullwidth-width", "p2-sample", "plus-width", "p2-plus-sample"],
 )
 def test_pgm_refuses_numbers_only_python_reads(data, message):
     with pytest.raises(DataFormatError, match=message):

@@ -1,9 +1,14 @@
+import math
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uwconvoy.geometry import (
+    _FIELD_EPS,
+    _SUM_EPS,
     Annotation,
     BoundingBox,
     box_area,
@@ -13,7 +18,7 @@ from uwconvoy.geometry import (
     iou_gradient,
 )
 
-from oracles import pixel_grid_iou, random_box_tuple
+from oracles import per_field_box_fault, pixel_grid_iou, random_box_tuple
 
 
 def test_iou_identical_boxes():
@@ -110,6 +115,51 @@ def test_iou_gradient_matches_central_differences():
 def test_bounding_box_invariants_rejected(fields):
     with pytest.raises(ValueError):
         BoundingBox(**fields)
+
+
+# each bound of a field, the floats next to it, and the values that no
+# bound admits
+_BOX_FIELD = st.sampled_from(
+    [
+        v
+        for bound in (-_FIELD_EPS, 0.0, 1.0, 1.0 + _FIELD_EPS)
+        for v in (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf))
+    ]
+    + [math.nan, math.inf, -math.inf, -1.0, 2.0]
+) | st.floats(-0.01, 1.01) | st.floats()
+
+
+@st.composite
+def _box_fields(draw):
+    """x, y, w, h, p; now and then w or h puts x + w or y + h within a few
+    floats of the edge's bound 1 + _SUM_EPS, on either side of it."""
+    fields = [draw(_BOX_FIELD) for _ in range(5)]
+    for start, size in ((0, 2), (1, 3)):
+        if draw(st.booleans()):
+            fields[start] = draw(st.floats(0.0, 1.0))
+            size_value = (1.0 + _SUM_EPS) - fields[start]
+            steps = draw(st.integers(-3, 3))
+            for _ in range(abs(steps)):
+                size_value = np.nextafter(size_value, math.copysign(math.inf, steps))
+            fields[size] = float(size_value)
+    return tuple(float(v) for v in fields)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(fields=_box_fields())
+@example(fields=(0.5, 0.0, 0.5 + _SUM_EPS, 0.5, 1.0))
+@example(fields=(0.5, 0.0, float(np.nextafter(0.5 + _SUM_EPS, 1.0)), 0.5, 1.0))
+@example(fields=(0.0, 0.5, 0.5, float(np.nextafter(0.5 + _SUM_EPS, 1.0)), 1.0))
+@example(fields=(0.0, 0.0, 0.5, 0.5, math.nan))
+@example(fields=(-math.inf, 0.0, math.inf, 0.5, 1.0))
+def test_bounding_box_accepts_and_refuses_as_the_per_field_checks(fields):
+    fault = per_field_box_fault(*fields, _FIELD_EPS, _SUM_EPS)
+    if fault is None:
+        assert astuple(BoundingBox(*fields)) == fields
+    else:
+        with pytest.raises(ValueError) as refused:
+            BoundingBox(*fields)
+        assert str(refused.value) == fault
 
 
 def test_annotation_presence_consistency():
