@@ -233,7 +233,8 @@ def _field_key(cls: type, name: str, parse=None):
 
 # config key -> (parser, dataclass, field). A key that sets one field names
 # its dataclass; an absent key leaves that field at its default. Keys with a
-# dataclass of None are read by the special cases in parse_config.
+# dataclass of None are read by the special cases in parse_config; their
+# field, if any, is the ConvoyConfig field that they go into.
 CONFIG_KEYS = {
     **{f"servo.{f.name}": _field_key(ServoConfig, f.name) for f in fields(ServoConfig)},
     **{
@@ -252,16 +253,17 @@ CONFIG_KEYS = {
     "sim.target_height": _field_key(TargetModel, "body_height"),
     "sim.gait_frequency": _field_key(TargetModel, "gait_frequency"),
     "sim.gait_jitter": _field_key(TargetModel, "gait_jitter"),
-    "sim.script": (_choice(*_SCRIPTS), None, None),
+    "sim.script": (_choice(*_SCRIPTS), None, "script"),
     "sim.noiseless": (_choice("0", "1"), None, None),
     **{
-        f"sim.{name}": (_parse_float, None, None)
-        for name in (
-            "script_speed", "script_rate",
-            "leader_x", "leader_y", "leader_z", "leader_yaw",
-            "follower_x", "follower_y", "follower_z", "follower_yaw",
-            "current_x", "current_y", "current_z",
+        f"sim.{name}": (_parse_float, None, owner)
+        for owner, names in (
+            ("script", ("script_speed", "script_rate")),
+            ("script", ("leader_x", "leader_y", "leader_z", "leader_yaw")),
+            ("initial_follower", ("follower_x", "follower_y", "follower_z", "follower_yaw")),
+            ("current", ("current_x", "current_y", "current_z")),
         )
+        for name in names
     },
 }
 
@@ -348,7 +350,8 @@ def parse_config(text: str) -> ConvoyConfig:
         )
     except ScheduleError as exc:
         # the defaults agree, so a line sets a field in conflict: name the last
-        line_no, key = max((n, k) for k, n in lines.items() if CONFIG_KEYS[k][1:] in exc.fields)
+        owner = {k: (cls or ConvoyConfig, name) for k, (_, cls, name) in CONFIG_KEYS.items()}
+        line_no, key = max((n, k) for k, n in lines.items() if owner[k] in exc.fields)
         raise DataFormatError(f"line {line_no}: invalid {key}: {exc}") from None
 
 

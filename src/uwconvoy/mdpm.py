@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -84,33 +85,23 @@ class SpectralDetection:
 
 @dataclass(frozen=True)
 class MdpmConfig:
-    window_size: int = 30
-    buffer_length: int = 10
-    prune_count: int = 10
-    band: tuple[float, float] = (1.0, 3.0)
+    # the method's fixed parameters: 30 px sub-windows, a 10-frame buffer,
+    # the 10 likeliest directions kept, the 1-3 Hz gait band, and detection
+    # when the best in-band amplitude exceeds threshold_factor times the
+    # median scanned amplitude over all candidate directions
+    window_size: ClassVar[int] = 30
+    buffer_length: ClassVar[int] = 10
+    prune_count: ClassVar[int] = 10
+    band: ClassVar[tuple[float, float]] = (1.0, 3.0)
+    threshold_factor: ClassVar[float] = 6.0
     # frames per second of the footage; frames are taken as evenly spaced
     sample_rate: float = 15.0
-    # Detection fires when the best in-band amplitude exceeds
-    # threshold_factor times the median scanned amplitude over all candidate
-    # directions; amplitude_threshold, when set, overrides with an absolute
-    # level.
-    threshold_factor: float = 6.0
+    # when set, an absolute amplitude level in place of the median rule
     amplitude_threshold: float | None = None
 
     def __post_init__(self):
-        if self.window_size <= 0:
-            raise ValueError(f"window_size must be positive, got {self.window_size}")
-        # a spectrum needs at least two samples
-        if self.buffer_length < 2:
-            raise ValueError(f"buffer_length must be >= 2, got {self.buffer_length}")
-        if self.prune_count < 1:
-            raise ValueError("prune_count must be >= 1")
-        if not 0 < self.band[0] < self.band[1]:
-            raise ValueError(f"invalid frequency band {self.band}")
-        for name in ("threshold_factor", "amplitude_threshold"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if self.amplitude_threshold is not None and not math.isfinite(self.amplitude_threshold):
+            raise ValueError(f"amplitude_threshold must be finite, got {self.amplitude_threshold}")
         # the band must lie under Nyquist; nan and inf fail the comparison
         if not 2.0 * self.band[1] < self.sample_rate < math.inf:
             raise ValueError(
@@ -252,8 +243,7 @@ class MdpmTracker:
         self._means: deque[np.ndarray] = deque(maxlen=config.buffer_length)
         # the scanned frequencies: the gait band in _BAND_STEP steps
         lo, hi = config.band
-        steps = int(math.floor((hi - lo) / _BAND_STEP + 1e-9))
-        self._freqs = lo + _BAND_STEP * np.arange(steps + 1)
+        self._freqs = lo + _BAND_STEP * np.arange(round((hi - lo) / _BAND_STEP) + 1)
         self._kernel = _dtft_kernel(config.buffer_length, config.sample_rate, self._freqs)
 
     def push(self, frame: np.ndarray) -> SpectralDetection | None:
@@ -289,9 +279,8 @@ class MdpmTracker:
         survivors = order[: config.prune_count]
 
         amplitudes = _amplitude_matrix(series, self._kernel, self._spectrum, self._amplitudes)
-        if config.amplitude_threshold is not None:
-            threshold = config.amplitude_threshold
-        else:
+        threshold = config.amplitude_threshold
+        if threshold is None:
             threshold = config.threshold_factor * _median(amplitudes)
 
         sub = amplitudes[survivors]

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -38,6 +39,11 @@ MAX_TICKS = 10**6
 
 # Largest image width or height: a float64 frame of 4096x4096 takes 128 MiB.
 MAX_IMAGE_SIDE = 4096
+
+# Smallest horizontal field of view: a box's width is an angle of up to pi
+# over the vertical fov, which is at least hfov / MAX_IMAGE_SIDE, and twice
+# that must stay a float.
+_MIN_HFOV = 2.0 * math.pi * MAX_IMAGE_SIDE / sys.float_info.max
 
 
 def _require_finite(name: str, values: tuple[float, ...]) -> None:
@@ -83,8 +89,8 @@ class CameraModel:
     image_height: int = 240
 
     def __post_init__(self):
-        if not 0.0 < self.horizontal_fov < math.pi:
-            raise ValueError(f"horizontal_fov {self.horizontal_fov} outside (0, pi)")
+        if not _MIN_HFOV <= self.horizontal_fov < math.pi:
+            raise ValueError(f"horizontal_fov {self.horizontal_fov} outside [{_MIN_HFOV:.3g}, pi)")
         if not all(0 < side <= MAX_IMAGE_SIDE for side in (self.image_width, self.image_height)):
             raise ValueError(
                 f"image size {self.image_width}x{self.image_height}: each side must lie in"
@@ -105,7 +111,7 @@ class TargetModel:
     body_height: float = 0.30
     # flipper patch center offset from the body center, in board coordinates
     # (horizontal toward the board's left axis, vertical up), and its size
-    flipper_offset: tuple[float, float] = (0.0, -0.09)
+    flipper_offset: ClassVar[tuple[float, float]] = (0.0, -0.09)
     flipper_size: tuple[float, float] = (0.50, 0.12)
     gait_frequency: float = 2.0
     gait_jitter: float = 0.0
@@ -122,7 +128,6 @@ class TargetModel:
             )
         if not self.gait_jitter >= 0:
             raise ValueError(f"gait_jitter must be >= 0, got {self.gait_jitter}")
-        _require_finite("flipper_offset", self.flipper_offset)
         _require_finite("flipper_size", self.flipper_size)
 
 
@@ -292,16 +297,13 @@ def _flipper_box(
 # synthetic footage
 
 class _GaitPhase:
-    """Flipper oscillation phase with optional per-cycle frequency jitter."""
+    """Flipper phase from a first draw of rng, with optional per-cycle frequency jitter."""
 
-    def __init__(self, frequency: float, jitter: float, rng: np.random.Generator, phase0: float):
-        self.frequency = frequency
-        self.jitter = jitter
-        self.rng = rng
-        self.phase0 = phase0
-        self._phase = phase0
+    def __init__(self, target: TargetModel, rng: np.random.Generator):
+        self.frequency, self.jitter, self.rng = target.gait_frequency, target.gait_jitter, rng
+        self.phase0 = self._phase = float(rng.uniform(0.0, 2.0 * math.pi))
         self._last_t = 0.0
-        self._boundary = phase0 + 2.0 * math.pi
+        self._boundary = self.phase0 + 2.0 * math.pi
         self._cycle_freq = self._draw()
 
     def _draw(self) -> float:
@@ -334,7 +336,8 @@ class FootageScene:
 
     Background sits at a constant level plus optional Gaussian pixel noise;
     the target body renders brighter, and its flipper patch oscillates
-    between the configured extremes at the gait frequency.
+    between the configured extremes at the gait frequency, from a phase
+    that is the first draw of the scene's stream.
     """
 
     def __init__(
@@ -344,19 +347,13 @@ class FootageScene:
         rng: np.random.Generator | None = None,
         flipper_range: tuple[float, float] = (0.15, 0.95),
         noise_sigma: float = 0.02,
-        gait_phase0: float | None = None,
     ):
         self.camera = camera
         self.target = target
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.flipper_range = flipper_range
         self.noise_sigma = noise_sigma
-        phase0 = (
-            float(self.rng.uniform(0.0, 2.0 * math.pi))
-            if gait_phase0 is None
-            else gait_phase0
-        )
-        self._gait = _GaitPhase(target.gait_frequency, target.gait_jitter, self.rng, phase0)
+        self._gait = _GaitPhase(target, self.rng)
 
     def _pixel_rect(self, box: BoundingBox) -> tuple[int, int, int, int]:
         w, h = self.camera.image_width, self.camera.image_height
@@ -466,8 +463,8 @@ def noisy_detector(
     """Corrupt a ground-truth box the way the field detector statistics do."""
     if true_box is None:
         if noise.false_positive_prob > 0 and rng.uniform() < noise.false_positive_prob:
-            cx, cy = rng.uniform(0.25, 0.75, 2)
-            w, h = rng.uniform(0.05, 0.30, 2)
+            cx, cy = rng.uniform(0.25, 0.75, 2).tolist()
+            w, h = rng.uniform(0.05, 0.30, 2).tolist()
             conf = min(max(rng.normal(0.35, 0.15), 0.0), 1.0)
             return clip_box_to_image(cx - w / 2.0, cy - h / 2.0, w, h, conf)
         return None
@@ -585,6 +582,27 @@ class ConvoyConfig:
                 f"duration {self.duration:g} s gives {ticks:g} ticks at {self.physics_rate:g} Hz;"
                 f" a run takes 1 to {MAX_TICKS} ticks",
                 (ConvoyConfig, "duration"), physics,
+            )
+        # the projection sums the sizes of both vehicles' coordinates and of
+        # the body; bound that sum over the run, with the leader's turn, so
+        # that no tick leaves the float range. A heading moves the sum at
+        # most sqrt(3) < 2 times its speed; the follower's speeds are the
+        # servo's clamps, which its gains reach at errors of at most 1; the
+        # margin covers rounding over up to MAX_TICKS steps
+        forward = min(self.servo.forward_speed_limit, max(self.servo.speed_gain, 0.0))
+        vertical = min(self.servo.vertical_speed_limit, abs(self.servo.depth_gain))
+        speed = 2.0 * (abs(self.script.speed) + forward) + abs(self.script.rate) + vertical
+        reach = (speed + sum(map(abs, self.current))) * round(ticks) / self.physics_rate
+        reach += sum(map(abs, self.script.start_pose.position + self.initial_follower.position))
+        reach += self.target.body_length + self.target.body_height
+        if not math.isfinite(reach * (1.0 + 1e-6)):
+            raise ScheduleError(
+                f"over duration {self.duration:g} s the positions and turns of the run may"
+                f" add up to {reach:g}, past the float range",
+                *((ConvoyConfig, f) for f in ("duration", "script", "initial_follower", "current")),
+                *((ServoConfig, f) for f in ("forward_speed_limit", "speed_gain", "depth_gain")),
+                (ServoConfig, "vertical_speed_limit"),
+                *((TargetModel, f) for f in ("body_length", "body_height")),
             )
 
 

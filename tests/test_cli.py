@@ -549,7 +549,6 @@ def test_mdpm_subcommand(tmp_path):
     scene = FootageScene(
         target=TargetModel(gait_frequency=2.0),
         rng=np.random.default_rng(4),
-        gait_phase0=0.9,
     )
     frames = scene.render_sequence(Pose(position=(1.2, 0.0, 0.0)), Pose(), 30, 15.0)
     frame_dir = tmp_path / "frames"
@@ -905,6 +904,34 @@ def test_run_the_loop_cannot_honour_exits_2(tmp_path, capsys, monkeypatch, comma
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}: line 2: ") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, line, key",
+    [
+        ("sim.duration = 4\nsim.current_x = 1e308\n", 2, "sim.current_x"),
+        ("sim.duration = 4\nsim.script_speed = 1e308\n", 2, "sim.script_speed"),
+        ("sim.duration = 4\nsim.script = turn_in_place\nsim.script_rate = 1e308\n", 3,
+         "sim.script_rate"),
+        ("sim.duration = 4\nservo.forward_speed_limit = 1e308\nservo.speed_gain = 1e308\n", 3,
+         "servo.speed_gain"),
+        ("sim.current_y = 1e306\nsim.duration = 1000\n", 2, "sim.duration"),
+        ("sim.duration = 4\nsim.camera_hfov = 1e-310\n", 2, "sim.camera_hfov"),
+    ],
+    ids=["current", "leader speed", "leader turn", "follower speed", "duration last", "tiny fov"],
+)
+def test_config_past_the_float_range_is_refused_with_its_line(
+    tmp_path, capsys, monkeypatch, text, line, key
+):
+    # refused with the config, before the first tick and before any output
+    monkeypatch.setattr("uwconvoy.cli.run_convoy", lambda config: pytest.fail("the run started"))
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    out, frames = tmp_path / "trace.csv", tmp_path / "frames"
+    argv = ["sim", "--config", str(config), "--out", str(out), "--frames-out", str(frames)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: line {line}: invalid {key}: ")
+    assert not out.exists() and not frames.exists()
 
 
 def test_servo_sim_subcommand(tmp_path, capsys):

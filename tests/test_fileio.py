@@ -375,6 +375,11 @@ def test_parse_config_rejects_camera_aspect():
         "sim.duration = 1e9",
         "sim.frame_rate = 1e9",
         "sim.image_width = 4097",
+        "sim.camera_hfov = 1e-310",
+        "sim.current_x = 1e308",
+        "sim.script_speed = 1e308",
+        "sim.leader_z = -1.797692e308",
+        "sim.follower_y = 1.797692e308",
         pytest.param("sim.image_height = 1" + "0" * 400, id="sim.image_height = 10**400"),
         "sim.seed = 1_0",
         "sim.duration = 2_0",

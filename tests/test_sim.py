@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import os
 import subprocess
@@ -22,8 +23,10 @@ from uwconvoy.sim import (
     ConvoyConfig,
     DetectorNoise,
     FootageScene,
+    MAX_IMAGE_SIDE,
     MAX_TICKS,
     Pose,
+    ScheduleError,
     TargetModel,
     TrajectoryScript,
     depth_script,
@@ -181,6 +184,19 @@ def test_vertical_fov_follows_the_image_size():
     assert CameraModel(image_width=320, image_height=320).vertical_fov == CAM.horizontal_fov
 
 
+def test_camera_refuses_a_fov_whose_angles_leave_the_float_range():
+    with pytest.raises(ValueError, match=r"horizontal_fov 1e-310 outside \[1.43e-304, pi\)"):
+        CameraModel(horizontal_fov=1e-310)
+    smallest = 2.0 * math.pi * MAX_IMAGE_SIDE / sys.float_info.max
+    with pytest.raises(ValueError, match="outside"):
+        CameraModel(horizontal_fov=math.nextafter(smallest, 0.0))
+    # at the smallest fov and the most elongated images, a box is finite
+    for width, height in ((MAX_IMAGE_SIDE, 1), (1, MAX_IMAGE_SIDE)):
+        cam = CameraModel(smallest, width, height)
+        for position in ((2.0, 0.0, 0.0), (2.0, 0.3, -0.2), (2.0, -50.0, 40.0)):
+            project_bbox(cam, Pose(), Pose(position=position), TARGET)
+
+
 def test_projection_behind_camera_is_none():
     leader = Pose(position=(-2.0, 0.0, 0.0))
     assert project_bbox(CAM, Pose(), leader, TARGET) is None
@@ -297,16 +313,23 @@ def test_projection_matches_per_corner_oracle(poses):
 # ---------------------------------------------------------------------------
 # footage
 
+def test_flipper_offset_and_gait_phase_are_not_settable():
+    assert "flipper_offset" not in {f.name for f in dataclasses.fields(TargetModel)}
+    assert TargetModel.flipper_offset == (0.0, -0.09)
+    assert "gait_phase0" not in inspect.signature(FootageScene).parameters
+
+
 def test_render_empty_scene_uniform_background():
-    scene = FootageScene(noise_sigma=0.0, gait_phase0=0.0)
+    scene = FootageScene(noise_sigma=0.0)
     frame = scene.render(Pose(position=(-5.0, 0.0, 0.0)), Pose(), None, scene.background(0.0))
     assert np.all(frame == 0.4)
     assert frame.shape == (240, 320)
 
 
 def test_render_empty_scene_is_background_plus_one_normal_draw():
-    scene = FootageScene(rng=np.random.default_rng(4), noise_sigma=0.02, gait_phase0=0.0)
+    scene = FootageScene(rng=np.random.default_rng(4), noise_sigma=0.02)
     rng = np.random.default_rng(4)
+    rng.uniform(0.0, 2.0 * math.pi)  # the gait phase, the scene's first draw
     for i in range(3):
         frame = scene.render(
             Pose(position=(-5.0, 0.0, 0.0)), Pose(), None, scene.background(i / 15.0)
@@ -317,11 +340,14 @@ def test_render_empty_scene_is_background_plus_one_normal_draw():
 
 
 def test_flipper_mid_value_at_sine_zero_crossing():
-    scene = FootageScene(noise_sigma=0.0, gait_phase0=0.0)
-    # gait 2 Hz, phase0 0: at t = 0.5 s the phase is exactly 2*pi -> sin = 0
+    scene = FootageScene(rng=np.random.default_rng(5), noise_sigma=0.0)
+    # the phase starts at the scene's first draw; at 2 Hz it reaches 2*pi,
+    # where sin = 0, at t = (2*pi - phase0) / (4*pi)
+    phase0 = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi)
     leader = Pose(position=(1.2, 0.0, 0.0))
     body = project_bbox(CAM, Pose(), leader, TARGET)
-    frame = scene.render(leader, Pose(), body, scene.background(0.5))
+    t = (2.0 * math.pi - phase0) / (4.0 * math.pi)
+    frame = scene.render(leader, Pose(), body, scene.background(t))
     lo, hi = scene.flipper_range
     mid = lo + (hi - lo) * 0.5
     assert np.any(np.isclose(frame, mid, atol=1e-12))
@@ -336,7 +362,7 @@ def _flipper_series(frames, scene, leader, follower):
 
 
 def test_flipper_series_peaks_at_gait_frequency():
-    scene = FootageScene(noise_sigma=0.0, gait_phase0=1.1)
+    scene = FootageScene(noise_sigma=0.0)
     leader, follower = Pose(position=(1.2, 0.0, 0.0)), Pose()
     frames = scene.render_sequence(leader, follower, 150, 15.0)
     series = _flipper_series(frames, scene, leader, follower)
@@ -346,9 +372,7 @@ def test_flipper_series_peaks_at_gait_frequency():
 
 
 def test_gait_jitter_requires_monotonic_time():
-    scene = FootageScene(
-        target=TargetModel(gait_jitter=0.2), noise_sigma=0.0, gait_phase0=0.0
-    )
+    scene = FootageScene(target=TargetModel(gait_jitter=0.2), noise_sigma=0.0)
     scene.render(Pose(position=(1.2, 0, 0)), Pose(), None, scene.background(1.0))
     with pytest.raises(ValueError):
         scene.render(Pose(position=(1.2, 0, 0)), Pose(), None, scene.background(0.5))
@@ -407,6 +431,26 @@ def test_noisy_detector_false_positive_rate():
     assert abs(fps_ / n - 0.2) <= 3 * se
 
 
+def _numbers(value):
+    """Every number held in value, through dataclasses and tuples."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _numbers(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _numbers(item)
+    elif value is not None:
+        yield value
+
+
+def test_trace_holds_plain_floats_after_a_false_positive():
+    # the follower loses a turning leader, so the detector fires on nothing
+    script = turn_script(start_pose=Pose(position=(2.0, 0.0, 0.0)))
+    records = run_convoy(ConvoyConfig(duration=60.0, seed=3, script=script)).records
+    assert any(r.true_box is None and r.detection is not None for r in records)
+    assert {type(v) for r in records for v in _numbers(r)} == {float}
+
+
 def test_noisy_detector_confidence_tracks_iou():
     rng = np.random.default_rng(99)
     noise = DetectorNoise(miss_prob_small=0.0, miss_prob_base=0.0)
@@ -451,11 +495,26 @@ def _setpoint_distance(desired: float = 0.5) -> float:
         ({"duration": 1e9}, "duration 1e[+]09 s gives 5e[+]10 ticks at 50 Hz; a run takes 1 to"),
         ({"duration": (MAX_TICKS + 1) / 50.0}, "duration 20000 s gives 1e[+]06 ticks"),
         ({"frame_rate": 1e9}, "frame_rate 1e[+]09 Hz exceeds physics_rate 50 Hz"),
+        ({"current": (1e308, 0.0, 0.0)}, "over duration 60 s the positions and turns"),
+        ({"script": forward_script(1e308)}, "may add up to inf, past the float range"),
+        ({"script": turn_script(1e308), "duration": 4.0}, "over duration 4 s"),
+        (
+            {"servo": ServoConfig(speed_gain=1e308, forward_speed_limit=1e308)},
+            "may add up to inf",
+        ),
+        (
+            {
+                "target": TargetModel(body_length=1e308),
+                "script": turn_script(start_pose=Pose(position=(1e308, 0.0, 0.0))),
+            },
+            "may add up to inf",
+        ),
     ],
     ids=[
         "zero duration", "too short", "too many ticks",
         "detector too fast", "servo too fast", "physics too slow",
         "too long", "one tick too long", "frames too fast",
+        "current", "leader speed", "leader turn", "follower speed", "body and leader start",
     ],
 )
 def test_config_rejects_a_run_its_loop_cannot_honour(fields, message):
@@ -465,6 +524,18 @@ def test_config_rejects_a_run_its_loop_cannot_honour(fields, message):
 
 def test_config_allows_the_longest_run_and_fastest_frames():
     ConvoyConfig(duration=MAX_TICKS / 50.0, frame_rate=50.0)
+
+
+def test_config_refuses_motion_only_at_the_top_of_the_float_range():
+    with pytest.raises(ScheduleError, match="may add up to 1.79769e[+]308"):
+        ConvoyConfig(initial_follower=Pose(position=(0.0, -1.797692e308, 0.0)))
+    # a coordinate near the float range, and gains past it that the servo clamps
+    config = ConvoyConfig(
+        duration=4.0,
+        script=forward_script(start_pose=Pose(position=(1.7e308, 0.0, 0.0))),
+        servo=ServoConfig(speed_gain=1e308, depth_gain=1e308),
+    )
+    assert run_convoy(config).records[-1].leader.position[0] == 1.7e308
 
 
 _CONFIG_CLASSES = (ConvoyConfig, CameraModel, TargetModel, DetectorNoise, ServoConfig, MdpmConfig, Pose)
