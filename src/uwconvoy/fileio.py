@@ -24,7 +24,6 @@ from .sim import (
     ConvoyConfig,
     DetectorNoise,
     Pose,
-    ScheduleError,
     SimTrace,
     TargetModel,
     depth_script,
@@ -233,8 +232,7 @@ def _field_key(cls: type, name: str, parse=None):
 
 # config key -> (parser, dataclass, field). A key that sets one field names
 # its dataclass; an absent key leaves that field at its default. Keys with a
-# dataclass of None are read by the special cases in parse_config; their
-# field, if any, is the ConvoyConfig field that they go into.
+# dataclass of None are read by name in _build_config.
 CONFIG_KEYS = {
     **{f"servo.{f.name}": _field_key(ServoConfig, f.name) for f in fields(ServoConfig)},
     **{
@@ -253,19 +251,22 @@ CONFIG_KEYS = {
     "sim.target_height": _field_key(TargetModel, "body_height"),
     "sim.gait_frequency": _field_key(TargetModel, "gait_frequency"),
     "sim.gait_jitter": _field_key(TargetModel, "gait_jitter"),
-    "sim.script": (_choice(*_SCRIPTS), None, "script"),
+    "sim.script": (_choice(*_SCRIPTS), None, None),
     "sim.noiseless": (_choice("0", "1"), None, None),
     **{
-        f"sim.{name}": (_parse_float, None, owner)
-        for owner, names in (
-            ("script", ("script_speed", "script_rate")),
-            ("script", ("leader_x", "leader_y", "leader_z", "leader_yaw")),
-            ("initial_follower", ("follower_x", "follower_y", "follower_z", "follower_yaw")),
-            ("current", ("current_x", "current_y", "current_z")),
+        f"sim.{name}": (_parse_float, None, None)
+        for name in (
+            "script_speed", "script_rate",
+            "leader_x", "leader_y", "leader_z", "leader_yaw",
+            "follower_x", "follower_y", "follower_z", "follower_yaw",
+            "current_x", "current_y", "current_z",
         )
-        for name in names
     },
 }
+
+# the config of an empty file; _build_config starts the script, the poses and
+# the current from its values of them
+_DEFAULT_CONFIG = ConvoyConfig()
 
 
 def _pose(values: dict[str, object], who: str, base: Pose) -> Pose:
@@ -276,13 +277,50 @@ def _pose(values: dict[str, object], who: str, base: Pose) -> Pose:
     return replace(base, position=position, yaw=values.get(f"sim.{who}_yaw", base.yaw))
 
 
+def _build_config(values: dict[str, object]) -> ConvoyConfig:
+    """The ConvoyConfig that the parsed values of config keys set; absent
+    keys take the defaults of the dataclasses they set."""
+    def set_fields(cls: type) -> dict[str, object]:
+        return {
+            name: values[key]
+            for key, (_, c, name) in CONFIG_KEYS.items()
+            if c is cls and key in values
+        }
+
+    default = _DEFAULT_CONFIG
+    builder, arg, arg_key = _SCRIPTS[values.get("sim.script", default.script.kind)]
+    script = builder(
+        start_pose=_pose(values, "leader", default.script.start_pose),
+        **({arg: values[arg_key]} if arg_key in values else {}),
+    )
+    noise = (
+        DetectorNoise.noiseless()
+        if values.get("sim.noiseless") == "1"
+        else DetectorNoise(**set_fields(DetectorNoise))
+    )
+    return ConvoyConfig(
+        script=script,
+        initial_follower=_pose(values, "follower", default.initial_follower),
+        servo=ServoConfig(**set_fields(ServoConfig)),
+        camera=CameraModel(**set_fields(CameraModel)),
+        target=TargetModel(**set_fields(TargetModel)),
+        detector_noise=noise,
+        current=tuple(
+            values.get(f"sim.current_{axis}", v) for axis, v in zip("xyz", default.current)
+        ),
+        **set_fields(ConvoyConfig),
+    )
+
+
 def parse_config(text: str) -> ConvoyConfig:
     """Parse key=value config lines into the config of one convoy run.
 
-    Unknown keys, and keys that the rest of the file makes ineffective, are
-    rejected with their line number; '#' starts a comment. Absent keys take
-    the defaults of the dataclasses they set. Any ValueError raised while a
-    line is parsed becomes a DataFormatError that names the line.
+    Lines that do not parse, unknown and duplicate keys, and keys that the
+    rest of the file makes ineffective, are rejected with their line number;
+    '#' starts a comment. Absent keys take the defaults of the dataclasses
+    they set. When the values together build no config, the error names the
+    last line that turns the lines before it, which build, into lines that
+    do not, with the fault of those lines.
     """
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
@@ -298,61 +336,31 @@ def parse_config(text: str) -> ConvoyConfig:
                 raise DataFormatError(f"unknown config key {key!r}")
             if key in values:
                 raise DataFormatError(f"duplicate config key {key!r}")
-            parse, cls, name = CONFIG_KEYS[key]
-            values[key] = parse(raw_value, key)
+            values[key] = CONFIG_KEYS[key][0](raw_value, key)
             lines[key] = line_no
-            if cls is not None:
-                # a field's own invariant is checked here, where its line
-                # number is known; a ScheduleError involves other lines, so it
-                # waits for the whole file
-                try:
-                    cls(**{name: values[key]})
-                except ScheduleError:
-                    pass
-                except ValueError as exc:
-                    raise DataFormatError(f"invalid {key}: {exc}") from None
         except ValueError as exc:
             raise DataFormatError(f"line {line_no}: {exc}") from None
 
-    def set_fields(cls: type) -> dict[str, object]:
-        return {
-            name: values[key]
-            for key, (_, c, name) in CONFIG_KEYS.items()
-            if c is cls and key in values
-        }
-
-    default = ConvoyConfig()
-    kind = values.get("sim.script", default.script.kind)
-    builder, arg, arg_key = _SCRIPTS[kind]
+    kind = values.get("sim.script", _DEFAULT_CONFIG.script.kind)
     noiseless = values.get("sim.noiseless") == "1"
     for key, line_no in lines.items():
-        if key.startswith("sim.script_") and key != arg_key:
+        if key.startswith("sim.script_") and key != _SCRIPTS[kind][2]:
             raise DataFormatError(f"line {line_no}: {key} has no effect with sim.script = {kind}")
         if key.startswith("detector_noise.") and noiseless:
             raise DataFormatError(f"line {line_no}: {key} has no effect with sim.noiseless = 1")
-    script = builder(
-        start_pose=_pose(values, "leader", default.script.start_pose),
-        **({arg: values[arg_key]} if arg_key in values else {}),
-    )
-    noise = DetectorNoise.noiseless() if noiseless else DetectorNoise(**set_fields(DetectorNoise))
     try:
-        return ConvoyConfig(
-            script=script,
-            initial_follower=_pose(values, "follower", default.initial_follower),
-            servo=ServoConfig(**set_fields(ServoConfig)),
-            camera=CameraModel(**set_fields(CameraModel)),
-            target=TargetModel(**set_fields(TargetModel)),
-            detector_noise=noise,
-            current=tuple(
-                values.get(f"sim.current_{axis}", v) for axis, v in zip("xyz", default.current)
-            ),
-            **set_fields(ConvoyConfig),
-        )
-    except ScheduleError as exc:
-        # the defaults agree, so a line sets a field in conflict: name the last
-        owner = {k: (cls or ConvoyConfig, name) for k, (_, cls, name) in CONFIG_KEYS.items()}
-        line_no, key = max((n, k) for k, n in lines.items() if owner[k] in exc.fields)
-        raise DataFormatError(f"line {line_no}: invalid {key}: {exc}") from None
+        return _build_config(values)
+    except ValueError as exc:
+        fault = exc
+    # the empty prefix builds the defaults, so the walk back ends at a line
+    keys = list(lines)
+    for n in reversed(range(len(keys))):
+        try:
+            _build_config({key: values[key] for key in keys[:n]})
+        except ValueError as exc:
+            fault = exc
+            continue
+        raise DataFormatError(f"line {lines[keys[n]]}: invalid {keys[n]}: {fault}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -117,11 +117,9 @@ class TargetModel:
     gait_jitter: float = 0.0
 
     def __post_init__(self):
-        if not (self.body_length > 0 and self.body_height > 0):
-            raise ValueError(
-                f"body_length {self.body_length} and body_height {self.body_height}"
-                " must be positive"
-            )
+        for name in ("body_length", "body_height"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 1.0 <= self.gait_frequency <= 3.0:
             raise ValueError(
                 f"gait_frequency {self.gait_frequency} outside the 1-3 Hz band"
@@ -519,15 +517,6 @@ class SimTrace:
 _TICK_SLACK = 1e-12
 
 
-class ScheduleError(ValueError):
-    """ConvoyConfig fields, each valid alone, that together ask run_convoy
-    for a loop it cannot run; `fields` holds their (dataclass, name) pairs."""
-
-    def __init__(self, message: str, *fields: tuple[type, str]):
-        super().__init__(message)
-        self.fields = fields
-
-
 @dataclass(frozen=True)
 class ConvoyConfig:
     duration: float = 60.0
@@ -565,23 +554,20 @@ class ConvoyConfig:
         # the loop fires the detector and the servo, and samples a frame, at
         # most once per tick, and runs round(duration * physics_rate) ticks:
         # from one to MAX_TICKS
-        physics = (ConvoyConfig, "physics_rate")
-        for owner, name, rate in (
-            ((ConvoyConfig, "detector_rate"), "detector_rate", self.detector_rate),
-            ((ServoConfig, "command_rate"), "servo.command_rate", self.servo.command_rate),
-            ((ConvoyConfig, "frame_rate"), "frame_rate", self.frame_rate),
+        for name, rate in (
+            ("detector_rate", self.detector_rate),
+            ("servo.command_rate", self.servo.command_rate),
+            ("frame_rate", self.frame_rate),
         ):
             if rate > self.physics_rate:
-                raise ScheduleError(
-                    f"{name} {rate:g} Hz exceeds physics_rate {self.physics_rate:g} Hz",
-                    owner, physics,
+                raise ValueError(
+                    f"{name} {rate:g} Hz exceeds physics_rate {self.physics_rate:g} Hz"
                 )
         ticks = self.duration * self.physics_rate
         if not 0.5 < ticks < math.inf or round(ticks) > MAX_TICKS:
-            raise ScheduleError(
+            raise ValueError(
                 f"duration {self.duration:g} s gives {ticks:g} ticks at {self.physics_rate:g} Hz;"
-                f" a run takes 1 to {MAX_TICKS} ticks",
-                (ConvoyConfig, "duration"), physics,
+                f" a run takes 1 to {MAX_TICKS} ticks"
             )
         # the projection sums the sizes of both vehicles' coordinates and of
         # the body; bound that sum over the run, with the leader's turn, so
@@ -592,17 +578,13 @@ class ConvoyConfig:
         forward = min(self.servo.forward_speed_limit, max(self.servo.speed_gain, 0.0))
         vertical = min(self.servo.vertical_speed_limit, abs(self.servo.depth_gain))
         speed = 2.0 * (abs(self.script.speed) + forward) + abs(self.script.rate) + vertical
-        reach = (speed + sum(map(abs, self.current))) * round(ticks) / self.physics_rate
+        reach = (speed + sum(map(abs, self.current))) * (round(ticks) / self.physics_rate)
         reach += sum(map(abs, self.script.start_pose.position + self.initial_follower.position))
         reach += self.target.body_length + self.target.body_height
         if not math.isfinite(reach * (1.0 + 1e-6)):
-            raise ScheduleError(
+            raise ValueError(
                 f"over duration {self.duration:g} s the positions and turns of the run may"
-                f" add up to {reach:g}, past the float range",
-                *((ConvoyConfig, f) for f in ("duration", "script", "initial_follower", "current")),
-                *((ServoConfig, f) for f in ("forward_speed_limit", "speed_gain", "depth_gain")),
-                (ServoConfig, "vertical_speed_limit"),
-                *((TargetModel, f) for f in ("body_length", "body_height")),
+                f" add up to {reach:g}, past the float range"
             )
 
 

@@ -1,3 +1,5 @@
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +31,7 @@ from uwconvoy.fileio import (
     write_pgm,
 )
 from uwconvoy.geometry import Annotation, BoundingBox
-from uwconvoy.servo import ControlCommand
+from uwconvoy.servo import ControlCommand, ServoConfig
 from uwconvoy.sim import ConvoyConfig, Pose, SimTrace, depth_script, run_convoy
 
 from oracles import one_line_write_pgm, trace_row_cells
@@ -428,6 +430,83 @@ def test_parse_config_checks_rates_against_the_whole_file():
     conflict = "^line 3: invalid sim.physics_rate: servo.command_rate 20 Hz exceeds"
     with pytest.raises(DataFormatError, match=conflict):
         parse_config("servo.command_rate = 20\nsim.detector_rate = 5\nsim.physics_rate = 10\n")
+
+
+def test_parse_config_builds_one_config_for_a_valid_file(monkeypatch):
+    builds = []
+    check = ConvoyConfig.__post_init__
+    monkeypatch.setattr(ConvoyConfig, "__post_init__", lambda self: builds.append(check(self)))
+    assert parse_config(GOOD_CONFIG).seed == 42
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["sim.current_x = 1e308", "servo.speed_gain = 12"], "line 1: invalid sim.current_x: "),
+        (["sim.current_x = 1e308", "sim.target_length = 0.65"], "line 1: invalid sim.current_x: "),
+        (["sim.current_x = 1e308", "sim.duration = 4"], "line 1: invalid sim.current_x: over"),
+        (["sim.duration = 4", "sim.current_x = 1e308"], "line 2: invalid sim.current_x: over"),
+        (["sim.detector_rate = 60", "sim.image_width = 0"], "line 1: invalid sim.detector_rate: "),
+        (["sim.image_width = 0", "sim.detector_rate = 60"], "line 1: invalid sim.image_width: "),
+    ],
+)
+def test_parse_config_names_the_line_that_breaks_the_lines_before_it(lines, message):
+    with pytest.raises(DataFormatError) as exc:
+        parse_config("\n".join(lines) + "\n")
+    assert str(exc.value).startswith(message)
+
+
+def test_config_whose_motion_ends_near_the_float_range_parses_and_runs():
+    # 60 s of a 1e306 m/s current: the follower ends near 6e307, under the
+    # largest float, though current * ticks alone is past it
+    config = parse_config("sim.current_y = 1e306\n")
+    final = run_convoy(config).records[-1]
+    assert all(map(math.isfinite, final.leader.position + final.follower.position))
+    assert final.follower.position[1] > 5e307
+
+
+# values of each key, some of which together build no config
+_BLAME_POOL = {
+    "sim.duration": ["0.02", "4", "60", "1000", "1e9"],
+    "sim.physics_rate": ["5", "50", "100"],
+    "sim.detector_rate": ["7", "60"],
+    "servo.command_rate": ["10", "20", "1000"],
+    "sim.frame_rate": ["15", "1e9"],
+    "sim.current_x": ["0.03", "1e306", "1e308"],
+    "servo.forward_speed_limit": [str(ServoConfig().forward_speed_limit), "1e308"],
+    "servo.speed_gain": [str(ServoConfig().speed_gain), "1e308"],
+    "sim.image_width": ["320", "0", "4097"],
+    "sim.target_length": ["0.65", "1e308"],
+}
+
+
+@st.composite
+def _pool_lines(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_BLAME_POOL)), min_size=1, max_size=6, unique=True))
+    return [f"{key} = {draw(st.sampled_from(_BLAME_POOL[key]))}" for key in keys]
+
+
+def _parses(lines: list[str]) -> bool:
+    try:
+        parse_config("".join(f"{line}\n" for line in lines))
+    except DataFormatError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_pool_lines())
+def test_parse_config_names_the_last_line_that_breaks_a_prefix(lines):
+    try:
+        parse_config("".join(f"{line}\n" for line in lines))
+    except DataFormatError as exc:
+        match = re.match(r"line (\d+): invalid (\S+): ", str(exc))
+        assert match, str(exc)
+        n = int(match[1])
+        assert lines[n - 1].startswith(f"{match[2]} = ")
+        assert _parses(lines[: n - 1])
+        assert not any(_parses(lines[:end]) for end in range(n, len(lines) + 1))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwconvoy.geometry import BoundingBox
 from uwconvoy.servo import (
@@ -163,6 +165,44 @@ def test_servo_command_saturation_random():
         assert abs(cmd.vertical_speed) <= CFG.vertical_speed_limit
         assert 0.0 <= cmd.forward_speed <= CFG.forward_speed_limit
         assert cmd.pitch_rate == 0.0 and cmd.roll_rate == 0.0
+
+
+_GAIN = st.floats(allow_nan=False, allow_infinity=False)
+_LIMIT = st.floats(0.0, 1e308)
+
+
+@st.composite
+def _detection(draw):
+    """None, or a box with sizes >= 0, as the detector gives them."""
+    if draw(st.booleans()):
+        return None
+    x, y = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    w, h = draw(st.floats(0.0, 1.0 - x)), draw(st.floats(0.0, 1.0 - y))
+    return BoundingBox(x, y, w, h, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cfg=st.builds(
+        ServoConfig,
+        desired_area=st.floats(0.0, 1.0, exclude_min=True),
+        command_rate=st.floats(1e-3, 1e3),
+        loss_timeout=st.floats(1e-3, 10.0),
+        yaw_kp=_GAIN, yaw_ki=_GAIN, yaw_kd=_GAIN, depth_gain=_GAIN, speed_gain=_GAIN,
+        yaw_rate_limit=_LIMIT, vertical_speed_limit=_LIMIT, forward_speed_limit=_LIMIT,
+    ),
+    steps=st.lists(st.tuples(_detection(), st.floats(0.0, 5.0)), min_size=1, max_size=20),
+)
+def test_servo_commands_keep_the_clamps_the_motion_bound_assumes(cfg, steps):
+    # ConvoyConfig bounds a run's motion by these two speeds
+    forward = min(cfg.forward_speed_limit, max(cfg.speed_gain, 0.0))
+    vertical = min(cfg.vertical_speed_limit, abs(cfg.depth_gain))
+    state, t = ServoState(cfg), 0.0
+    for detection, dt in steps:
+        t += dt
+        command, state = servo_update(state, detection, t)
+        assert 0.0 <= command.forward_speed <= forward
+        assert abs(command.vertical_speed) <= vertical
 
 
 def test_servo_deterministic_sequences():

@@ -26,7 +26,6 @@ from uwconvoy.sim import (
     MAX_IMAGE_SIDE,
     MAX_TICKS,
     Pose,
-    ScheduleError,
     TargetModel,
     TrajectoryScript,
     depth_script,
@@ -527,7 +526,7 @@ def test_config_allows_the_longest_run_and_fastest_frames():
 
 
 def test_config_refuses_motion_only_at_the_top_of_the_float_range():
-    with pytest.raises(ScheduleError, match="may add up to 1.79769e[+]308"):
+    with pytest.raises(ValueError, match="may add up to 1.79769e[+]308"):
         ConvoyConfig(initial_follower=Pose(position=(0.0, -1.797692e308, 0.0)))
     # a coordinate near the float range, and gains past it that the servo clamps
     config = ConvoyConfig(
@@ -555,7 +554,15 @@ def _nan_cases():
                     yield pytest.param(cls, f.name, value, id=f"{cls.__name__}-{f.name}-{i}")
 
 
-@pytest.mark.parametrize("cls, name, value", _nan_cases())
+@pytest.mark.parametrize(
+    "cls, name, value",
+    [
+        *_nan_cases(),
+        # the target's sizes must also be finite
+        pytest.param(TargetModel, "body_length", math.inf, id="TargetModel-body_length-inf"),
+        pytest.param(TargetModel, "body_height", math.inf, id="TargetModel-body_height-inf"),
+    ],
+)
 def test_config_float_field_rejects_nan(cls, name, value):
     with pytest.raises(ValueError, match=name):
         cls(**{name: value})
