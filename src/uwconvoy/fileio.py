@@ -480,10 +480,12 @@ TRACE_HEADER = (
 
 def _trace_template(true_present: bool, det_present: bool) -> str:
     """%-template of one trace row: a cell per TRACE_HEADER column, each
-    value printed as _fmt prints it, empty cells for a missing box."""
+    value printed as _fmt prints it, empty cells for a missing box, and the
+    pitch of the level vehicles as a constant 0."""
+    pose_cells = "%.6f," * 4 + "0.000000"
     true_cells = "1" + ",%.6f" * 4 if true_present else "0" + "," * 4
     det_cells = "1" + ",%.6f" * 5 if det_present else "0" + "," * 5
-    return ",".join(["%.6f"] * 11 + [true_cells, det_cells] + ["%.6f"] * 5) + "\n"
+    return ",".join(["%.6f", pose_cells, pose_cells, true_cells, det_cells] + ["%.6f"] * 5) + "\n"
 
 
 # (true box present, detection present) -> the template of a row
@@ -495,8 +497,7 @@ def format_trace_csv(trace: SimTrace) -> str:
     for r in trace.records:
         tb, db, cmd, leader, follower = r.true_box, r.detection, r.command, r.leader, r.follower
         rows.append(_TRACE_ROWS[tb is not None, db is not None] % (
-            r.t, *leader.position, leader.yaw, leader.pitch,
-            *follower.position, follower.yaw, follower.pitch,
+            r.t, *leader.position, leader.yaw, *follower.position, follower.yaw,
             *(() if tb is None else (tb.x, tb.y, tb.w, tb.h)),
             *(() if db is None else (db.p, db.x, db.y, db.w, db.h)),
             cmd.yaw_rate, cmd.pitch_rate, cmd.roll_rate, cmd.forward_speed, cmd.vertical_speed,

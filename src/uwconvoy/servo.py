@@ -68,6 +68,15 @@ class ServoConfig:
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
+    @property
+    def speed_clamps(self) -> tuple[float, float]:
+        """Bounds of |forward speed| and |vertical speed| over all commands:
+        each limit, or the gain if less, which is what an error of 1 asks for."""
+        return (
+            min(self.forward_speed_limit, max(self.speed_gain, 0.0)),
+            min(self.vertical_speed_limit, abs(self.depth_gain)),
+        )
+
 
 def compute_errors(box: BoundingBox, cfg: ServoConfig) -> tuple[float, float, float]:
     """Image-space errors (dx, dy, dA) for one observed box.
@@ -137,18 +146,13 @@ def servo_update(
     )
     # positive dx = target right of center = yaw clockwise (negative rate,
     # z-up convention); positive dy = target low in the image = descend
+    forward, vertical = cfg.speed_clamps
     command = ControlCommand(
         yaw_rate=-yaw_out,
         pitch_rate=0.0,
         roll_rate=0.0,
-        forward_speed=(
-            _clamp(cfg.speed_gain * d_area, 0.0, cfg.forward_speed_limit)
-            if d_area > 0.0
-            else 0.0
-        ),
-        vertical_speed=_clamp(
-            -cfg.depth_gain * dy, -cfg.vertical_speed_limit, cfg.vertical_speed_limit
-        ),
+        forward_speed=_clamp(cfg.speed_gain * d_area, 0.0, forward) if d_area > 0.0 else 0.0,
+        vertical_speed=_clamp(-cfg.depth_gain * dy, -vertical, vertical),
     )
     next_state = replace(
         state,

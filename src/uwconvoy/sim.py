@@ -1,11 +1,13 @@
 """Deterministic kinematic convoy simulator.
 
-World frame: x east/forward, y north/left, z up. Poses carry yaw (about z,
-wrapped to (-pi, pi]) and pitch (about the body y axis, clamped inside
-(-pi/2, pi/2)). The camera looks along the body forward axis; image
-coordinates are normalized with y growing downward, and bearing/elevation
-angles map linearly onto the image (angular camera), so no calibration
-matrix is involved anywhere.
+World frame: x east/forward, y north/left, z up. The vehicles stay level:
+poses carry a position and a yaw (about z, wrapped to (-pi, pi]), and pitch
+and roll are left to each vehicle's attitude autopilot, so the follower
+ignores the commanded pitch and roll rates (the servo commands both as 0) and
+the trace's pitch columns are always 0. The camera looks along the body
+forward axis; image coordinates are normalized with y growing downward, and
+bearing/elevation angles map linearly onto the image (angular camera), so no
+calibration matrix is involved anywhere.
 
 The leader follows closed-form trajectory scripts; the follower integrates
 velocity commands. A billboard rectangle stands in for the leader's body to
@@ -28,7 +30,6 @@ import numpy as np
 from .geometry import Annotation, BoundingBox, clip_box_to_image, iou
 from .servo import STOP_COMMAND, ControlCommand, ServoConfig, ServoState, servo_update
 
-_PITCH_LIMIT = math.pi / 2 - 1e-6
 # Footage intensities of the background and of the leader's body.
 _BACKGROUND = 0.4
 _BODY_INTENSITY = 0.85
@@ -56,29 +57,19 @@ def wrap_angle(a: float) -> float:
     return math.pi - (math.pi - a) % (2.0 * math.pi)
 
 
-def _heading(yaw: float, pitch: float) -> tuple[float, float, float]:
-    """Unit forward axis of a body at yaw and pitch."""
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    return cy * cp, sy * cp, sp
-
-
 @dataclass(frozen=True)
 class Pose:
     position: tuple[float, float, float] = (0.0, 0.0, 0.0)
     yaw: float = 0.0
-    pitch: float = 0.0
 
     def __post_init__(self):
         _require_finite("position", self.position)
-        if not -_PITCH_LIMIT <= self.pitch <= _PITCH_LIMIT:
-            raise ValueError(f"pitch {self.pitch} outside (-pi/2, pi/2)")
         if not math.isfinite(self.yaw):
             raise ValueError(f"yaw {self.yaw} is not finite")
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
     def left(self) -> tuple[float, float, float]:
-        """Unit left axis; level, since the body does not roll."""
+        """Unit left axis; level, as the body is."""
         return -math.sin(self.yaw), math.cos(self.yaw), 0.0
 
 
@@ -165,38 +156,40 @@ def leader_trajectory(script: TrajectoryScript, t: float) -> Pose:
     start = script.start_pose
     x, y, z = start.position
     if script.kind == "forward":
-        fx, fy, fz = _heading(start.yaw, start.pitch)
         d = script.speed
-        position = (x + fx * d * t, y + fy * d * t, z + fz * d * t)
-        return Pose(position, start.yaw, start.pitch)
+        # 0.0 * d, the level heading's z term, gives a -0.0 height the sign traces pin
+        position = (
+            x + math.cos(start.yaw) * d * t, y + math.sin(start.yaw) * d * t, z + 0.0 * d
+        )
+        return Pose(position, start.yaw)
     if script.kind == "turn_in_place":
-        return Pose(start.position, wrap_angle(start.yaw + script.rate * t), start.pitch)
+        return Pose(start.position, wrap_angle(start.yaw + script.rate * t))
     # depth_change, the one kind left that TrajectoryScript admits
-    return Pose((x, y, z + script.speed * t), start.yaw, start.pitch)
+    return Pose((x, y, z + script.speed * t), start.yaw)
 
 
 def step_follower(
     pose: Pose, cmd: ControlCommand, dt: float, drift: tuple[float, float, float] = (0.0, 0.0, 0.0)
 ) -> Pose:
     """Integrate one velocity command over dt (velocity-level kinematics),
-    then displace the pose by drift, the water current's travel over dt."""
+    then displace the pose by drift, the water current's travel over dt.
+    The body stays level: the pitch and roll rates move nothing."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     # wrapped twice here and once more by Pose: wrap_angle takes a yaw one
     # ulp above pi to -pi and only a second pass to pi, and traces pin this
     yaw = wrap_angle(wrap_angle(pose.yaw + cmd.yaw_rate * dt))
-    pitch = min(max(pose.pitch + cmd.pitch_rate * dt, -_PITCH_LIMIT), _PITCH_LIMIT)
-    fx, fy, fz = _heading(yaw, pitch)
     v = cmd.forward_speed
     x, y, z = pose.position
     dx, dy, dz = drift
-    # adding 0.0 turns a -0.0 into +0.0, which the trace CSV would show
+    # adding 0.0 turns a -0.0 into +0.0, which the trace CSV would show;
+    # 0.0 * v, the level heading's z term, gives a -0.0 height the sign traces pin
     position = (
-        x + fx * v * dt + 0.0 + dx,
-        y + fy * v * dt + 0.0 + dy,
-        z + fz * v * dt + cmd.vertical_speed * dt + dz,
+        x + math.cos(yaw) * v * dt + 0.0 + dx,
+        y + math.sin(yaw) * v * dt + 0.0 + dy,
+        z + 0.0 * v + cmd.vertical_speed * dt + dz,
     )
-    return Pose(position, yaw, pitch)
+    return Pose(position, yaw)
 
 
 # ---------------------------------------------------------------------------
@@ -206,53 +199,42 @@ def _project_rect(
     cam: CameraModel,
     follower: Pose,
     center: tuple[float, float, float],
-    h_axis: tuple[float, float, float],
-    v_axis: tuple[float, float, float],
+    left: tuple[float, float, float],
     half_w: float,
     half_h: float,
 ) -> BoundingBox | None:
     """Enclosing normalized box of an upright rectangle, or None if hidden.
 
-    The centre and the four corners, relative to the eye, are projected onto
-    the follower's forward, left and up axes with plain-float dot products,
-    `a0 * b0 + a1 * b1 + a2 * b2` summed left to right, which round alike on
-    every IEEE host.
+    The rectangle spans half_w along the level left axis and half_h up from
+    center. The follower is level too, so each corner's height over the eye
+    is its elevation's numerator, and a corner's bearing is shared by the
+    corner above or below it. The centre and the corners, relative to the
+    eye, are projected onto the follower's forward and left axes with
+    plain-float dot products, `a0 * b0 + a1 * b1` summed left to right, which
+    round alike on every IEEE host.
     """
     ex, ey, ez = follower.position
     cx, cy, cz = center
     cos_y, sin_y = math.cos(follower.yaw), math.sin(follower.yaw)
-    cos_p, sin_p = math.cos(follower.pitch), math.sin(follower.pitch)
-    fx, fy, fz = cos_y * cos_p, sin_y * cos_p, sin_p
-    ux, uy = -sin_p * cos_y, -sin_p * sin_y
-    if (cx - ex) * fx + (cy - ey) * fy + (cz - ez) * fz <= 0.0:
+    if (cx - ex) * cos_y + (cy - ey) * sin_y <= 0.0:
         return None
 
-    hx, hy, hz = h_axis
-    vx, vy, vz = v_axis
+    lx, ly, _ = left
     hfov, vfov = cam.horizontal_fov, cam.vertical_fov
     us, vs = [], []
-    for sx in (-1.0, 1.0):
-        a = sx * half_w
-        for sy in (-1.0, 1.0):
-            b = sy * half_h
-            rx = cx + a * hx + b * vx - ex
-            ry = cy + a * hy + b * vy - ey
-            rz = cz + a * hz + b * vz - ez
-            xc = rx * fx + ry * fy + rz * fz
-            if xc <= 1e-9:
-                return None
-            # the left axis (-sin_y, cos_y, 0) is level
-            yc = rx * -sin_y + ry * cos_y
-            zc = rx * ux + ry * uy + rz * cos_p
-            az = math.atan2(yc, xc)
-            el = math.atan2(zc, math.hypot(xc, yc))
-            us.append(0.5 - az / hfov)
-            vs.append(0.5 - el / vfov)
+    for a in (-half_w, half_w):
+        rx = cx + a * lx - ex
+        ry = cy + a * ly - ey
+        xc = rx * cos_y + ry * sin_y
+        if xc <= 1e-9:
+            return None
+        yc = rx * -sin_y + ry * cos_y
+        us.append(0.5 - math.atan2(yc, xc) / hfov)
+        reach = math.hypot(xc, yc)
+        for b in (-half_h, half_h):
+            vs.append(0.5 - math.atan2(cz + b - ez, reach) / vfov)
     x, y = min(us), min(vs)
     return clip_box_to_image(x, y, max(us) - x, max(vs) - y)
-
-
-_UP = (0.0, 0.0, 1.0)
 
 
 def project_bbox(
@@ -264,7 +246,6 @@ def project_bbox(
         follower,
         leader.position,
         leader.left(),
-        _UP,
         target.body_length / 2.0,
         target.body_height / 2.0,
     )
@@ -285,7 +266,6 @@ def _flipper_box(
         follower,
         center,
         left,
-        _UP,
         target.flipper_size[0] / 2.0,
         target.flipper_size[1] / 2.0,
     )
@@ -571,12 +551,11 @@ class ConvoyConfig:
             )
         # the projection sums the sizes of both vehicles' coordinates and of
         # the body; bound that sum over the run, with the leader's turn, so
-        # that no tick leaves the float range. A heading moves the sum at
-        # most sqrt(3) < 2 times its speed; the follower's speeds are the
-        # servo's clamps, which its gains reach at errors of at most 1; the
-        # margin covers rounding over up to MAX_TICKS steps
-        forward = min(self.servo.forward_speed_limit, max(self.servo.speed_gain, 0.0))
-        vertical = min(self.servo.vertical_speed_limit, abs(self.servo.depth_gain))
+        # that no tick leaves the float range. A level heading moves the sum
+        # at most sqrt(2) < 2 times its speed; the follower's speeds keep the
+        # servo's speed_clamps; the margin covers rounding over up to
+        # MAX_TICKS steps
+        forward, vertical = self.servo.speed_clamps
         speed = 2.0 * (abs(self.script.speed) + forward) + abs(self.script.rate) + vertical
         reach = (speed + sum(map(abs, self.current))) * (round(ticks) / self.physics_rate)
         reach += sum(map(abs, self.script.start_pose.position + self.initial_follower.position))

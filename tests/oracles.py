@@ -227,14 +227,9 @@ def ray_sample_projection(
 
 
 def pose_axes(pose):
-    """Forward, left and up unit axes of a pose, as numpy 3-vectors."""
+    """Forward, left and up unit axes of a level pose, as numpy 3-vectors."""
     cy, sy = math.cos(pose.yaw), math.sin(pose.yaw)
-    cp, sp = math.cos(pose.pitch), math.sin(pose.pitch)
-    return (
-        np.array([cy * cp, sy * cp, sp]),
-        np.array([-sy, cy, 0.0]),
-        np.array([-sp * cy, -sp * sy, cp]),
-    )
+    return np.array([cy, sy, 0.0]), np.array([-sy, cy, 0.0]), np.array([0.0, 0.0, 1.0])
 
 
 def _dot(a, b) -> float:
@@ -279,7 +274,7 @@ def _cells(*values) -> list[str]:
 def trace_row_cells(r) -> str:
     """One trace CSV line as first written, one formatted cell at a time."""
     def pose(p):
-        return _cells(*p.position, p.yaw, p.pitch)
+        return _cells(*p.position, p.yaw, 0.0)  # level: pitch 0
 
     def box(b):
         return [""] * 4 if b is None else _cells(b.x, b.y, b.w, b.h)
@@ -345,21 +340,17 @@ def vector_step_follower(pose, cmd, dt: float, drift=(0.0, 0.0, 0.0)):
     """One follower step as first written, as numpy vector sums, with the
     current's drift added to the stepped position as a last vector sum.
 
-    Returns the (position, yaw, pitch) of the stepped pose. That version
-    built a turned pose copy and then a moved one, and each pose wrapped its
-    yaw, so the heading uses a yaw wrapped twice and the result one wrapped
-    three times.
+    Returns the (position, yaw) of the stepped pose, which stays level. That
+    version built a turned pose copy and then a moved one, and each pose
+    wrapped its yaw, so the heading uses a yaw wrapped twice and the result
+    one wrapped three times.
     """
-    limit = math.pi / 2 - 1e-6
     yaw = _wrap(_wrap(pose.yaw + cmd.yaw_rate * dt))
-    pitch = min(max(pose.pitch + cmd.pitch_rate * dt, -limit), limit)
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    cp, sp = math.cos(pitch), math.sin(pitch)
     pos = np.asarray(pose.position)
-    pos = pos + np.array([cy * cp, sy * cp, sp]) * cmd.forward_speed * dt
+    pos = pos + np.array([math.cos(yaw), math.sin(yaw), 0.0]) * cmd.forward_speed * dt
     pos = pos + np.array([0.0, 0.0, cmd.vertical_speed * dt])
     pos = pos + np.asarray(drift)
-    return tuple(pos), _wrap(yaw), pitch
+    return tuple(pos), _wrap(yaw)
 
 
 def record_walk_samples(records, fps: float):

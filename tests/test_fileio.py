@@ -686,7 +686,7 @@ def test_trace_csv_matches_cell_by_cell_oracle():
     # detection) presence pair, with cells that print as -0.000000
     trace = run_convoy(ConvoyConfig(duration=6.0, seed=2, occlusions=((1.0, 2.0),)))
     box = BoundingBox(0.25, 0.0, 0.125, 0.2, 0.7)
-    pose = Pose((-0.0, -4e-7, 1e-7), yaw=-1e-9, pitch=-0.0)
+    pose = Pose((-0.0, -4e-7, 1e-7), yaw=-1e-9)
     command = ControlCommand(-0.0, -1e-7, 0.0, -4.9e-7, 2.5)
     by_hand = [
         replace(trace.records[-1], t=t, leader=pose, follower=pose, true_box=tb, detection=db,

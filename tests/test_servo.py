@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from uwconvoy.geometry import BoundingBox
+from uwconvoy.geometry import _FIELD_EPS, _SUM_EPS, BoundingBox
 from uwconvoy.servo import (
     STOP_COMMAND,
     YAW_INTEGRAL_LIMIT,
@@ -173,15 +173,25 @@ _LIMIT = st.floats(0.0, 1e308)
 
 @st.composite
 def _detection(draw):
-    """None, or a box with sizes >= 0, as the detector gives them."""
+    """None, or any box that BoundingBox accepts: each field within
+    _FIELD_EPS of [0, 1], sizes from -_FIELD_EPS, and edges up to _SUM_EPS
+    past the image's."""
     if draw(st.booleans()):
         return None
-    x, y = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
-    w, h = draw(st.floats(0.0, 1.0 - x)), draw(st.floats(0.0, 1.0 - y))
+    lo, hi = -_FIELD_EPS, 1.0 + _FIELD_EPS
+    x, y = draw(st.floats(lo, hi)), draw(st.floats(lo, hi))
+    w = draw(st.floats(lo, min(hi, 1.0 + _SUM_EPS - x)))
+    h = draw(st.floats(lo, min(hi, 1.0 + _SUM_EPS - y)))
+    assume(x + w <= 1.0 + _SUM_EPS >= y + h)
     return BoundingBox(x, y, w, h, 1.0)
 
 
 @settings(max_examples=300, deadline=None)
+# a size of -_FIELD_EPS makes the area error 1 + 1e-9, past the gain's reach
+@example(
+    cfg=ServoConfig(desired_area=1.0, speed_gain=5.0, forward_speed_limit=1e308),
+    steps=[(BoundingBox(0.0, 0.0, -1e-9, 1.0), 0.0)],
+)
 @given(
     cfg=st.builds(
         ServoConfig,
@@ -195,8 +205,7 @@ def _detection(draw):
 )
 def test_servo_commands_keep_the_clamps_the_motion_bound_assumes(cfg, steps):
     # ConvoyConfig bounds a run's motion by these two speeds
-    forward = min(cfg.forward_speed_limit, max(cfg.speed_gain, 0.0))
-    vertical = min(cfg.vertical_speed_limit, abs(cfg.depth_gain))
+    forward, vertical = cfg.speed_clamps
     state, t = ServoState(cfg), 0.0
     for detection, dt in steps:
         t += dt

@@ -64,6 +64,17 @@ def test_forward_script_advances_along_heading():
     assert pose.yaw == start.yaw
 
 
+def test_forward_script_matches_the_vector_formula_bit_for_bit():
+    # the level heading's 0.0 * speed keeps the z sum's signed zero
+    for speed in (0.6, -0.6, 0.0, -0.0):
+        for z in (0.0, -0.0, 1.5):
+            start = Pose(position=(-0.0, 2.0, z), yaw=-2.5)
+            for t in (0.0, 1.5):
+                pose = leader_trajectory(forward_script(speed, start), t)
+                expected = np.asarray(start.position) + pose_axes(start)[0] * speed * t
+                assert np.array(pose.position).tobytes() == expected.tobytes()
+
+
 def test_turn_script_identity_at_time_zero():
     start = Pose(position=(0.0, 1.0, 0.0), yaw=-0.3)
     assert leader_trajectory(turn_script(0.3, start), 0.0) == start
@@ -86,8 +97,15 @@ def test_unknown_script_rejected():
 # follower kinematics
 
 def test_zero_command_is_fixed_point():
-    pose = Pose(position=(1.0, -2.0, 0.5), yaw=0.7, pitch=0.1)
+    pose = Pose(position=(1.0, -2.0, 0.5), yaw=0.7)
     assert step_follower(pose, STOP_COMMAND, 0.02) == pose
+
+
+def test_attitude_rates_do_not_move_the_vehicle():
+    pose = Pose(position=(1.0, -2.0, 0.5), yaw=0.7)
+    cmd = ControlCommand(yaw_rate=0.3, forward_speed=0.5, vertical_speed=-0.2)
+    turned = dataclasses.replace(cmd, pitch_rate=0.4, roll_rate=-0.6)
+    assert step_follower(pose, turned, 0.5) == step_follower(pose, cmd, 0.5)
 
 
 def test_forward_step():
@@ -108,13 +126,11 @@ def test_vertical_speed_moves_z_only():
     assert moved.position == pytest.approx((0.0, 0.0, -0.1), abs=1e-12)
 
 
-def test_yaw_wraps_and_pitch_clamps():
+def test_yaw_wraps():
     pose = Pose()
     for _ in range(100):
-        pose = step_follower(pose, ControlCommand(yaw_rate=1.0, pitch_rate=0.5), 1.0)
+        pose = step_follower(pose, ControlCommand(yaw_rate=1.0), 1.0)
         assert -math.pi < pose.yaw <= math.pi
-        assert -math.pi / 2 < pose.pitch < math.pi / 2
-    assert pose.pitch == pytest.approx(math.pi / 2, abs=1e-5)
 
 
 def test_step_matches_the_vector_formula_bit_for_bit():
@@ -123,7 +139,11 @@ def test_step_matches_the_vector_formula_bit_for_bit():
         # a -0.0 coordinate comes out +0.0, as the vector sum made it
         (Pose(position=(-0.0, -0.0, -0.0), yaw=math.pi), STOP_COMMAND, 0.02),
         (Pose(position=(-0.0, 1.0, -0.0), yaw=-3.0), ControlCommand(forward_speed=0.0), 0.02),
-        (Pose(yaw=math.pi, pitch=1.5), ControlCommand(yaw_rate=1e-9, pitch_rate=1.0), 0.02),
+        # a -0.0 height keeps the sign of 0.0 * forward speed, the heading's z
+        # term; (yaw rate, pitch rate, roll rate, forward, vertical speed)
+        (Pose(position=(0.0, 0.0, -0.0)), ControlCommand(0.0, 0.0, 0.0, 1.0, -0.0), 0.02),
+        (Pose(position=(0.0, 0.0, -0.0)), ControlCommand(0.0, 0.0, 0.0, -1.0, -0.0), 0.02),
+        (Pose(yaw=math.pi), ControlCommand(yaw_rate=1e-9), 0.02),
         # one ulp above pi wraps to -pi, and only a second wrap gives pi
         (Pose(yaw=math.pi), ControlCommand(yaw_rate=2.0**-50, forward_speed=1.0), 0.5),
     ]
@@ -131,7 +151,6 @@ def test_step_matches_the_vector_formula_bit_for_bit():
         pose = Pose(
             position=tuple(rng.uniform(-50.0, 50.0, 3)),
             yaw=rng.uniform(-math.pi, math.pi),
-            pitch=rng.uniform(-1.5, 1.5),
         )
         forward, vertical, yaw_rate, pitch_rate = rng.uniform(-2.0, 2.0, 4)
         cmd = ControlCommand(
@@ -141,13 +160,13 @@ def test_step_matches_the_vector_formula_bit_for_bit():
             vertical_speed=vertical,
         )
         cases.append((pose, cmd, float(rng.choice([0.02, 0.1, 1 / 3, 1.7]))))
-    # each case in still water and in a current
+    # each case in still water, in still water of drift -0.0 and in a current
     for (pose, cmd, dt), current in zip(cases, rng.uniform(-0.01, 0.01, (len(cases), 3))):
-        for drift in ((0.0, 0.0, 0.0), tuple(current.tolist())):
-            position, yaw, pitch = vector_step_follower(pose, cmd, dt, drift)
+        for drift in ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), tuple(current.tolist())):
+            position, yaw = vector_step_follower(pose, cmd, dt, drift)
             stepped = step_follower(pose, cmd, dt, drift)
             assert np.array(stepped.position).tobytes() == np.array(position).tobytes()
-            assert (stepped.yaw, stepped.pitch) == (yaw, pitch)
+            assert stepped.yaw == yaw
 
 
 def test_step_rejects_bad_dt():
@@ -253,7 +272,6 @@ def test_projection_output_always_valid_box():
         follower = Pose(
             position=tuple(rng.uniform(-1, 1, 3)),
             yaw=rng.uniform(-math.pi, math.pi),
-            pitch=rng.uniform(-0.5, 0.5),
         )
         box = project_bbox(CAM, follower, leader, TARGET)
         if box is not None:
@@ -264,8 +282,8 @@ def test_projection_output_always_valid_box():
 
 @st.composite
 def _projection_poses(draw):
-    """A follower, pitched or level, and a leader along a bearing from it:
-    ahead, behind (negative reach), at the image edges or past them; or a
+    """A follower and a leader along a bearing from it, above or below the
+    eye: ahead, behind (negative reach), at the image edges or past them; or a
     broadside leader whose near corners lie about 1e-9 m ahead of the eye,
     where _project_rect starts to count a corner as behind the camera."""
     if draw(st.booleans()):
@@ -274,19 +292,18 @@ def _projection_poses(draw):
         return Pose(), Pose((half_w + eps, draw(st.floats(-0.2, 0.2)), 0.0), math.pi / 2)
     position = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(3))
     yaw = draw(st.floats(-math.pi, math.pi))
-    pitch = draw(st.floats(-1.5, 1.5))
     reach = draw(st.floats(-2.0, 6.0))
     bearing = yaw + draw(st.floats(-1.2, 1.2))
-    rise = pitch + draw(st.floats(-1.0, 1.0))
+    rise = draw(st.floats(-1.0, 1.0))
     step = (math.cos(bearing) * math.cos(rise), math.sin(bearing) * math.cos(rise), math.sin(rise))
     leader_position = tuple(p + reach * s for p, s in zip(position, step))
-    return Pose(position, yaw, pitch), Pose(leader_position, draw(st.floats(-math.pi, math.pi)))
+    return Pose(position, yaw), Pose(leader_position, draw(st.floats(-math.pi, math.pi)))
 
 
 @settings(max_examples=400, deadline=None)
 @example(poses=(Pose(), Pose(position=(-2.0, 0.0, 0.0))))  # behind
 @example(poses=(Pose(), Pose(position=(0.325 + 1e-9, 0.0, 0.0), yaw=math.pi / 2)))  # 1e-9 edge
-@example(poses=(Pose(pitch=0.6), Pose(position=(2.0, 0.0, 0.5))))  # pitched
+@example(poses=(Pose(), Pose(position=(2.0, 0.0, 0.5))))  # above the eye
 @example(poses=(Pose(), Pose(position=(1.0, 1.0, 0.0))))  # clipped at the left edge
 @example(poses=(Pose(), Pose(position=(1.0, 0.0, -0.75))))  # clipped at the bottom edge
 @given(poses=_projection_poses())
@@ -596,7 +613,6 @@ def test_convoy_trace_shape_and_invariants():
     assert all(b > a for a, b in zip(times, times[1:]))
     for r in trace.records:
         assert -math.pi < r.follower.yaw <= math.pi
-        assert -math.pi / 2 < r.follower.pitch < math.pi / 2
 
 
 def test_convoy_occlusion_blinds_detector():
