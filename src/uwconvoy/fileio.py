@@ -97,7 +97,11 @@ def _parse_float(raw: str, name: str) -> float:
     return v
 
 
-def _parse_box(parts: list[str], confidence: float) -> BoundingBox:
+def _parse_box(parts: list[str], confidence: float) -> BoundingBox | None:
+    """The box of four x, y, w, h cells, or None when all four are empty;
+    a cell that holds only whitespace is not empty, and is refused."""
+    if parts == ["", "", "", ""]:
+        return None
     x, y, w, h = parts
     return BoundingBox(
         _parse_float(x, "x"), _parse_float(y, "y"), _parse_float(w, "w"), _parse_float(h, "h"),
@@ -144,13 +148,10 @@ def _frame_rows(text: str, header: str, parse_row: Callable[[int, list[str]], ob
 
 
 def _annotation(frame: int, parts: list[str]) -> Annotation:
-    if parts[1] == "1":
-        return Annotation(frame, True, _parse_box(parts[2:6], confidence=1.0))
-    if parts[1] != "0":
+    if parts[1] not in ("0", "1"):
         raise DataFormatError(f"present flag must be 0 or 1, got {parts[1]!r}")
-    if "".join(parts[2:6]).strip():
-        raise DataFormatError("absent frame must leave box fields empty")
-    return Annotation(frame, False)
+    # Annotation refuses a present frame without a box and an absent one with
+    return Annotation(frame, parts[1] == "1", _parse_box(parts[2:6], confidence=1.0))
 
 
 def parse_annotations(text: str) -> list[Annotation]:
@@ -173,8 +174,7 @@ def _prediction(frame: int, parts: list[str]) -> tuple[int, BoundingBox | None]:
     confidence = _parse_float(parts[1], "confidence")
     if not 0.0 <= confidence <= 1.0:
         raise DataFormatError(f"confidence {confidence} outside [0,1]")
-    box = _parse_box(parts[2:6], confidence) if "".join(parts[2:6]).strip() else None
-    return frame, box
+    return frame, _parse_box(parts[2:6], confidence)
 
 
 def parse_predictions(text: str) -> list[tuple[int, BoundingBox | None]]:

@@ -212,19 +212,10 @@ def _dtft_kernel(length: int, sample_rate: float, freqs: np.ndarray) -> np.ndarr
     return np.exp(-2j * np.pi * np.outer(t, freqs) / sample_rate)
 
 
-def _amplitude_matrix(
-    series: np.ndarray,
-    kernel: np.ndarray,
-    spectrum: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """|DTFT| of each mean-removed series at each kernel frequency, (n_series, n_freqs).
-
-    The complex `spectrum` and the real `out`, when given, are written in
-    place of new arrays.
-    """
+def _amplitude_matrix(series: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """|DTFT| of each mean-removed series at each kernel frequency, (n_series, n_freqs)."""
     centered = series - series.mean(axis=1, keepdims=True)
-    return np.abs(np.matmul(centered, kernel, out=spectrum), out=out)
+    return np.abs(centered @ kernel)
 
 
 class MdpmTracker:
@@ -257,11 +248,6 @@ class MdpmTracker:
             self._tables = _path_tables(
                 self.grid.rows, self.grid.columns, self.config.buffer_length
             )
-            # every push writes these in place: malloc may map a fresh array
-            # of this size anew on each push, at a page fault per 4 kB
-            shape = (len(self._tables.paths), len(self._freqs))
-            self._spectrum = np.empty(shape, dtype=complex)
-            self._amplitudes = np.empty(shape)
         elif (width, height) != (self.grid.frame_width, self.grid.frame_height):
             raise ValueError(
                 f"frame dimensions changed mid-stream: {width}x{height} after "
@@ -278,7 +264,7 @@ class MdpmTracker:
         series, _, order = _ranked_paths(means, self._tables)
         survivors = order[: config.prune_count]
 
-        amplitudes = _amplitude_matrix(series, self._kernel, self._spectrum, self._amplitudes)
+        amplitudes = _amplitude_matrix(series, self._kernel)
         threshold = config.amplitude_threshold
         if threshold is None:
             threshold = config.threshold_factor * _median(amplitudes)

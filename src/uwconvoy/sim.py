@@ -23,7 +23,7 @@ import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from .servo import STOP_COMMAND, ControlCommand, ServoConfig, ServoState, servo_
 # Footage intensities of the background and of the leader's body.
 _BACKGROUND = 0.4
 _BODY_INTENSITY = 0.85
+
+# How far the centre of the flipper patch hangs below the body centre, m.
+_FLIPPER_DROP = 0.09
 
 # Most physics ticks one run may take: 5.5 h at the default 50 Hz; `sim`
 # peak memory grows about 1.7 kB a tick with the held trace, so about 1.7 GB.
@@ -100,9 +103,8 @@ class TargetModel:
 
     body_length: float = 0.65
     body_height: float = 0.30
-    # flipper patch center offset from the body center, in board coordinates
-    # (horizontal toward the board's left axis, vertical up), and its size
-    flipper_offset: ClassVar[tuple[float, float]] = (0.0, -0.09)
+    # flipper patch size (along the board's left axis, up); the patch hangs
+    # _FLIPPER_DROP below the body centre
     flipper_size: tuple[float, float] = (0.50, 0.12)
     gait_frequency: float = 2.0
     gait_jitter: float = 0.0
@@ -256,16 +258,14 @@ def _flipper_box(
 ) -> BoundingBox | None:
     """Box of the leader's flipper patch as seen by the follower."""
     x, y, z = leader.position
-    left = lx, ly, lz = leader.left()
-    along, above = target.flipper_offset
-    # position + along * left + (0, 0, above) summed as 3-vectors are; the
-    # + 0.0 terms turn a -0.0 into +0.0 as that sum does
-    center = (x + along * lx + 0.0, y + along * ly + 0.0, z + along * lz + above)
+    # the + 0.0 terms turn a -0.0 into +0.0, as the centre's first form, a
+    # sum of 3-vectors, did
+    center = (x + 0.0, y + 0.0, z - _FLIPPER_DROP)
     return _project_rect(
         cam,
         follower,
         center,
-        left,
+        leader.left(),
         target.flipper_size[0] / 2.0,
         target.flipper_size[1] / 2.0,
     )
@@ -312,10 +312,10 @@ class _GaitPhase:
 class FootageScene:
     """Stateful renderer for grayscale convoy footage.
 
-    Background sits at a constant level plus optional Gaussian pixel noise;
-    the target body renders brighter, and its flipper patch oscillates
-    between the configured extremes at the gait frequency, from a phase
-    that is the first draw of the scene's stream.
+    Background sits at a constant level plus Gaussian pixel noise of
+    noise_sigma (0 for none); the target body renders brighter, and its
+    flipper patch oscillates between the configured extremes at the gait
+    frequency, from a phase that is the first draw of the scene's stream.
     """
 
     def __init__(
@@ -326,6 +326,8 @@ class FootageScene:
         flipper_range: tuple[float, float] = (0.15, 0.95),
         noise_sigma: float = 0.02,
     ):
+        if not 0.0 <= noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must lie in [0, inf), got {noise_sigma}")
         self.camera = camera
         self.target = target
         self.rng = rng if rng is not None else np.random.default_rng(0)
@@ -349,13 +351,9 @@ class FootageScene:
         frame, in frame order, before that frame's render.
         """
         cam = self.camera
-        shape = (cam.image_height, cam.image_width)
-        if self.noise_sigma > 0:
-            # one pass: numpy draws loc + scale * z, the same bits as
-            # _BACKGROUND + normal(0, sigma)
-            img = self.rng.normal(_BACKGROUND, self.noise_sigma, shape)
-        else:
-            img = np.full(shape, _BACKGROUND)
+        # one pass: numpy draws loc + scale * z, the same bits as
+        # _BACKGROUND + normal(0, sigma), and exactly _BACKGROUND at sigma 0
+        img = self.rng.normal(_BACKGROUND, self.noise_sigma, (cam.image_height, cam.image_width))
         return img, self._gait.at(t)
 
     def render(
@@ -391,10 +389,37 @@ class FootageScene:
     ) -> list[np.ndarray]:
         """Static-pose footage: frame i is rendered at time i/fps."""
         body = project_bbox(self.camera, follower, leader, self.target)
-        return [
-            self.render(leader, follower, body, self.background(i / fps))
-            for i in range(frame_count)
-        ]
+        return list(_frames(self, [(i / fps, leader, follower, body) for i in range(frame_count)]))
+
+
+# Draws _frames' worker is given past the frame being painted: one ready
+# while the caller paints and writes a frame, one being drawn.
+_DRAW_AHEAD = 2
+
+
+def _frames(
+    scene: FootageScene, samples: list[tuple[float, Pose, Pose, BoundingBox | None]]
+) -> Iterator[np.ndarray]:
+    """The frames of scene at (t, leader, follower, body) samples, in order.
+
+    body is project_bbox of the leader as the follower sees it, or None.
+    Each frame is painted on the caller's thread into a background that a
+    one-worker ThreadPoolExecutor, started with the first frame asked for,
+    draws at most _DRAW_AHEAD frames ahead, so a few frames are held at a
+    time, never the clip. One worker runs the draws in submission order, so
+    they keep the stream's order and the bytes do not depend on timing. A
+    draw's error is raised in its frame's turn, and the worker is joined,
+    its queued draws cancelled, when the frames end, raise or are closed.
+    """
+    pool = ThreadPoolExecutor(1, thread_name_prefix="uwconvoy-draw-ahead")
+    drawn = deque()
+    try:
+        for i, (_, leader, follower, body) in enumerate(samples):
+            for t, *_ in samples[i + len(drawn) : i + _DRAW_AHEAD + 1]:
+                drawn.append(pool.submit(scene.background, t))
+            yield scene.render(leader, follower, body, drawn.popleft().result())
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -628,41 +653,14 @@ def trace_footage(
 
     Frame i, at time i / frame_rate up to the last tick, takes the last record
     at or before that time. Returns each frame's ground-truth annotation, and
-    a generator that renders the frames from the same samples with the run's
-    camera, target and footage stream. Each frame is painted on the caller's
-    thread into a background that a one-worker ThreadPoolExecutor, started
-    with the first frame asked for, draws at most _DRAW_AHEAD frames ahead,
-    so a few frames are held at a time, never the clip. One worker runs the
-    draws in submission order, so they keep the stream's order and the bytes
-    do not depend on timing. A draw's error is raised in its frame's turn,
-    and the worker is joined, its queued draws cancelled, when the frames
-    end, raise or are closed.
+    a generator of _frames that renders the frames from the same samples with
+    the run's camera, target and footage stream.
     """
     records, fps = trace.records, config.frame_rate
     samples = []
     while (t := len(samples) / fps) <= records[-1].t + _TICK_SLACK:
-        at = bisect.bisect_right(records, t + _TICK_SLACK, key=lambda r: r.t)
-        samples.append((t, records[at - 1]))
-    annotations = [
-        Annotation(i, record.true_box is not None, record.true_box)
-        for i, (_, record) in enumerate(samples)
-    ]
+        r = records[bisect.bisect_right(records, t + _TICK_SLACK, key=lambda rec: rec.t) - 1]
+        samples.append((t, r.leader, r.follower, r.true_box))
+    annotations = [Annotation(i, box is not None, box) for i, (*_, box) in enumerate(samples)]
     scene = FootageScene(camera=config.camera, target=config.target, rng=_run_rng(config.seed, 1))
-
-    def frames():
-        pool = ThreadPoolExecutor(1, thread_name_prefix="uwconvoy-draw-ahead")
-        drawn = deque()
-        try:
-            for i, (_, r) in enumerate(samples):
-                for t, _ in samples[i + len(drawn) : i + _DRAW_AHEAD + 1]:
-                    drawn.append(pool.submit(scene.background, t))
-                yield scene.render(r.leader, r.follower, r.true_box, drawn.popleft().result())
-        finally:
-            pool.shutdown(cancel_futures=True)
-
-    return annotations, frames()
-
-
-# Draws trace_footage's worker is given past the frame being painted: one
-# ready while the caller paints and writes a frame, one being drawn.
-_DRAW_AHEAD = 2
+    return annotations, _frames(scene, samples)

@@ -683,42 +683,49 @@ def test_sim_trace_golden_hash(tmp_path, run):
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256[run]
 
 
-def _portability_outputs(directory: Path, run) -> dict[str, bytes]:
+def _portability_outputs(directory: Path, run) -> dict[str, bytes | str]:
     """Outputs of the 60 s forward runs at seeds 1 and 0 and of a 20 s
     `sim --frames-out` -> `mdpm` -> `eval --auto-threshold` pipeline at
-    seed 3, each command given to run(argv)."""
+    seed 3, and the stdout of `eval` and of `servo-sim` on the 60 s config,
+    each command given to run(argv), which returns its stdout."""
     long_run, short_run = directory / "60s.cfg", directory / "20s.cfg"
     long_run.write_text("sim.duration = 60\n")
     short_run.write_text("sim.duration = 20\n")
     frames, report = directory / "frames", directory / "report"
-    for argv in (
-        ["sim", "--config", long_run, "--out", directory / "seed1.csv", "--seed", "1"],
-        ["sim", "--config", long_run, "--out", directory / "seed0.csv", "--seed", "0"],
-        [
-            "sim", "--config", short_run, "--out", directory / "trace.csv", "--seed", "3",
-            "--frames-out", frames, "--annotations-out", directory / "truth.csv",
-        ],
-        ["mdpm", "--frames", frames, "--fps", "15", "--out", directory / "predictions.csv"],
-        [
-            "eval", "--annotations", directory / "truth.csv",
-            "--predictions", directory / "predictions.csv",
-            "--auto-threshold", "--fps", "15", "--report-dir", report,
-        ],
-    ):
+    stdout = [
         run([str(arg) for arg in argv])
+        for argv in (
+            ["sim", "--config", long_run, "--out", directory / "seed1.csv", "--seed", "1"],
+            ["sim", "--config", long_run, "--out", directory / "seed0.csv", "--seed", "0"],
+            [
+                "sim", "--config", short_run, "--out", directory / "trace.csv", "--seed", "3",
+                "--frames-out", frames, "--annotations-out", directory / "truth.csv",
+            ],
+            ["mdpm", "--frames", frames, "--fps", "15", "--out", directory / "predictions.csv"],
+            [
+                "eval", "--annotations", directory / "truth.csv",
+                "--predictions", directory / "predictions.csv",
+                "--auto-threshold", "--fps", "15", "--report-dir", report,
+            ],
+            ["servo-sim", "--config", long_run, "--out", directory / "servo.csv"],
+        )
+    ]
     outputs = {
         name: (directory / name).read_bytes()
         for name in ("seed1.csv", "seed0.csv", "trace.csv", "predictions.csv")
     }
-    # eval computes the centre biases as one array operation
+    # eval computes the centre biases as one array operation, and servo-sim
+    # its summary with np.mean and np.max
     outputs.update((f.name, f.read_bytes()) for f in sorted(report.iterdir()))
     outputs["frames"] = b"".join(f.read_bytes() for f in sorted(frames.iterdir()))
+    outputs["eval stdout"], outputs["servo-sim stdout"] = stdout[-2:]
     return outputs
 
 
 def _run_in_process(argv):
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         assert run_cli(argv) == 0
+    return out.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -739,9 +746,10 @@ def test_outputs_hold_on_other_blas_kernels_and_simd_tiers(
     env = dict(os.environ, PYTHONPATH=str(Path(uwconvoy.__file__).parents[1]), **setting)
 
     def in_child(argv):
-        subprocess.run(
-            [sys.executable, "-m", "uwconvoy.cli", *argv], env=env, check=True, capture_output=True
-        )
+        return subprocess.run(
+            [sys.executable, "-m", "uwconvoy.cli", *argv],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout
 
     got = _portability_outputs(tmp_path, in_child)
     assert [name for name, data in portability_outputs.items() if got[name] != data] == []

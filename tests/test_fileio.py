@@ -76,6 +76,30 @@ def test_parse_annotations_rejects_garbage():
         parse_annotations("frame,present,x,y,w,h\n0,0,0.1,,,\n")
 
 
+@pytest.mark.parametrize(
+    "parse, row, cell",
+    [
+        (parse_annotations, "1,0, , , ,", "x"),
+        (parse_annotations, "1,1,0.1,0.1,0.1,\t", "h"),
+        (parse_predictions, "1,0.0,\t,,,", "x"),
+        (parse_predictions, "1,0.5,0.1,0.1, ,0.1", "w"),
+    ],
+)
+def test_box_cells_that_hold_only_whitespace_are_refused(parse, row, cell):
+    # only four empty cells read as no box, as only a writer's empty cells do
+    header = ANNOTATION_HEADER if parse is parse_annotations else PREDICTION_HEADER
+    first = "0,0,,,," if parse is parse_annotations else "0,0.0,,,,"
+    with pytest.raises(DataFormatError, match=f"^line 3: field {cell} is not a number: "):
+        parse(f"{header}\n{first}\n{row}\n")
+
+
+def test_annotation_presence_and_box_are_checked_together():
+    with pytest.raises(DataFormatError, match="^line 2: present annotation requires a truth_box$"):
+        parse_annotations("frame,present,x,y,w,h\n0,1,,,,\n")
+    with pytest.raises(DataFormatError, match="^line 2: absent annotation must not carry"):
+        parse_annotations("frame,present,x,y,w,h\n0,0,0.1,0.1,0.1,0.1\n")
+
+
 def test_annotation_round_trip_random():
     rng = np.random.default_rng(12)
     annotations = []

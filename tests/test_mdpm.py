@@ -488,7 +488,7 @@ def test_detect_never_reports_out_of_band_frequency():
 # simulated footage end to end
 
 def test_detect_on_sim_footage_localizes_flipper():
-    from uwconvoy.sim import CameraModel, FootageScene, Pose, TargetModel
+    from uwconvoy.sim import _FLIPPER_DROP, CameraModel, FootageScene, Pose, TargetModel
 
     scene = FootageScene(
         target=TargetModel(gait_frequency=2.0),
@@ -502,7 +502,7 @@ def test_detect_on_sim_footage_localizes_flipper():
     # image location of the flipper patch center: dead ahead, slightly low
     cam = CameraModel()
     u = 0.5
-    el = math.atan2(scene.target.flipper_offset[1], 1.2)
+    el = math.atan2(-_FLIPPER_DROP, 1.2)
     v = 0.5 - el / cam.vertical_fov
     assert det.bbox.x <= u <= det.bbox.x + det.bbox.w
     assert det.bbox.y <= v <= det.bbox.y + det.bbox.h

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -46,6 +47,7 @@ from oracles import (
     ray_sample_projection,
     record_walk_samples,
     reference_dft_amplitude,
+    serial_footage,
     vector_step_follower,
 )
 
@@ -308,7 +310,7 @@ def _projection_poses(draw):
 @example(poses=(Pose(), Pose(position=(1.0, 0.0, -0.75))))  # clipped at the bottom edge
 @given(poses=_projection_poses())
 def test_projection_matches_per_corner_oracle(poses):
-    from uwconvoy.sim import _flipper_box  # white-box: the flipper patch projection
+    from uwconvoy.sim import _FLIPPER_DROP, _flipper_box  # white-box: the flipper patch
 
     follower, leader = poses
     position, left = np.asarray(leader.position), np.asarray(leader.left())
@@ -318,8 +320,7 @@ def test_projection_matches_per_corner_oracle(poses):
         CAM, follower, position, left, up, half_w, half_h
     )
     # the flipper centre as first written, numpy sums of 3-vectors
-    along, above = TARGET.flipper_offset
-    center = position + along * left + np.array([0.0, 0.0, above])
+    center = position + np.array([0.0, 0.0, -_FLIPPER_DROP])
     half_w, half_h = TARGET.flipper_size[0] / 2.0, TARGET.flipper_size[1] / 2.0
     assert _flipper_box(CAM, follower, leader, TARGET) == project_rect_per_corner(
         CAM, follower, center, left, up, half_w, half_h
@@ -330,9 +331,38 @@ def test_projection_matches_per_corner_oracle(poses):
 # footage
 
 def test_flipper_offset_and_gait_phase_are_not_settable():
+    from uwconvoy.sim import _FLIPPER_DROP  # white-box: the flipper patch's place
+
     assert "flipper_offset" not in {f.name for f in dataclasses.fields(TargetModel)}
-    assert TargetModel.flipper_offset == (0.0, -0.09)
+    assert _FLIPPER_DROP == 0.09
     assert "gait_phase0" not in inspect.signature(FootageScene).parameters
+
+
+@pytest.mark.parametrize("sigma", [-0.1, -1e-300, math.nan, math.inf])
+def test_footage_refuses_a_noise_sigma_outside_0_to_inf(sigma):
+    with pytest.raises(ValueError, match=r"^noise_sigma must lie in \[0, inf\), got "):
+        FootageScene(noise_sigma=sigma)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.3])
+def test_render_sequence_is_the_serial_render(jitter):
+    from uwconvoy.sim import _frames  # white-box: the frame loop render_sequence uses
+
+    def scene():
+        target = TargetModel(gait_jitter=jitter)
+        return FootageScene(target=target, rng=np.random.default_rng(8), noise_sigma=0.05)
+
+    leader, follower = Pose(position=(1.2, 0.1, 0.05), yaw=0.3), Pose(yaw=0.05)
+    body = project_bbox(CAM, follower, leader, TARGET)
+    record = SimpleNamespace(leader=leader, follower=follower, true_box=body)
+    expected = serial_footage(scene(), [(i, record) for i in range(40)], 15.0)
+    got = scene().render_sequence(leader, follower, 40, 15.0)
+    assert [f.tobytes() for f in got] == [f.tobytes() for f in expected]
+    # the loop's stream, closed after one frame, leaves no worker behind
+    frames = _frames(scene(), [(i / 15.0, leader, follower, body) for i in range(40)])
+    assert next(frames).tobytes() == expected[0].tobytes()
+    frames.close()
+    assert [t.name for t in threading.enumerate() if t.name.startswith("uwconvoy-")] == []
 
 
 def test_render_empty_scene_uniform_background():
