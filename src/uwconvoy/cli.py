@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -55,6 +56,9 @@ def _unit_float(raw: str) -> float:
     return value
 
 
+# built once per process: parse_args leaves the parser as it is and returns
+# a new namespace each call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uwconvoy",

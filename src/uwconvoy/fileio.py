@@ -367,11 +367,17 @@ def parse_config(text: str) -> ConvoyConfig:
 # PGM frames
 
 def write_pgm(frame: np.ndarray) -> bytes:
-    """Binary 8-bit PGM (P5) with a fixed header layout."""
+    """Binary 8-bit PGM (P5) with a fixed header layout; a frame holding a
+    nan or infinite sample is refused with a ValueError."""
     height, width = frame.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     # quantise in one new buffer; the caller's frame is not written to
     data = frame * 255.0
+    # a nan or an infinity in the product reaches its min or max; so does a
+    # finite sample whose product overflows, which the test of the frame passes
+    if not (math.isfinite(data.min(initial=0.0)) and math.isfinite(data.max(initial=0.0))):
+        if not np.isfinite(frame).all():
+            raise ValueError("frame holds a sample that is nan or infinite")
     np.rint(data, out=data)
     np.clip(data, 0, 255, out=data)
     return header + data.astype(np.uint8).tobytes()
@@ -478,29 +484,49 @@ TRACE_HEADER = (
 )
 
 
-def _trace_template(true_present: bool, det_present: bool) -> str:
-    """%-template of one trace row: a cell per TRACE_HEADER column, each
-    value printed as _fmt prints it, empty cells for a missing box, and the
-    pitch of the level vehicles as a constant 0."""
+def _trace_template(true_present: bool) -> str:
+    """%-template of one trace row: a cell per TRACE_HEADER column up to the
+    true box, each value printed as _fmt prints it, empty cells for a missing
+    box, and the pitch of the level vehicles as a constant 0; then the
+    detection's cells and the command's cells, each already joined."""
     pose_cells = "%.6f," * 4 + "0.000000"
     true_cells = "1" + ",%.6f" * 4 if true_present else "0" + "," * 4
-    det_cells = "1" + ",%.6f" * 5 if det_present else "0" + "," * 5
-    return ",".join(["%.6f", pose_cells, pose_cells, true_cells, det_cells] + ["%.6f"] * 5) + "\n"
+    return ",".join(["%.6f", pose_cells, pose_cells, true_cells, "%s", "%s"]) + "\n"
 
 
-# (true box present, detection present) -> the template of a row
-_TRACE_ROWS = {(tp, dp): _trace_template(tp, dp) for tp in (False, True) for dp in (False, True)}
+# true box present -> the template of a row
+_TRACE_ROWS = {tp: _trace_template(tp) for tp in (False, True)}
+# the detection columns with and without a detection, and the command columns
+_DET_CELLS = "1" + ",%.6f" * 5
+_NO_DET_CELLS = "0" + "," * 5
+_CMD_CELLS = ",".join(["%.6f"] * 5)
 
 
 def format_trace_csv(trace: SimTrace) -> str:
+    """The trace CSV: TRACE_HEADER, then one row per record.
+
+    A detection stays latched, and a command held, over several records as
+    the same object, so their cells are formatted once per run of records
+    that hold that object. The run is told by identity (`is`), never by
+    equality: ControlCommand(-0.0) == ControlCommand(0.0), but the two print
+    differently.
+    """
     rows = [TRACE_HEADER + "\n"]
+    db = cmd = object()  # neither a detection, None nor a command
     for r in trace.records:
-        tb, db, cmd, leader, follower = r.true_box, r.detection, r.command, r.leader, r.follower
-        rows.append(_TRACE_ROWS[tb is not None, db is not None] % (
+        if r.detection is not db:
+            db = r.detection
+            det_cells = _NO_DET_CELLS if db is None else _DET_CELLS % (db.p, db.x, db.y, db.w, db.h)
+        if r.command is not cmd:
+            cmd = r.command
+            cmd_cells = _CMD_CELLS % (
+                cmd.yaw_rate, cmd.pitch_rate, cmd.roll_rate, cmd.forward_speed, cmd.vertical_speed
+            )
+        tb, leader, follower = r.true_box, r.leader, r.follower
+        rows.append(_TRACE_ROWS[tb is not None] % (
             r.t, *leader.position, leader.yaw, *follower.position, follower.yaw,
             *(() if tb is None else (tb.x, tb.y, tb.w, tb.h)),
-            *(() if db is None else (db.p, db.x, db.y, db.w, db.h)),
-            cmd.yaw_rate, cmd.pitch_rate, cmd.roll_rate, cmd.forward_speed, cmd.vertical_speed,
+            det_cells, cmd_cells,
         ))
     return "".join(rows)
 

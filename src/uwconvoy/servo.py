@@ -11,7 +11,7 @@ If no box arrives within the loss timeout the vehicle is stopped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .geometry import BoundingBox, box_area, box_center
 
@@ -120,15 +120,24 @@ def servo_update(
     if detection is None:
         never_seen = state.last_detection_time is None
         if never_seen or now - state.last_detection_time > cfg.loss_timeout:
-            stopped = replace(
-                state,
+            stopped = ServoState(
+                config=cfg,
                 yaw_integral=0.0,
                 yaw_prev_error=None,
+                last_detection_time=state.last_detection_time,
                 last_update_time=now,
                 last_command=STOP_COMMAND,
             )
             return STOP_COMMAND, stopped
-        return state.last_command, replace(state, last_update_time=now)
+        held = ServoState(
+            config=cfg,
+            yaw_integral=state.yaw_integral,
+            yaw_prev_error=state.yaw_prev_error,
+            last_detection_time=state.last_detection_time,
+            last_update_time=now,
+            last_command=state.last_command,
+        )
+        return state.last_command, held
 
     if state.last_update_time is None or now == state.last_update_time:
         dt = 1.0 / cfg.command_rate
@@ -154,8 +163,8 @@ def servo_update(
         forward_speed=_clamp(cfg.speed_gain * d_area, 0.0, forward) if d_area > 0.0 else 0.0,
         vertical_speed=_clamp(-cfg.depth_gain * dy, -vertical, vertical),
     )
-    next_state = replace(
-        state,
+    next_state = ServoState(
+        config=cfg,
         yaw_integral=integral,
         yaw_prev_error=dx,
         last_detection_time=now,

@@ -22,7 +22,7 @@ import math
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -66,9 +66,12 @@ class Pose:
     yaw: float = 0.0
 
     def __post_init__(self):
-        _require_finite("position", self.position)
-        if not math.isfinite(self.yaw):
-            raise ValueError(f"yaw {self.yaw} is not finite")
+        # the sum is finite only when every coordinate and the yaw are; only
+        # a pose that fails it goes on to the checks that name the fault
+        if not math.isfinite(sum(self.position, self.yaw)):
+            _require_finite("position", self.position)
+            if not math.isfinite(self.yaw):
+                raise ValueError(f"yaw {self.yaw} is not finite")
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
     def left(self) -> tuple[float, float, float]:
@@ -223,20 +226,29 @@ def _project_rect(
 
     lx, ly, _ = left
     hfov, vfov = cam.horizontal_fov, cam.vertical_fov
-    us, vs = [], []
-    for a in (-half_w, half_w):
-        rx = cx + a * lx - ex
-        ry = cy + a * ly - ey
-        xc = rx * cos_y + ry * sin_y
-        if xc <= 1e-9:
-            return None
-        yc = rx * -sin_y + ry * cos_y
-        us.append(0.5 - math.atan2(yc, xc) / hfov)
-        reach = math.hypot(xc, yc)
-        for b in (-half_h, half_h):
-            vs.append(0.5 - math.atan2(cz + b - ez, reach) / vfov)
-    x, y = min(us), min(vs)
-    return clip_box_to_image(x, y, max(us) - x, max(vs) - y)
+    # the heights over the eye of the bottom and top edges
+    below, above = cz + -half_h - ez, cz + half_h - ez
+    # the corners at -half_w along the left axis, then at +half_w
+    rx, ry = cx + -half_w * lx - ex, cy + -half_w * ly - ey
+    xc = rx * cos_y + ry * sin_y
+    if xc <= 1e-9:
+        return None
+    yc = rx * -sin_y + ry * cos_y
+    u0 = 0.5 - math.atan2(yc, xc) / hfov
+    reach = math.hypot(xc, yc)
+    v0 = 0.5 - math.atan2(below, reach) / vfov
+    v1 = 0.5 - math.atan2(above, reach) / vfov
+    rx, ry = cx + half_w * lx - ex, cy + half_w * ly - ey
+    xc = rx * cos_y + ry * sin_y
+    if xc <= 1e-9:
+        return None
+    yc = rx * -sin_y + ry * cos_y
+    u1 = 0.5 - math.atan2(yc, xc) / hfov
+    reach = math.hypot(xc, yc)
+    v2 = 0.5 - math.atan2(below, reach) / vfov
+    v3 = 0.5 - math.atan2(above, reach) / vfov
+    x, y = min(u0, u1), min(v0, v1, v2, v3)
+    return clip_box_to_image(x, y, max(u0, u1) - x, max(v0, v1, v2, v3) - y)
 
 
 def project_bbox(
@@ -328,6 +340,8 @@ class FootageScene:
     ):
         if not 0.0 <= noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must lie in [0, inf), got {noise_sigma}")
+        if not all(0.0 <= level <= 1.0 for level in flipper_range):  # nan fails too
+            raise ValueError(f"flipper_range levels must lie in [0, 1], got {flipper_range}")
         self.camera = camera
         self.target = target
         self.rng = rng if rng is not None else np.random.default_rng(0)
@@ -478,7 +492,7 @@ def noisy_detector(
         return None
 
     if noise.center_sigma == 0.0 and noise.scale_sigma == 0.0:
-        boxed = replace(true_box, p=1.0)
+        boxed = BoundingBox(true_box.x, true_box.y, true_box.w, true_box.h, 1.0)
     else:
         dx, dy = rng.normal(0.0, noise.center_sigma, 2).tolist()
         sw, sh = map(math.exp, rng.normal(0.0, noise.scale_sigma, 2))
@@ -495,7 +509,7 @@ def noisy_detector(
         if noise.confidence_sigma == 0.0
         else min(max(overlap + rng.normal(0.0, noise.confidence_sigma), 0.0), 1.0)
     )
-    return replace(boxed, p=conf)
+    return BoundingBox(boxed.x, boxed.y, boxed.w, boxed.h, conf)
 
 
 # ---------------------------------------------------------------------------

@@ -538,10 +538,16 @@ def test_sim_refuses_a_seed_only_python_reads(tmp_path, capsys, seed):
 def test_sim_seed_changes_trace(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("sim.duration = 2\n")
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    out1, out2, out3, out4 = (tmp_path / f"{name}.csv" for name in "abcd")
     assert run_cli(["sim", "--config", str(config), "--out", str(out1), "--seed", "1"]) == 0
     assert run_cli(["sim", "--config", str(config), "--out", str(out2), "--seed", "2"]) == 0
     assert out1.read_bytes() != out2.read_bytes()
+    # the parser is built once per process, and each run parses afresh: a run
+    # without --seed takes the config's seed, 0, whatever the run before it
+    assert run_cli(["sim", "--config", str(config), "--out", str(out3)]) == 0
+    assert run_cli(["sim", "--config", str(config), "--out", str(out4), "--seed", "0"]) == 0
+    assert out3.read_bytes() == out4.read_bytes() != out2.read_bytes()
+    assert uwconvoy.cli._build_parser() is uwconvoy.cli._build_parser()
 
 
 def test_mdpm_subcommand(tmp_path):

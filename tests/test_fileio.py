@@ -567,14 +567,25 @@ def test_pgm_round_trip_binary(shape, seed):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_write_pgm_matches_the_one_line_encoder_and_keeps_its_input(dtype):
-    # below 0, above 1, and the half steps (k + 0.5) / 255, which round to even
-    edges = [-np.inf, -1.0, -0.5 / 255, -1e-12, 0.0, 1.0, 1.0 + 1e-12, 255.5 / 255, 2.0, np.inf]
+    # below 0, above 1, and the half steps (k + 0.5) / 255, which round to
+    # even; +-3e38 is finite in float32, but its product by 255 is not
+    edges = [-3e38, -1.0, -0.5 / 255, -1e-12, 0.0, 1.0, 1.0 + 1e-12, 255.5 / 255, 2.0, 3e38]
     half_steps = (np.arange(255) + 0.5) / 255
     frame = np.concatenate([edges, half_steps, np.nextafter(half_steps, 2.0)])
     frame = frame.astype(dtype).reshape(5, -1)
     before = frame.copy()
-    assert write_pgm(frame) == one_line_write_pgm(frame)
+    with np.errstate(over="ignore"):
+        assert write_pgm(frame) == one_line_write_pgm(frame)
     assert frame.dtype == dtype and np.array_equal(frame, before)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_pgm_refuses_a_sample_that_is_not_finite(bad, dtype):
+    frame = np.full((3, 4), 0.5, dtype)
+    frame[1, 2] = bad
+    with pytest.raises(ValueError, match="^frame holds a sample that is nan or infinite$"):
+        write_pgm(frame)
 
 
 def _ascii_int(n):
@@ -717,7 +728,22 @@ def test_trace_csv_matches_cell_by_cell_oracle():
                 command=command)
         for t, (tb, db) in enumerate([(box, None), (None, box), (None, None), (box, box)], 7)
     ]
-    records = trace.records + by_hand + [replace(r, t=-0.0) for r in by_hand]
+    # one detection and one command object again after others (A, None, A
+    # and A, B, A), and a box and a command equal to `box` and `command` that
+    # print otherwise
+    other_box = BoundingBox(0.5, 0.25, 0.25, 0.5, 0.3)
+    signed_box = BoundingBox(0.25, -0.0, 0.125, 0.2, 0.7)
+    other_command = ControlCommand(0.125, 0.0, 0.0, 0.25, -0.375)
+    plus_zero = ControlCommand(0.0, -1e-7, 0.0, -4.9e-7, 2.5)
+    assert signed_box == box and plus_zero == command
+    reused = [
+        replace(by_hand[0], t=t, detection=db, command=cmd)
+        for t, (db, cmd) in enumerate([
+            (box, command), (None, plus_zero), (box, command), (signed_box, plus_zero),
+            (box, other_command), (other_box, command), (box, other_command),
+        ], 11)
+    ]
+    records = trace.records + by_hand + [replace(r, t=-0.0) for r in by_hand] + reused
     text = format_trace_csv(SimTrace(records))
     assert text == TRACE_HEADER + "\n" + "".join(trace_row_cells(r) + "\n" for r in records)
     assert "-0.000000" in text

@@ -344,6 +344,14 @@ def test_footage_refuses_a_noise_sigma_outside_0_to_inf(sigma):
         FootageScene(noise_sigma=sigma)
 
 
+@pytest.mark.parametrize(
+    "levels", [(math.nan, 1.0), (0.2, 1.5), (-0.1, 0.5), (0.2, math.inf), (-math.inf, 0.5)]
+)
+def test_footage_refuses_flipper_levels_outside_0_to_1(levels):
+    with pytest.raises(ValueError, match=r"^flipper_range levels must lie in \[0, 1\], got "):
+        FootageScene(flipper_range=levels)
+
+
 @pytest.mark.parametrize("jitter", [0.0, 0.3])
 def test_render_sequence_is_the_serial_render(jitter):
     from uwconvoy.sim import _frames  # white-box: the frame loop render_sequence uses
@@ -582,6 +590,17 @@ def test_config_refuses_motion_only_at_the_top_of_the_float_range():
         servo=ServoConfig(speed_gain=1e308, depth_gain=1e308),
     )
     assert run_convoy(config).records[-1].leader.position[0] == 1.7e308
+
+
+def test_pose_takes_finite_values_whose_sum_is_not_finite():
+    # the pose check sums the coordinates and the yaw first; a sum past the
+    # float range must not refuse a pose, nor hide the value at fault
+    assert Pose((1e308, 1e308, -0.0), 1e308).position == (1e308, 1e308, -0.0)
+    assert Pose((-1e308, -1e308, 0.0, 5.0)).position == (-1e308, -1e308, 0.0, 5.0)
+    with pytest.raises(ValueError, match=r"^position \(1e\+308, 1e\+308, inf\) has an element"):
+        Pose((1e308, 1e308, math.inf))
+    with pytest.raises(ValueError, match="^yaw nan is not finite$"):
+        Pose((1e308, 1e308, 0.0), math.nan)
 
 
 _CONFIG_CLASSES = (ConvoyConfig, CameraModel, TargetModel, DetectorNoise, ServoConfig, MdpmConfig, Pose)
