@@ -146,6 +146,16 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _require_writable(path: str) -> None:
+    """Refuse an output file path that is a directory or whose directory is
+    missing, before any work that the refusal would waste."""
+    if Path(path).is_dir():
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise FileNotFoundError(f"cannot write {path}: no directory {parent}")
+
+
 def _run_and_write(args) -> tuple[ConvoyConfig, SimTrace]:
     """The run of `sim` and `servo-sim`: load the config, refuse every output
     path before the first tick, so that a refusal leaves no partial output
@@ -159,11 +169,7 @@ def _run_and_write(args) -> tuple[ConvoyConfig, SimTrace]:
         if resolved[i] in resolved[:i]:
             raise ValueError(f"{path} is named for two outputs")
     for path in filter(None, (args.out, args.annotations_out)):
-        if Path(path).is_dir():
-            raise IsADirectoryError(f"cannot write {path}: it is a directory")
-        parent = Path(path).parent
-        if not parent.is_dir():
-            raise FileNotFoundError(f"cannot write {path}: no directory {parent}")
+        _require_writable(path)
     if args.frames_out:
         Path(args.frames_out).mkdir(parents=True, exist_ok=True)
         # frames of an earlier run would mix with this run's in mdpm
@@ -190,6 +196,7 @@ def _cmd_mdpm(args) -> int:
         config = MdpmConfig(sample_rate=args.fps)
     except ValueError as exc:
         raise ValueError(f"--fps {args.fps:g} is too low: {exc}") from None
+    _require_writable(args.out)
     tracker = MdpmTracker(config)
     rows = []
     for i, (path, frame) in enumerate(fileio.load_frame_dir(args.frames)):

@@ -6,8 +6,8 @@ chosen confidence threshold; localization quality is reported separately
 through the average overlap and the localization failure rate over true
 positives. Ratio metrics with empty denominators are reported as None
 ("undefined"), never silently zero. The automatic threshold is the lowest
-confidence in the file whose precision is at least 0.95, which is the one
-with the best recall.
+confidence in the file whose precision is at least MIN_PRECISION (0.95),
+which is the one with the best recall.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ Classification = str  # "TP" | "TN" | "FP" | "FN"
 
 # longest run of non-TP frames, in seconds, that keeps a track alive
 TRACK_MAX_GAP = 3.0
+# the precision floor of the automatic threshold
+MIN_PRECISION = 0.95
 # histogram bins: annotated box area (fraction of the image) and negative-run
 # length (frames)
 AREA_EDGES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -142,9 +144,8 @@ def metrics_summary(results: Sequence[FrameResult]) -> MetricsReport:
 def select_threshold(
     annotations: Sequence[Annotation],
     predictions: Sequence[tuple[int, BoundingBox | None]],
-    min_precision: float = 0.95,
 ) -> float:
-    """The lowest boxed confidence whose precision is at least min_precision.
+    """The lowest boxed confidence whose precision is at least MIN_PRECISION.
 
     Recall cannot fall as the threshold falls, so this is the threshold with
     the best recall under the floor, ties going to the lower one.
@@ -159,10 +160,10 @@ def select_threshold(
     conf, tp = conf[order], np.cumsum(hit[order])
     # the last index of each run of equal confidences; none when nothing is boxed
     run_end = np.diff(conf, append=-1.0) != 0
-    feasible = np.flatnonzero(run_end & (tp / np.arange(1, len(conf) + 1) >= min_precision))
+    feasible = np.flatnonzero(run_end & (tp / np.arange(1, len(conf) + 1) >= MIN_PRECISION))
     if not feasible.size:
         raise ThresholdNotFoundError(
-            f"no confidence threshold reaches precision {min_precision}"
+            f"no confidence threshold reaches precision {MIN_PRECISION}"
         )
     return float(conf[feasible[-1]])
 
@@ -226,20 +227,24 @@ class HistogramReport:
     fn_runs: tuple[int, ...]
 
 
+def _bins(values: Sequence[float], edges: tuple[float, ...]) -> np.ndarray:
+    """The bin of each value between consecutive edges. Bins are half-open
+    on the right but for the last, which is closed; a value past either end
+    counts in the end bin it is next to."""
+    return np.clip(np.digitize(values, edges) - 1, 0, len(edges) - 2)
+
+
 def histogram_report(results: Sequence[FrameResult]) -> HistogramReport:
     """Bin detector outcomes by annotated box area (AREA_EDGES) and by
-    negative-run length (DURATION_EDGES).
-
-    The last bin of each axis includes its right edge; earlier bins are
-    half-open on the right. An area that the box checks' round-off slack
-    puts outside [0, 1] counts in the end bin it is next to.
+    negative-run length (DURATION_EDGES), both with _bins: an area that the
+    box checks' round-off slack puts outside [0, 1], and a run longer than
+    the last edge, count in the end bin.
     """
     n_bins = len(AREA_EDGES) - 1
 
     def area_bins(label: Classification) -> tuple[list[FrameResult], np.ndarray]:
         hits = [r for r in results if r.classification == label]
-        areas = [box_area(r.annotation.truth_box) for r in hits]
-        return hits, np.clip(np.digitize(areas, AREA_EDGES) - 1, 0, n_bins - 1)
+        return hits, _bins([box_area(r.annotation.truth_box) for r in hits], AREA_EDGES)
 
     tps, tp_bins = area_bins("TP")
     _, fn_bins = area_bins("FN")
@@ -255,19 +260,16 @@ def histogram_report(results: Sequence[FrameResult]) -> HistogramReport:
         bias_mean[b] = sel.mean()
         bias_std[b] = sel.std()
 
-    # runs are spans that tolerate no interruption; the frame rate is moot
-    tn_runs, fn_runs = (
-        [last - first + 1 for first, last in _spans(results, label, 1.0, 0.0)]
-        for label in ("TN", "FN")
-    )
-    tn_hist, _ = np.histogram(tn_runs, bins=DURATION_EDGES)
-    fn_run_hist, _ = np.histogram(fn_runs, bins=DURATION_EDGES)
+    def run_counts(label: Classification) -> np.ndarray:
+        # runs are spans that tolerate no interruption; the frame rate is moot
+        runs = [last - first + 1 for first, last in _spans(results, label, 1.0, 0.0)]
+        return np.bincount(_bins(runs, DURATION_EDGES), minlength=len(DURATION_EDGES) - 1)
 
     return HistogramReport(
         tp_by_area=tuple(int(v) for v in np.bincount(tp_bins, minlength=n_bins)),
         fn_by_area=tuple(int(v) for v in np.bincount(fn_bins, minlength=n_bins)),
         bias_mean=tuple(float(v) for v in bias_mean),
         bias_std=tuple(float(v) for v in bias_std),
-        tn_runs=tuple(int(v) for v in tn_hist),
-        fn_runs=tuple(int(v) for v in fn_run_hist),
+        tn_runs=tuple(int(v) for v in run_counts("TN")),
+        fn_runs=tuple(int(v) for v in run_counts("FN")),
     )

@@ -496,10 +496,11 @@ def _trace_template(true_present: bool) -> str:
 
 # true box present -> the template of a row
 _TRACE_ROWS = {tp: _trace_template(tp) for tp in (False, True)}
-# the detection columns with and without a detection, and the command columns
+# the detection columns with and without a detection, and the command
+# columns, whose pitch and roll rates are never commanded and print as 0
 _DET_CELLS = "1" + ",%.6f" * 5
 _NO_DET_CELLS = "0" + "," * 5
-_CMD_CELLS = ",".join(["%.6f"] * 5)
+_CMD_CELLS = "%.6f,0.000000,0.000000,%.6f,%.6f"
 
 
 def format_trace_csv(trace: SimTrace) -> str:
@@ -519,9 +520,7 @@ def format_trace_csv(trace: SimTrace) -> str:
             det_cells = _NO_DET_CELLS if db is None else _DET_CELLS % (db.p, db.x, db.y, db.w, db.h)
         if r.command is not cmd:
             cmd = r.command
-            cmd_cells = _CMD_CELLS % (
-                cmd.yaw_rate, cmd.pitch_rate, cmd.roll_rate, cmd.forward_speed, cmd.vertical_speed
-            )
+            cmd_cells = _CMD_CELLS % (cmd.yaw_rate, cmd.forward_speed, cmd.vertical_speed)
         tb, leader, follower = r.true_box, r.leader, r.follower
         rows.append(_TRACE_ROWS[tb is not None] % (
             r.t, *leader.position, leader.yaw, *follower.position, follower.yaw,

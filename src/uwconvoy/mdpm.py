@@ -96,12 +96,8 @@ class MdpmConfig:
     threshold_factor: ClassVar[float] = 6.0
     # frames per second of the footage; frames are taken as evenly spaced
     sample_rate: float = 15.0
-    # when set, an absolute amplitude level in place of the median rule
-    amplitude_threshold: float | None = None
 
     def __post_init__(self):
-        if self.amplitude_threshold is not None and not math.isfinite(self.amplitude_threshold):
-            raise ValueError(f"amplitude_threshold must be finite, got {self.amplitude_threshold}")
         # the band must lie under Nyquist; nan and inf fail the comparison
         if not 2.0 * self.band[1] < self.sample_rate < math.inf:
             raise ValueError(
@@ -265,9 +261,7 @@ class MdpmTracker:
         survivors = order[: config.prune_count]
 
         amplitudes = _amplitude_matrix(series, self._kernel)
-        threshold = config.amplitude_threshold
-        if threshold is None:
-            threshold = config.threshold_factor * _median(amplitudes)
+        threshold = config.threshold_factor * _median(amplitudes)
 
         sub = amplitudes[survivors]
         best_amp = float(sub.max())

@@ -1,10 +1,11 @@
 """Image-based visual servoing from bounding-box errors.
 
 The controller regulates three image-space errors (Fig.-style horizontal
-offset, vertical offset, and area shortfall) into 5-DOF velocity commands:
-a PID on the horizontal offset drives yaw rate, proportional gains map the
+offset, vertical offset, and area shortfall) into velocity commands: a PID
+on the horizontal offset drives yaw rate, proportional gains map the
 vertical offset to vertical speed and the area shortfall to forward speed.
-Pitch and roll rates stay zero (left to the vehicle's attitude autopilot).
+Pitch and roll are not commanded; they are left to the vehicle's attitude
+autopilot.
 If no box arrives within the loss timeout the vehicle is stopped.
 """
 
@@ -18,11 +19,9 @@ from .geometry import BoundingBox, box_area, box_center
 
 @dataclass(frozen=True)
 class ControlCommand:
-    """Velocity-level command for a 5-DOF vehicle."""
+    """Velocity-level command: yaw rate, forward speed and vertical speed."""
 
     yaw_rate: float = 0.0
-    pitch_rate: float = 0.0
-    roll_rate: float = 0.0
     forward_speed: float = 0.0
     vertical_speed: float = 0.0
 
@@ -158,8 +157,6 @@ def servo_update(
     forward, vertical = cfg.speed_clamps
     command = ControlCommand(
         yaw_rate=-yaw_out,
-        pitch_rate=0.0,
-        roll_rate=0.0,
         forward_speed=_clamp(cfg.speed_gain * d_area, 0.0, forward) if d_area > 0.0 else 0.0,
         vertical_speed=_clamp(-cfg.depth_gain * dy, -vertical, vertical),
     )

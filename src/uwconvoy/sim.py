@@ -2,12 +2,11 @@
 
 World frame: x east/forward, y north/left, z up. The vehicles stay level:
 poses carry a position and a yaw (about z, wrapped to (-pi, pi]), and pitch
-and roll are left to each vehicle's attitude autopilot, so the follower
-ignores the commanded pitch and roll rates (the servo commands both as 0) and
-the trace's pitch columns are always 0. The camera looks along the body
-forward axis; image coordinates are normalized with y growing downward, and
-bearing/elevation angles map linearly onto the image (angular camera), so no
-calibration matrix is involved anywhere.
+and roll are left to each vehicle's attitude autopilot, so the servo
+commands neither and the trace's pitch and roll columns are always 0. The
+camera looks along the body forward axis; image coordinates are normalized
+with y growing downward, and bearing/elevation angles map linearly onto the
+image (angular camera), so no calibration matrix is involved anywhere.
 
 The leader follows closed-form trajectory scripts; the follower integrates
 velocity commands. A billboard rectangle stands in for the leader's body to
@@ -30,12 +29,18 @@ import numpy as np
 from .geometry import Annotation, BoundingBox, clip_box_to_image, iou
 from .servo import STOP_COMMAND, ControlCommand, ServoConfig, ServoState, servo_update
 
-# Footage intensities of the background and of the leader's body.
+# Footage intensities of the background and of the leader's body, the
+# standard deviation of the background's Gaussian pixel noise, and the two
+# levels between which the flipper patch oscillates.
 _BACKGROUND = 0.4
 _BODY_INTENSITY = 0.85
+_NOISE_SIGMA = 0.02
+_FLIPPER_RANGE = (0.15, 0.95)
 
-# How far the centre of the flipper patch hangs below the body centre, m.
+# How far the centre of the flipper patch hangs below the body centre, and
+# the patch's size along the board's left axis and up, m.
 _FLIPPER_DROP = 0.09
+_FLIPPER_SIZE = (0.50, 0.12)
 
 # Most physics ticks one run may take: 5.5 h at the default 50 Hz; `sim`
 # peak memory grows about 1.7 kB a tick with the held trace, so about 1.7 GB.
@@ -106,9 +111,6 @@ class TargetModel:
 
     body_length: float = 0.65
     body_height: float = 0.30
-    # flipper patch size (along the board's left axis, up); the patch hangs
-    # _FLIPPER_DROP below the body centre
-    flipper_size: tuple[float, float] = (0.50, 0.12)
     gait_frequency: float = 2.0
     gait_jitter: float = 0.0
 
@@ -122,7 +124,6 @@ class TargetModel:
             )
         if not self.gait_jitter >= 0:
             raise ValueError(f"gait_jitter must be >= 0, got {self.gait_jitter}")
-        _require_finite("flipper_size", self.flipper_size)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +179,7 @@ def step_follower(
 ) -> Pose:
     """Integrate one velocity command over dt (velocity-level kinematics),
     then displace the pose by drift, the water current's travel over dt.
-    The body stays level: the pitch and roll rates move nothing."""
+    The body stays level: the command moves its yaw, surge and heave only."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     # wrapped twice here and once more by Pose: wrap_angle takes a yaw one
@@ -265,9 +266,7 @@ def project_bbox(
     )
 
 
-def _flipper_box(
-    cam: CameraModel, follower: Pose, leader: Pose, target: TargetModel
-) -> BoundingBox | None:
+def _flipper_box(cam: CameraModel, follower: Pose, leader: Pose) -> BoundingBox | None:
     """Box of the leader's flipper patch as seen by the follower."""
     x, y, z = leader.position
     # the + 0.0 terms turn a -0.0 into +0.0, as the centre's first form, a
@@ -278,8 +277,8 @@ def _flipper_box(
         follower,
         center,
         leader.left(),
-        target.flipper_size[0] / 2.0,
-        target.flipper_size[1] / 2.0,
+        _FLIPPER_SIZE[0] / 2.0,
+        _FLIPPER_SIZE[1] / 2.0,
     )
 
 
@@ -325,28 +324,21 @@ class FootageScene:
     """Stateful renderer for grayscale convoy footage.
 
     Background sits at a constant level plus Gaussian pixel noise of
-    noise_sigma (0 for none); the target body renders brighter, and its
-    flipper patch oscillates between the configured extremes at the gait
-    frequency, from a phase that is the first draw of the scene's stream.
+    _NOISE_SIGMA; the target body renders brighter, and its flipper patch
+    oscillates between the _FLIPPER_RANGE levels at the gait frequency, from
+    a phase that is the first draw of the scene's stream, rng.
     """
 
     def __init__(
         self,
         camera: CameraModel = CameraModel(),
         target: TargetModel = TargetModel(),
-        rng: np.random.Generator | None = None,
-        flipper_range: tuple[float, float] = (0.15, 0.95),
-        noise_sigma: float = 0.02,
+        *,
+        rng: np.random.Generator,
     ):
-        if not 0.0 <= noise_sigma < math.inf:
-            raise ValueError(f"noise_sigma must lie in [0, inf), got {noise_sigma}")
-        if not all(0.0 <= level <= 1.0 for level in flipper_range):  # nan fails too
-            raise ValueError(f"flipper_range levels must lie in [0, 1], got {flipper_range}")
         self.camera = camera
         self.target = target
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.flipper_range = flipper_range
-        self.noise_sigma = noise_sigma
+        self.rng = rng
         self._gait = _GaitPhase(target, self.rng)
 
     def _pixel_rect(self, box: BoundingBox) -> tuple[int, int, int, int]:
@@ -367,7 +359,7 @@ class FootageScene:
         cam = self.camera
         # one pass: numpy draws loc + scale * z, the same bits as
         # _BACKGROUND + normal(0, sigma), and exactly _BACKGROUND at sigma 0
-        img = self.rng.normal(_BACKGROUND, self.noise_sigma, (cam.image_height, cam.image_width))
+        img = self.rng.normal(_BACKGROUND, _NOISE_SIGMA, (cam.image_height, cam.image_width))
         return img, self._gait.at(t)
 
     def render(
@@ -388,9 +380,9 @@ class FootageScene:
         if body is not None:
             x0, x1, y0, y1 = self._pixel_rect(body)
             img[y0:y1, x0:x1] = _BODY_INTENSITY
-            flipper = _flipper_box(self.camera, follower, leader, self.target)
+            flipper = _flipper_box(self.camera, follower, leader)
             if flipper is not None:
-                lo, hi = self.flipper_range
+                lo, hi = _FLIPPER_RANGE
                 level = lo + (hi - lo) * 0.5 * (1.0 + math.sin(phase))
                 x0, x1, y0, y1 = self._pixel_rect(flipper)
                 img[y0:y1, x0:x1] = level

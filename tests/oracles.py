@@ -284,8 +284,8 @@ def trace_row_cells(r) -> str:
         *_cells(r.t), *pose(r.leader), *pose(r.follower),
         "0" if tb is None else "1", *box(tb),
         "0" if db is None else "1", *([""] if db is None else _cells(db.p)), *box(db),
-        *_cells(cmd.yaw_rate, cmd.pitch_rate, cmd.roll_rate, cmd.forward_speed,
-                cmd.vertical_speed),
+        # pitch and roll rates are never commanded: 0
+        *_cells(cmd.yaw_rate, 0.0, 0.0, cmd.forward_speed, cmd.vertical_speed),
     ]
     return ",".join(cells)
 

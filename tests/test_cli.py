@@ -351,13 +351,14 @@ def _unwritable_or_unreadable_path_argv(tmp_path, case):
     missing = tmp_path / "missing" / "out.csv"
     existing_file = tmp_path / "taken"
     existing_file.write_text("")
+    writable = tmp_path / "out.csv"
     if case == "mdpm --frames missing":
         path = tmp_path / "no_frames"
-        return ["mdpm", "--frames", str(path), "--fps", "15", "--out", str(missing)], path
+        return ["mdpm", "--frames", str(path), "--fps", "15", "--out", str(writable)], path
     if case == "mdpm --frames with a directory frame":
         path = tmp_path / "frames" / "frame_000000.pgm"
         path.mkdir(parents=True)
-        return ["mdpm", "--frames", str(path.parent), "--fps", "15", "--out", str(missing)], path
+        return ["mdpm", "--frames", str(path.parent), "--fps", "15", "--out", str(writable)], path
     if case == "mdpm --out missing dir":
         frame_dir = _noise_frame_dir(tmp_path, 12)
         return ["mdpm", "--frames", str(frame_dir), "--fps", "15", "--out", str(missing)], missing
@@ -861,6 +862,18 @@ def test_mdpm_names_a_truncated_last_frame_and_writes_nothing(tmp_path, capsys):
     assert run_cli(["mdpm", "--frames", str(frame_dir), "--fps", "15", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: frame_000011.pgm: PGM pixel payload truncated\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["nodir/p.csv", "frames"])
+def test_mdpm_refuses_its_out_path_before_reading_a_frame(tmp_path, capsys, name):
+    # the truncated first frame would be named if a frame were read first
+    frame_dir = _noise_frame_dir(tmp_path, 12)
+    first = frame_dir / "frame_000000.pgm"
+    first.write_bytes(first.read_bytes()[:-1])
+    out = tmp_path / name
+    reason = f"no directory {tmp_path / 'nodir'}" if name == "nodir/p.csv" else "it is a directory"
+    assert run_cli(["mdpm", "--frames", str(frame_dir), "--fps", "15", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
 
 
 def _traced_peak_mb(argv):

@@ -163,7 +163,7 @@ def test_select_threshold_prefers_feasible_recall():
         predictions.append((i, None))
 
     # at 0.6: precision 24/25 = 0.96, recall 0.8; at 0.45: precision 27/31 < 0.95
-    assert select_threshold(annotations, predictions, 0.95) == 0.6
+    assert select_threshold(annotations, predictions) == 0.6
 
 
 def test_select_threshold_unreachable_floor():
@@ -180,9 +180,9 @@ def test_select_threshold_equals_brute_force_oracle():
         expected = brute_force_threshold(annotations, predictions, 0.95)
         if expected is None:
             with pytest.raises(ThresholdNotFoundError):
-                select_threshold(annotations, predictions, 0.95)
+                select_threshold(annotations, predictions)
         else:
-            assert select_threshold(annotations, predictions, 0.95) == expected
+            assert select_threshold(annotations, predictions) == expected
 
 
 # a 7-value confidence grid makes ties between frames the common case; it
@@ -200,11 +200,13 @@ def test_select_threshold_matches_oracle_under_ties(frames, min_precision):
     annotations = [ann(i, present) for i, (present, _) in enumerate(frames)]
     predictions = [(i, None if p is None else boxed(p)) for i, (_, p) in enumerate(frames)]
     expected = brute_force_threshold(annotations, predictions, min_precision)
-    if expected is None:
-        with pytest.raises(ThresholdNotFoundError):
-            select_threshold(annotations, predictions, min_precision)
-    else:
-        assert select_threshold(annotations, predictions, min_precision) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "MIN_PRECISION", min_precision)
+        if expected is None:
+            with pytest.raises(ThresholdNotFoundError):
+                select_threshold(annotations, predictions)
+        else:
+            assert select_threshold(annotations, predictions) == expected
 
 
 def test_select_threshold_builds_no_frame_result_and_no_iou(monkeypatch):
@@ -321,15 +323,19 @@ def test_histogram_single_tp():
 
 def test_histogram_confusion_fixture_counts():
     annotations, predictions = confusion_fixture()
+    # then a TN run of 150 frames (10-159) and an FN run of 130 (160-289)
+    annotations += [ann(i, False) for i in range(10, 160)] + [ann(i) for i in range(160, 290)]
+    predictions += [(i, None) for i in range(10, 290)]
     results = classify_frames(annotations, predictions, 0.5)
     hist = histogram_report(results)
-    # truth boxes all have area 0.16 -> second bin; 5 TPs and 2 FNs
+    # truth boxes all have area 0.16 -> second bin; 5 TPs and 132 FNs
     assert hist.tp_by_area == (0, 5, 0, 0, 0, 0, 0, 0, 0, 0)
-    assert hist.fn_by_area == (0, 2, 0, 0, 0, 0, 0, 0, 0, 0)
-    # one TN run of length 2 (frames 5-6), one FN run of length 2 (frames 7-8),
-    # both in the [2, 5) frame bin
-    assert hist.tn_runs == (0, 1, 0, 0, 0, 0)
-    assert hist.fn_runs == (0, 1, 0, 0, 0, 0)
+    assert hist.fn_by_area == (0, 132, 0, 0, 0, 0, 0, 0, 0, 0)
+    # one TN run of length 2 (frames 5-6) and one FN run of length 2 (frames
+    # 7-8), both in the [2, 5) frame bin; the long runs pass the last edge,
+    # 100 frames, and count in the last bin, [50, 100]
+    assert hist.tn_runs == (0, 1, 0, 0, 0, 1)
+    assert hist.fn_runs == (0, 1, 0, 0, 0, 1)
 
 
 def test_histogram_biases_equal_the_per_true_positive_form():

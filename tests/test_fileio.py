@@ -722,7 +722,7 @@ def test_trace_csv_matches_cell_by_cell_oracle():
     trace = run_convoy(ConvoyConfig(duration=6.0, seed=2, occlusions=((1.0, 2.0),)))
     box = BoundingBox(0.25, 0.0, 0.125, 0.2, 0.7)
     pose = Pose((-0.0, -4e-7, 1e-7), yaw=-1e-9)
-    command = ControlCommand(-0.0, -1e-7, 0.0, -4.9e-7, 2.5)
+    command = ControlCommand(-0.0, -4.9e-7, 2.5)
     by_hand = [
         replace(trace.records[-1], t=t, leader=pose, follower=pose, true_box=tb, detection=db,
                 command=command)
@@ -733,8 +733,8 @@ def test_trace_csv_matches_cell_by_cell_oracle():
     # print otherwise
     other_box = BoundingBox(0.5, 0.25, 0.25, 0.5, 0.3)
     signed_box = BoundingBox(0.25, -0.0, 0.125, 0.2, 0.7)
-    other_command = ControlCommand(0.125, 0.0, 0.0, 0.25, -0.375)
-    plus_zero = ControlCommand(0.0, -1e-7, 0.0, -4.9e-7, 2.5)
+    other_command = ControlCommand(0.125, 0.25, -0.375)
+    plus_zero = ControlCommand(0.0, -4.9e-7, 2.5)
     assert signed_box == box and plus_zero == command
     reused = [
         replace(by_hand[0], t=t, detection=db, command=cmd)

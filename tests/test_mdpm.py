@@ -224,9 +224,9 @@ def test_prune_tie_order_on_identical_series():
     ]
 
 
-def test_config_sets_only_the_rate_and_an_absolute_threshold():
+def test_config_sets_only_the_rate():
     names = [f.name for f in dataclasses.fields(MdpmConfig)]
-    assert names == ["sample_rate", "amplitude_threshold"]
+    assert names == ["sample_rate"]
     fixed = (
         MdpmConfig.window_size,
         MdpmConfig.buffer_length,
@@ -348,7 +348,9 @@ def test_detect_matches_public_op_composition(monkeypatch):
 def test_detect_prune_count_matches_oracle_ranking(monkeypatch):
     """Only the top prune_count directions compete for the peak."""
     frames = oscillating_cell_frames(amplitude=0.0, noise=0.05, seed=4)
-    config = MdpmConfig(amplitude_threshold=0.0)
+    # a factor of 0 puts the threshold at 0, so the best survivor always fires
+    monkeypatch.setattr(MdpmConfig, "threshold_factor", 0.0)
+    config = MdpmConfig()
     ranking, scan, amp = oracle_scan(frames, config)
     winners = set()
     for prune_count in (1, 2, 4, 8, 16, 32):
@@ -389,12 +391,6 @@ def test_detect_buffer_length_requirements():
     longer = oscillating_cell_frames(n_frames=14, phase=0.3)
     det = detect(longer)  # uses the most recent 10
     assert det is not None
-
-
-def test_detect_respects_absolute_threshold_override():
-    frames = oscillating_cell_frames(phase=1.0)
-    high = MdpmConfig(amplitude_threshold=1e9)
-    assert detect(frames, high) is None
 
 
 def test_tracker_matches_one_shot_detection():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -91,7 +93,7 @@ def test_servo_stop_after_timeout():
 def test_servo_setpoint_gives_zero_command():
     state = ServoState(CFG)
     cmd, _ = servo_update(state, CENTERED_AT_SETPOINT, 0.0)
-    assert cmd == ControlCommand(0.0, 0.0, 0.0, 0.0, 0.0)
+    assert cmd == ControlCommand(0.0, 0.0, 0.0)
 
 
 def test_servo_forward_clamped_at_zero_when_too_close():
@@ -164,7 +166,11 @@ def test_servo_command_saturation_random():
         assert abs(cmd.yaw_rate) <= CFG.yaw_rate_limit
         assert abs(cmd.vertical_speed) <= CFG.vertical_speed_limit
         assert 0.0 <= cmd.forward_speed <= CFG.forward_speed_limit
-        assert cmd.pitch_rate == 0.0 and cmd.roll_rate == 0.0
+
+
+def test_command_holds_only_what_the_servo_commands():
+    names = [f.name for f in dataclasses.fields(ControlCommand)]
+    assert names == ["yaw_rate", "forward_speed", "vertical_speed"]
 
 
 _GAIN = st.floats(allow_nan=False, allow_infinity=False)

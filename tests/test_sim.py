@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uwconvoy
+from uwconvoy import sim
 from uwconvoy.geometry import Annotation, BoundingBox, box_area, box_center, iou
 from uwconvoy.mdpm import MdpmConfig
 from uwconvoy.servo import ControlCommand, STOP_COMMAND, ServoConfig
@@ -103,13 +104,6 @@ def test_zero_command_is_fixed_point():
     assert step_follower(pose, STOP_COMMAND, 0.02) == pose
 
 
-def test_attitude_rates_do_not_move_the_vehicle():
-    pose = Pose(position=(1.0, -2.0, 0.5), yaw=0.7)
-    cmd = ControlCommand(yaw_rate=0.3, forward_speed=0.5, vertical_speed=-0.2)
-    turned = dataclasses.replace(cmd, pitch_rate=0.4, roll_rate=-0.6)
-    assert step_follower(pose, turned, 0.5) == step_follower(pose, cmd, 0.5)
-
-
 def test_forward_step():
     moved = step_follower(Pose(), ControlCommand(forward_speed=0.5), 1.0)
     assert moved.position == pytest.approx((0.5, 0.0, 0.0), abs=1e-12)
@@ -142,9 +136,9 @@ def test_step_matches_the_vector_formula_bit_for_bit():
         (Pose(position=(-0.0, -0.0, -0.0), yaw=math.pi), STOP_COMMAND, 0.02),
         (Pose(position=(-0.0, 1.0, -0.0), yaw=-3.0), ControlCommand(forward_speed=0.0), 0.02),
         # a -0.0 height keeps the sign of 0.0 * forward speed, the heading's z
-        # term; (yaw rate, pitch rate, roll rate, forward, vertical speed)
-        (Pose(position=(0.0, 0.0, -0.0)), ControlCommand(0.0, 0.0, 0.0, 1.0, -0.0), 0.02),
-        (Pose(position=(0.0, 0.0, -0.0)), ControlCommand(0.0, 0.0, 0.0, -1.0, -0.0), 0.02),
+        # term; (yaw rate, forward, vertical speed)
+        (Pose(position=(0.0, 0.0, -0.0)), ControlCommand(0.0, 1.0, -0.0), 0.02),
+        (Pose(position=(0.0, 0.0, -0.0)), ControlCommand(0.0, -1.0, -0.0), 0.02),
         (Pose(yaw=math.pi), ControlCommand(yaw_rate=1e-9), 0.02),
         # one ulp above pi wraps to -pi, and only a second wrap gives pi
         (Pose(yaw=math.pi), ControlCommand(yaw_rate=2.0**-50, forward_speed=1.0), 0.5),
@@ -154,13 +148,8 @@ def test_step_matches_the_vector_formula_bit_for_bit():
             position=tuple(rng.uniform(-50.0, 50.0, 3)),
             yaw=rng.uniform(-math.pi, math.pi),
         )
-        forward, vertical, yaw_rate, pitch_rate = rng.uniform(-2.0, 2.0, 4)
-        cmd = ControlCommand(
-            yaw_rate=yaw_rate,
-            pitch_rate=pitch_rate,
-            forward_speed=forward,
-            vertical_speed=vertical,
-        )
+        forward, vertical, yaw_rate = rng.uniform(-2.0, 2.0, 3)
+        cmd = ControlCommand(yaw_rate=yaw_rate, forward_speed=forward, vertical_speed=vertical)
         cases.append((pose, cmd, float(rng.choice([0.02, 0.1, 1 / 3, 1.7]))))
     # each case in still water, in still water of drift -0.0 and in a current
     for (pose, cmd, dt), current in zip(cases, rng.uniform(-0.01, 0.01, (len(cases), 3))):
@@ -310,7 +299,7 @@ def _projection_poses(draw):
 @example(poses=(Pose(), Pose(position=(1.0, 0.0, -0.75))))  # clipped at the bottom edge
 @given(poses=_projection_poses())
 def test_projection_matches_per_corner_oracle(poses):
-    from uwconvoy.sim import _FLIPPER_DROP, _flipper_box  # white-box: the flipper patch
+    from uwconvoy.sim import _flipper_box  # white-box: the flipper patch
 
     follower, leader = poses
     position, left = np.asarray(leader.position), np.asarray(leader.left())
@@ -320,9 +309,9 @@ def test_projection_matches_per_corner_oracle(poses):
         CAM, follower, position, left, up, half_w, half_h
     )
     # the flipper centre as first written, numpy sums of 3-vectors
-    center = position + np.array([0.0, 0.0, -_FLIPPER_DROP])
-    half_w, half_h = TARGET.flipper_size[0] / 2.0, TARGET.flipper_size[1] / 2.0
-    assert _flipper_box(CAM, follower, leader, TARGET) == project_rect_per_corner(
+    center = position + np.array([0.0, 0.0, -sim._FLIPPER_DROP])
+    half_w, half_h = sim._FLIPPER_SIZE[0] / 2.0, sim._FLIPPER_SIZE[1] / 2.0
+    assert _flipper_box(CAM, follower, leader) == project_rect_per_corner(
         CAM, follower, center, left, up, half_w, half_h
     )
 
@@ -331,34 +320,26 @@ def test_projection_matches_per_corner_oracle(poses):
 # footage
 
 def test_flipper_offset_and_gait_phase_are_not_settable():
-    from uwconvoy.sim import _FLIPPER_DROP  # white-box: the flipper patch's place
-
-    assert "flipper_offset" not in {f.name for f in dataclasses.fields(TargetModel)}
-    assert _FLIPPER_DROP == 0.09
-    assert "gait_phase0" not in inspect.signature(FootageScene).parameters
-
-
-@pytest.mark.parametrize("sigma", [-0.1, -1e-300, math.nan, math.inf])
-def test_footage_refuses_a_noise_sigma_outside_0_to_inf(sigma):
-    with pytest.raises(ValueError, match=r"^noise_sigma must lie in \[0, inf\), got "):
-        FootageScene(noise_sigma=sigma)
-
-
-@pytest.mark.parametrize(
-    "levels", [(math.nan, 1.0), (0.2, 1.5), (-0.1, 0.5), (0.2, math.inf), (-math.inf, 0.5)]
-)
-def test_footage_refuses_flipper_levels_outside_0_to_1(levels):
-    with pytest.raises(ValueError, match=r"^flipper_range levels must lie in \[0, 1\], got "):
-        FootageScene(flipper_range=levels)
+    assert {"flipper_offset", "flipper_size"}.isdisjoint(
+        f.name for f in dataclasses.fields(TargetModel)
+    )
+    assert sim._FLIPPER_DROP == 0.09 and sim._FLIPPER_SIZE == (0.50, 0.12)
+    # the gait phase, the noise and the flipper levels are not settable, and
+    # the stream has no default
+    parameters = inspect.signature(FootageScene).parameters
+    assert list(parameters) == ["camera", "target", "rng"]
+    assert parameters["rng"].default is inspect.Parameter.empty
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.3])
-def test_render_sequence_is_the_serial_render(jitter):
+def test_render_sequence_is_the_serial_render(jitter, monkeypatch):
     from uwconvoy.sim import _frames  # white-box: the frame loop render_sequence uses
+
+    monkeypatch.setattr(sim, "_NOISE_SIGMA", 0.05)
 
     def scene():
         target = TargetModel(gait_jitter=jitter)
-        return FootageScene(target=target, rng=np.random.default_rng(8), noise_sigma=0.05)
+        return FootageScene(target=target, rng=np.random.default_rng(8))
 
     leader, follower = Pose(position=(1.2, 0.1, 0.05), yaw=0.3), Pose(yaw=0.05)
     body = project_bbox(CAM, follower, leader, TARGET)
@@ -373,15 +354,16 @@ def test_render_sequence_is_the_serial_render(jitter):
     assert [t.name for t in threading.enumerate() if t.name.startswith("uwconvoy-")] == []
 
 
-def test_render_empty_scene_uniform_background():
-    scene = FootageScene(noise_sigma=0.0)
+def test_render_empty_scene_uniform_background(monkeypatch):
+    monkeypatch.setattr(sim, "_NOISE_SIGMA", 0.0)
+    scene = FootageScene(rng=np.random.default_rng(0))
     frame = scene.render(Pose(position=(-5.0, 0.0, 0.0)), Pose(), None, scene.background(0.0))
     assert np.all(frame == 0.4)
     assert frame.shape == (240, 320)
 
 
 def test_render_empty_scene_is_background_plus_one_normal_draw():
-    scene = FootageScene(rng=np.random.default_rng(4), noise_sigma=0.02)
+    scene = FootageScene(rng=np.random.default_rng(4))
     rng = np.random.default_rng(4)
     rng.uniform(0.0, 2.0 * math.pi)  # the gait phase, the scene's first draw
     for i in range(3):
@@ -393,8 +375,9 @@ def test_render_empty_scene_is_background_plus_one_normal_draw():
         assert frame.tobytes() == expected.tobytes()
 
 
-def test_flipper_mid_value_at_sine_zero_crossing():
-    scene = FootageScene(rng=np.random.default_rng(5), noise_sigma=0.0)
+def test_flipper_mid_value_at_sine_zero_crossing(monkeypatch):
+    monkeypatch.setattr(sim, "_NOISE_SIGMA", 0.0)
+    scene = FootageScene(rng=np.random.default_rng(5))
     # the phase starts at the scene's first draw; at 2 Hz it reaches 2*pi,
     # where sin = 0, at t = (2*pi - phase0) / (4*pi)
     phase0 = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi)
@@ -402,7 +385,7 @@ def test_flipper_mid_value_at_sine_zero_crossing():
     body = project_bbox(CAM, Pose(), leader, TARGET)
     t = (2.0 * math.pi - phase0) / (4.0 * math.pi)
     frame = scene.render(leader, Pose(), body, scene.background(t))
-    lo, hi = scene.flipper_range
+    lo, hi = sim._FLIPPER_RANGE
     mid = lo + (hi - lo) * 0.5
     assert np.any(np.isclose(frame, mid, atol=1e-12))
 
@@ -410,13 +393,14 @@ def test_flipper_mid_value_at_sine_zero_crossing():
 def _flipper_series(frames, scene, leader, follower):
     from uwconvoy.sim import _flipper_box  # white-box: flipper patch region
 
-    flipper = _flipper_box(scene.camera, follower, leader, scene.target)
+    flipper = _flipper_box(scene.camera, follower, leader)
     x0, x1, y0, y1 = scene._pixel_rect(flipper)
     return np.array([f[y0:y1, x0:x1].mean() for f in frames])
 
 
-def test_flipper_series_peaks_at_gait_frequency():
-    scene = FootageScene(noise_sigma=0.0)
+def test_flipper_series_peaks_at_gait_frequency(monkeypatch):
+    monkeypatch.setattr(sim, "_NOISE_SIGMA", 0.0)
+    scene = FootageScene(rng=np.random.default_rng(0))
     leader, follower = Pose(position=(1.2, 0.0, 0.0)), Pose()
     frames = scene.render_sequence(leader, follower, 150, 15.0)
     series = _flipper_series(frames, scene, leader, follower)
@@ -426,7 +410,7 @@ def test_flipper_series_peaks_at_gait_frequency():
 
 
 def test_gait_jitter_requires_monotonic_time():
-    scene = FootageScene(target=TargetModel(gait_jitter=0.2), noise_sigma=0.0)
+    scene = FootageScene(target=TargetModel(gait_jitter=0.2), rng=np.random.default_rng(0))
     scene.render(Pose(position=(1.2, 0, 0)), Pose(), None, scene.background(1.0))
     with pytest.raises(ValueError):
         scene.render(Pose(position=(1.2, 0, 0)), Pose(), None, scene.background(0.5))
@@ -612,7 +596,7 @@ def _nan_cases():
     for cls in _CONFIG_CLASSES:
         for f in dataclasses.fields(cls):
             hint = get_type_hints(cls)[f.name]
-            if hint in (float, float | None):
+            if hint is float:
                 yield pytest.param(cls, f.name, math.nan, id=f"{cls.__name__}-{f.name}")
             elif get_origin(hint) is tuple and set(get_args(hint)) == {float}:
                 for i in range(len(f.default)):
