@@ -118,9 +118,18 @@ def _parse_input(path: str, parse):
         raise fileio.DataFormatError(f"{path}: {exc}") from None
 
 
+def _frame_csv(path: str, parse) -> list:
+    """The rows of a frame CSV, read by _parse_input; a file that holds none
+    is refused with its path named."""
+    rows = _parse_input(path, parse)
+    if not rows:
+        raise fileio.DataFormatError(f"{path}: no frame rows")
+    return rows
+
+
 def _cmd_eval(args) -> int:
-    annotations = _parse_input(args.annotations, fileio.parse_annotations)
-    predictions = _parse_input(args.predictions, fileio.parse_predictions)
+    annotations = _frame_csv(args.annotations, fileio.parse_annotations)
+    predictions = _frame_csv(args.predictions, fileio.parse_predictions)
     if args.auto_threshold:
         threshold = evaluation.select_threshold(annotations, predictions)
     else:

@@ -13,6 +13,7 @@ which is the one with the best recall.
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,13 +38,16 @@ class ThresholdNotFoundError(ValueError):
     """No confidence threshold reaches the required precision floor."""
 
 
-@dataclass(frozen=True)
-class FrameResult:
-    frame_index: int
-    annotation: Annotation
-    prediction: BoundingBox | None
-    classification: Classification
-    iou: float | None = None
+@dataclass(frozen=True, eq=False)
+class FrameLabels:
+    """The label of every frame at one threshold, as columns in frame order;
+    the two TP columns hold one entry per TP, in frame order."""
+
+    frame: np.ndarray  # frame index
+    label: np.ndarray  # "TP", "TN", "FP" or "FN"
+    truth_area: np.ndarray  # area of the annotated box; nan where the target is absent
+    tp_iou: np.ndarray  # of the predicted box with the annotated box
+    tp_bias: np.ndarray  # distance between the predicted and the annotated box centres
 
 
 @dataclass(frozen=True)
@@ -72,9 +76,13 @@ class TrackStats:
 def _joined(
     annotations: Sequence[Annotation],
     predictions: Sequence[tuple[int, BoundingBox | None]],
-) -> list[tuple[Annotation, BoundingBox | None]]:
-    """(annotation, predicted box) of each frame, in frame order. Annotation
-    and prediction frame sets must match exactly."""
+) -> tuple[Sequence[Annotation], list[BoundingBox | None]]:
+    """The annotations in frame order, and the predicted box of each.
+    Annotation and prediction frame sets must match exactly."""
+    frames = [ann.frame_index for ann in annotations]
+    if frames == [frame for frame, _ in predictions] and all(map(operator.lt, frames, frames[1:])):
+        # the order that the parsers give
+        return annotations, [box for _, box in predictions]
     ann_by_frame: dict[int, Annotation] = {}
     for ann in annotations:
         if ann.frame_index in ann_by_frame:
@@ -88,45 +96,49 @@ def _joined(
     if ann_by_frame.keys() != pred_by_frame.keys():
         missing = sorted(ann_by_frame.keys() ^ pred_by_frame.keys())
         raise ValueError(f"annotation/prediction frame mismatch at frames {missing[:5]}")
-    return [(ann_by_frame[frame], pred_by_frame[frame]) for frame in sorted(ann_by_frame)]
+    order = sorted(ann_by_frame)
+    return [ann_by_frame[frame] for frame in order], [pred_by_frame[frame] for frame in order]
 
 
 def classify_frames(
     annotations: Sequence[Annotation],
     predictions: Sequence[tuple[int, BoundingBox | None]],
     threshold: float,
-) -> list[FrameResult]:
+) -> FrameLabels:
     """Label every frame TP/TN/FP/FN at the given confidence threshold.
 
     A prediction counts as present iff it carries a box whose confidence is
     at or above the threshold. Annotation and prediction frame sets must
     match exactly.
     """
-    results = []
-    for ann, box in _joined(annotations, predictions):
-        detected = box is not None and box.p >= threshold
-        if ann.present and detected:
-            label, overlap = "TP", iou(box, ann.truth_box)
-        elif ann.present:
-            label, overlap = "FN", None
-        elif detected:
-            label, overlap = "FP", None
-        else:
-            label, overlap = "TN", None
-        results.append(FrameResult(ann.frame_index, ann, box, label, overlap))
-    return results
+    anns, boxes = _joined(annotations, predictions)
+    present = np.array([ann.present for ann in anns], dtype=bool)
+    detected = np.array([box is not None and box.p >= threshold for box in boxes], dtype=bool)
+    truth_area = np.full(len(anns), np.nan)
+    truth_area[present] = [box_area(ann.truth_box) for ann in anns if ann.present]
+    tp_pairs = [(boxes[i], anns[i].truth_box) for i in np.flatnonzero(present & detected).tolist()]
+    # predicted and annotated centre of each TP, one row each
+    centres = np.array(
+        [(*box_center(box), *box_center(truth)) for box, truth in tp_pairs]
+    ).reshape(-1, 4)
+    return FrameLabels(
+        frame=np.array([ann.frame_index for ann in anns], dtype=np.int64),
+        # the label of each frame, indexed by 2 * present + detected
+        label=np.array(["TN", "FP", "FN", "TP"])[2 * present + detected],
+        truth_area=truth_area,
+        tp_iou=np.array([iou(box, truth) for box, truth in tp_pairs], dtype=float),
+        tp_bias=np.hypot(centres[:, 0] - centres[:, 2], centres[:, 1] - centres[:, 3]),
+    )
 
 
-def metrics_summary(results: Sequence[FrameResult]) -> MetricsReport:
-    """Aggregate frame results into the full metric set."""
-    if not results:
+def metrics_summary(results: FrameLabels) -> MetricsReport:
+    """Aggregate frame labels into the full metric set."""
+    n = len(results.frame)
+    if not n:
         raise ValueError("no frame results to summarize")
-    counts = {"TP": 0, "TN": 0, "FP": 0, "FN": 0}
-    for r in results:
-        counts[r.classification] += 1
-    n = len(results)
-    tp, tn, fp, fn = counts["TP"], counts["TN"], counts["FP"], counts["FN"]
-    tp_ious = [r.iou for r in results if r.classification == "TP"]
+    tp, tn, fp, fn = (int(np.count_nonzero(results.label == c)) for c in ("TP", "TN", "FP", "FN"))
+    # summed left to right in frame order
+    tp_ious = results.tp_iou.tolist()
     return MetricsReport(
         n_images=n,
         n_tp=tp,
@@ -137,7 +149,7 @@ def metrics_summary(results: Sequence[FrameResult]) -> MetricsReport:
         precision=tp / (tp + fp) if tp + fp > 0 else None,
         recall=tp / (tp + fn) if tp + fn > 0 else None,
         avg_iou=sum(tp_ious) / len(tp_ious) if tp_ious else None,
-        lfr=sum(1 for v in tp_ious if v < 0.5) / len(tp_ious) if tp_ious else None,
+        lfr=int(np.count_nonzero(results.tp_iou < 0.5)) / len(tp_ious) if tp_ious else None,
     )
 
 
@@ -152,8 +164,8 @@ def select_threshold(
     """
     # a boxed frame is a TP at every threshold up to its confidence when its
     # target is present, and an FP otherwise
-    joined = _joined(annotations, predictions)
-    boxed = [(box.p, ann.present) for ann, box in joined if box is not None]
+    anns, boxes = _joined(annotations, predictions)
+    boxed = [(box.p, ann.present) for ann, box in zip(anns, boxes) if box is not None]
     conf = np.array([p for p, _ in boxed])
     hit = np.array([present for _, present in boxed])
     order = np.argsort(-conf)
@@ -169,23 +181,24 @@ def select_threshold(
 
 
 def _spans(
-    results: Sequence[FrameResult], label: Classification, fps: float, max_gap: float
-) -> list[tuple[int, int]]:
-    """(first, last) frame of each maximal group of the label's frames in
+    results: FrameLabels, label: Classification, fps: float, max_gap: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """First and last frame of each maximal group of the label's frames in
     which no interruption lasts more than max_gap seconds (inclusive)."""
-    frames = [r.frame_index for r in results if r.classification == label]
-    if any(b <= a for a, b in zip(frames, frames[1:])):
+    frames = results.frame[results.label == label]
+    gaps = np.diff(frames)
+    if np.any(gaps <= 0):
         raise ValueError("results must be in increasing frame order")
-    spans: list[tuple[int, int]] = []
-    for f in frames:
-        if spans and (f - spans[-1][1] - 1) / fps <= max_gap:
-            spans[-1] = (spans[-1][0], f)
-        else:
-            spans.append((f, f))
-    return spans
+    # a frame opens a span unless the one before it is within max_gap; a
+    # span closes where the next one opens, and at the last frame. A gap that
+    # overflows to inf in seconds splits, as a Python division's inf does.
+    opens = np.ones(len(frames), dtype=bool)
+    with np.errstate(over="ignore"):
+        opens[1:] = (gaps - 1) / fps > max_gap
+    return frames[opens], frames[np.roll(opens, -1)]
 
 
-def track_statistics(results: Sequence[FrameResult], fps: float) -> TrackStats:
+def track_statistics(results: FrameLabels, fps: float) -> TrackStats:
     """Group true positives into tracks tolerating bounded interruptions.
 
     An interruption of up to TRACK_MAX_GAP seconds (inclusive) of non-TP frames
@@ -193,10 +206,11 @@ def track_statistics(results: Sequence[FrameResult], fps: float) -> TrackStats:
     """
     if not 0.0 < fps < np.inf:
         raise ValueError(f"fps must be positive and finite, got {fps}")
-    spans = _spans(results, "TP", fps, TRACK_MAX_GAP)
-    if not spans:
+    first, last = _spans(results, "TP", fps, TRACK_MAX_GAP)
+    if not first.size:
         return TrackStats(0, (), None, None, None)
-    durations = tuple((last - first + 1) / fps for first, last in spans)
+    with np.errstate(over="ignore"):  # an infinite duration is refused below
+        durations = tuple(((last - first + 1) / fps).tolist())
     try:
         total = math.fsum(durations)
     except OverflowError:  # the exact sum lies past the float range
@@ -234,36 +248,26 @@ def _bins(values: Sequence[float], edges: tuple[float, ...]) -> np.ndarray:
     return np.clip(np.digitize(values, edges) - 1, 0, len(edges) - 2)
 
 
-def histogram_report(results: Sequence[FrameResult]) -> HistogramReport:
+def histogram_report(results: FrameLabels) -> HistogramReport:
     """Bin detector outcomes by annotated box area (AREA_EDGES) and by
     negative-run length (DURATION_EDGES), both with _bins: an area that the
     box checks' round-off slack puts outside [0, 1], and a run longer than
     the last edge, count in the end bin.
     """
     n_bins = len(AREA_EDGES) - 1
-
-    def area_bins(label: Classification) -> tuple[list[FrameResult], np.ndarray]:
-        hits = [r for r in results if r.classification == label]
-        return hits, _bins([box_area(r.annotation.truth_box) for r in hits], AREA_EDGES)
-
-    tps, tp_bins = area_bins("TP")
-    _, fn_bins = area_bins("FN")
-    # predicted and annotated centre of each TP, one row each
-    centres = np.array(
-        [(*box_center(r.prediction), *box_center(r.annotation.truth_box)) for r in tps]
-    ).reshape(-1, 4)
-    biases = np.hypot(centres[:, 0] - centres[:, 2], centres[:, 1] - centres[:, 3])
+    tp_bins = _bins(results.truth_area[results.label == "TP"], AREA_EDGES)
+    fn_bins = _bins(results.truth_area[results.label == "FN"], AREA_EDGES)
     bias_mean = np.zeros(n_bins)
     bias_std = np.zeros(n_bins)
     for b in np.unique(tp_bins):
-        sel = biases[tp_bins == b]
+        sel = results.tp_bias[tp_bins == b]
         bias_mean[b] = sel.mean()
         bias_std[b] = sel.std()
 
     def run_counts(label: Classification) -> np.ndarray:
         # runs are spans that tolerate no interruption; the frame rate is moot
-        runs = [last - first + 1 for first, last in _spans(results, label, 1.0, 0.0)]
-        return np.bincount(_bins(runs, DURATION_EDGES), minlength=len(DURATION_EDGES) - 1)
+        first, last = _spans(results, label, 1.0, 0.0)
+        return np.bincount(_bins(last - first + 1, DURATION_EDGES), minlength=len(DURATION_EDGES) - 1)
 
     return HistogramReport(
         tp_by_area=tuple(int(v) for v in np.bincount(tp_bins, minlength=n_bins)),

@@ -109,20 +109,48 @@ def _parse_box(parts: list[str], confidence: float) -> BoundingBox | None:
     )
 
 
-def _frame_rows(text: str, header: str, parse_row: Callable[[int, list[str]], object]) -> list:
+def _frame_rows(
+    text: str,
+    header: str,
+    parse_row: Callable[[int, list[str]], object],
+    plain_row: Callable[[int, list[str]], object],
+) -> list:
     """parse_row(frame, fields) of each row of a frame-indexed CSV.
 
     Checks the header and the field count, skips blank lines, and requires
     strictly increasing frame indices in [0, 2**53]. Any ValueError raised
     while a row is parsed becomes a DataFormatError that names its line.
+
+    The rows before the first line that holds a character other than a
+    digit, '.', 'e', 'E', '-' and ',' hold only cells that int() and float()
+    read as plain_number does. Those rows are read by plain_row, which skips
+    the checks' messages and raises a ValueError for any row that a check
+    refuses; parse_row reads that row, and every row after it, again.
     """
-    lines = _lines(text)
-    if lines[0].strip() != header:
+    head, _, body = text.partition("\n")
+    if head.strip() != header:
         raise DataFormatError(f"line 1: expected header {header!r}")
     n_fields = header.count(",") + 1
+    lines = body.split("\n")
+    plain_end = re.compile(r"[-0-9.eE,\n]*").match(body).end()
+    n_plain = len(lines) if plain_end == len(body) else body.count("\n", 0, plain_end)
     prev_frame = -1
     rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    n_read = 0  # lines that plain_row read
+    # a blank line is refused by int() and read by parse_row
+    for line in lines[:n_plain]:
+        parts = line.split(",")
+        try:
+            frame = int(parts[0])
+            if len(parts) != n_fields or not prev_frame < frame <= 2**53:
+                break
+            rows.append(plain_row(frame, parts))
+        except ValueError:
+            break
+        prev_frame = frame
+        n_read += 1
+    for line_no, line in enumerate(lines[n_read:], start=n_read + 2):
+        line = line.removesuffix("\r")  # as _lines reads a line
         if not line.strip():
             continue
         parts = line.split(",")
@@ -154,9 +182,19 @@ def _annotation(frame: int, parts: list[str]) -> Annotation:
     return Annotation(frame, parts[1] == "1", _parse_box(parts[2:6], confidence=1.0))
 
 
+def _plain_annotation(frame: int, parts: list[str]) -> Annotation:
+    """_annotation of a row of plain cells that every check passes."""
+    _, flag, x, y, w, h = parts
+    if flag == "1":
+        return Annotation(frame, True, BoundingBox(float(x), float(y), float(w), float(h), 1.0))
+    if flag == "0" and x == y == w == h == "":
+        return Annotation(frame, False)
+    raise ValueError("refused")
+
+
 def parse_annotations(text: str) -> list[Annotation]:
     """Parse an annotation file; frames must be strictly increasing."""
-    return _frame_rows(text, ANNOTATION_HEADER, _annotation)
+    return _frame_rows(text, ANNOTATION_HEADER, _annotation, _plain_annotation)
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +209,31 @@ def format_predictions(predictions: Sequence[tuple[int, BoundingBox | None]]) ->
 
 
 def _prediction(frame: int, parts: list[str]) -> tuple[int, BoundingBox | None]:
-    confidence = _parse_float(parts[1], "confidence")
+    # adding 0.0 reads a confidence of -0 as 0 and leaves every other value
+    confidence = _parse_float(parts[1], "confidence") + 0.0
     if not 0.0 <= confidence <= 1.0:
         raise DataFormatError(f"confidence {confidence} outside [0,1]")
     return frame, _parse_box(parts[2:6], confidence)
 
 
+def _plain_prediction(frame: int, parts: list[str]) -> tuple[int, BoundingBox | None]:
+    """_prediction of a row of plain cells that every check passes."""
+    _, raw_confidence, x, y, w, h = parts
+    confidence = float(raw_confidence) + 0.0
+    if not 0.0 <= confidence <= 1.0:
+        raise ValueError("refused")
+    if x == y == w == h == "":
+        return frame, None
+    return frame, BoundingBox(float(x), float(y), float(w), float(h), confidence)
+
+
 def parse_predictions(text: str) -> list[tuple[int, BoundingBox | None]]:
     """Parse a prediction file into (frame, optional box) pairs.
 
-    The parsed box carries the row's confidence in its p field.
+    The parsed box carries the row's confidence in its p field; a
+    confidence of -0 reads as 0.
     """
-    return _frame_rows(text, PREDICTION_HEADER, _prediction)
+    return _frame_rows(text, PREDICTION_HEADER, _prediction, _plain_prediction)
 
 
 # ---------------------------------------------------------------------------

@@ -290,24 +290,218 @@ def trace_row_cells(r) -> str:
     return ",".join(cells)
 
 
-def per_true_positive_biases(results, area_edges) -> tuple[list[float], list[float]]:
-    """Mean and std of the centre bias per area bin, as first written: one
-    scalar np.hypot per TP of the centre difference."""
+def per_true_positive_biases(tp_boxes, area_edges) -> tuple[list[float], list[float]]:
+    """Mean and std of the centre bias per area bin of (predicted box, truth
+    box) pairs, as first written: one scalar np.hypot per TP of the centre
+    difference."""
     from uwconvoy.geometry import box_area, box_center
 
     n_bins = len(area_edges) - 1
-    tps = [r for r in results if r.classification == "TP"]
     bins = np.clip(
-        np.digitize([box_area(r.annotation.truth_box) for r in tps], area_edges) - 1, 0, n_bins - 1
+        np.digitize([box_area(truth) for _, truth in tp_boxes], area_edges) - 1, 0, n_bins - 1
     )
     biases = np.array([
-        np.hypot(*np.subtract(box_center(r.prediction), box_center(r.annotation.truth_box)))
-        for r in tps
+        np.hypot(*np.subtract(box_center(box), box_center(truth))) for box, truth in tp_boxes
     ])
     means, stds = [0.0] * n_bins, [0.0] * n_bins
     for b in np.unique(bins):
         means[b], stds[b] = float(biases[bins == b].mean()), float(biases[bins == b].std())
     return means, stds
+
+
+# ---------------------------------------------------------------------------
+# frame-level evaluation as first written: one record per frame
+
+def per_frame_labels(annotations, predictions, threshold):
+    """(frame, annotation, predicted box, label, iou) of every frame in frame
+    order; iou is None but for a TP."""
+    from uwconvoy.geometry import iou
+
+    boxes = dict(predictions)
+    records = []
+    for ann in sorted(annotations, key=lambda a: a.frame_index):
+        box = boxes[ann.frame_index]
+        detected = box is not None and box.p >= threshold
+        if ann.present and detected:
+            label, overlap = "TP", iou(box, ann.truth_box)
+        elif ann.present:
+            label, overlap = "FN", None
+        elif detected:
+            label, overlap = "FP", None
+        else:
+            label, overlap = "TN", None
+        records.append((ann.frame_index, ann, box, label, overlap))
+    return records
+
+
+def per_frame_metrics(records):
+    """MetricsReport of the records; the TP IOUs summed left to right."""
+    from uwconvoy.evaluation import MetricsReport
+
+    counts = {"TP": 0, "TN": 0, "FP": 0, "FN": 0}
+    for r in records:
+        counts[r[3]] += 1
+    n = len(records)
+    tp, tn, fp, fn = counts["TP"], counts["TN"], counts["FP"], counts["FN"]
+    tp_ious = [r[4] for r in records if r[3] == "TP"]
+    return MetricsReport(
+        n_images=n,
+        n_tp=tp,
+        n_tn=tn,
+        n_fp=fp,
+        n_fn=fn,
+        accuracy=(tp + tn) / n,
+        precision=tp / (tp + fp) if tp + fp > 0 else None,
+        recall=tp / (tp + fn) if tp + fn > 0 else None,
+        avg_iou=sum(tp_ious) / len(tp_ious) if tp_ious else None,
+        lfr=sum(1 for v in tp_ious if v < 0.5) / len(tp_ious) if tp_ious else None,
+    )
+
+
+def _per_frame_spans(records, label, fps, max_gap):
+    frames = [r[0] for r in records if r[3] == label]
+    spans = []
+    for f in frames:
+        if spans and (f - spans[-1][1] - 1) / fps <= max_gap:
+            spans[-1] = (spans[-1][0], f)
+        else:
+            spans.append((f, f))
+    return spans
+
+
+def per_frame_tracks(records, fps, max_gap):
+    """TrackStats of the TP spans that tolerate max_gap seconds."""
+    import statistics
+
+    from uwconvoy.evaluation import TrackStats
+
+    spans = _per_frame_spans(records, "TP", fps, max_gap)
+    if not spans:
+        return TrackStats(0, (), None, None, None)
+    durations = tuple((last - first + 1) / fps for first, last in spans)
+    total = math.fsum(durations)
+    return TrackStats(
+        count=len(durations),
+        durations=durations,
+        mean_duration=total / len(durations),
+        std_duration=statistics.pstdev(durations),
+        max_duration=max(durations),
+    )
+
+
+def per_frame_histograms(records, area_edges, duration_edges):
+    """HistogramReport of the records: TP and FN truth areas, TP centre
+    biases and TN and FN run lengths, each binned as the report bins them."""
+    from uwconvoy.evaluation import HistogramReport
+    from uwconvoy.geometry import box_area
+
+    def bins(values, edges):
+        return np.clip(np.digitize(values, edges) - 1, 0, len(edges) - 2)
+
+    n_bins = len(area_edges) - 1
+    tps = [r for r in records if r[3] == "TP"]
+    tp_bins = bins([box_area(r[1].truth_box) for r in tps], area_edges)
+    fn_bins = bins([box_area(r[1].truth_box) for r in records if r[3] == "FN"], area_edges)
+    bias_mean, bias_std = per_true_positive_biases([(r[2], r[1].truth_box) for r in tps], area_edges)
+
+    def run_counts(label):
+        runs = [last - first + 1 for first, last in _per_frame_spans(records, label, 1.0, 0.0)]
+        return np.bincount(bins(runs, duration_edges), minlength=len(duration_edges) - 1)
+
+    return HistogramReport(
+        tp_by_area=tuple(int(v) for v in np.bincount(tp_bins, minlength=n_bins)),
+        fn_by_area=tuple(int(v) for v in np.bincount(fn_bins, minlength=n_bins)),
+        bias_mean=tuple(bias_mean),
+        bias_std=tuple(bias_std),
+        tn_runs=tuple(int(v) for v in run_counts("TN")),
+        fn_runs=tuple(int(v) for v in run_counts("FN")),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the frame-CSV readers as first written: every cell through plain_number
+
+
+def _plain_number(convert, raw: str):
+    if "_" in raw or not raw.isascii() or raw.lstrip("+").strip() != raw:
+        raise ValueError(f"not a plain number: {raw!r}")
+    return convert(raw)
+
+
+def _reference_float(raw: str, name: str) -> float:
+    try:
+        v = _plain_number(float, raw)
+    except ValueError:
+        raise ValueError(f"field {name} is not a number: {raw!r}") from None
+    if not math.isfinite(v):
+        raise ValueError(f"field {name} is not finite")
+    return v
+
+
+def _reference_box(parts, confidence):
+    from uwconvoy.geometry import BoundingBox
+
+    if parts == ["", "", "", ""]:
+        return None
+    x, y, w, h = parts
+    return BoundingBox(
+        _reference_float(x, "x"), _reference_float(y, "y"),
+        _reference_float(w, "w"), _reference_float(h, "h"),
+        confidence,
+    )
+
+
+def _reference_rows(text: str, header: str, parse_row) -> list:
+    lines = [line.removesuffix("\r") for line in text.split("\n")]
+    if lines[0].strip() != header:
+        raise ValueError(f"line 1: expected header {header!r}")
+    n_fields = header.count(",") + 1
+    prev_frame = -1
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        try:
+            if len(parts) != n_fields:
+                raise ValueError(f"expected {n_fields} fields, got {len(parts)}")
+            try:
+                frame = _plain_number(int, parts[0])
+            except ValueError:
+                raise ValueError(f"bad frame index {parts[0]!r}") from None
+            if frame < 0:
+                raise ValueError(f"frame index {frame} is negative")
+            if frame > 2**53:
+                raise ValueError("frame index above 2**53")
+            if frame <= prev_frame:
+                raise ValueError(f"frame {frame} not after frame {prev_frame}")
+            prev_frame = frame
+            rows.append(parse_row(frame, parts))
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
+    return rows
+
+
+def reference_parse_annotations(text: str):
+    from uwconvoy.geometry import Annotation
+
+    def row(frame, parts):
+        if parts[1] not in ("0", "1"):
+            raise ValueError(f"present flag must be 0 or 1, got {parts[1]!r}")
+        return Annotation(frame, parts[1] == "1", _reference_box(parts[2:6], confidence=1.0))
+
+    return _reference_rows(text, "frame,present,x,y,w,h", row)
+
+
+def reference_parse_predictions(text: str):
+    """As first written, a confidence of -0 kept its sign."""
+    def row(frame, parts):
+        confidence = _reference_float(parts[1], "confidence")
+        if not 0.0 <= confidence <= 1.0:
+            raise ValueError(f"confidence {confidence} outside [0,1]")
+        return frame, _reference_box(parts[2:6], confidence)
+
+    return _reference_rows(text, "frame,confidence,x,y,w,h", row)
 
 
 def per_field_box_fault(x, y, w, h, p, field_eps: float, sum_eps: float) -> str | None:

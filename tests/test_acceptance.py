@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from uwconvoy.evaluation import (
-    FrameResult,
     ThresholdNotFoundError,
     classify_frames,
     metrics_summary,
@@ -376,10 +375,13 @@ def test_criterion_9_metric_fixtures():
         and round(report.recall, 4) == 0.7143
     )
 
-    lfr_results = [
-        FrameResult(i, ann(i), BoundingBox(0.2, 0.2, 0.4, 0.4, 0.9), "TP", v)
-        for i, v in enumerate([0.6, 0.4, 0.55])
-    ]
+    # three TPs whose boxes are the truth box cut to a height of 0.24, 0.16
+    # and 0.22: IOU 0.6, 0.4 and 0.55
+    lfr_results = classify_frames(
+        [ann(i) for i in range(3)],
+        [(i, BoundingBox(0.2, 0.2, 0.4, h, 0.9)) for i, h in enumerate([0.24, 0.16, 0.22])],
+        0.5,
+    )
     lfr_ok = round(metrics_summary(lfr_results).lfr, 4) == round(1 / 3, 4)
 
     rng = np.random.default_rng(2718)
@@ -411,16 +413,11 @@ def test_criterion_10_track_statistics():
     truth_box = BoundingBox(0.2, 0.2, 0.4, 0.4)
 
     def results_for(tp_frames, n):
+        # a TP at each of tp_frames, a TN elsewhere
         tp = set(tp_frames)
-        out = []
-        for f in range(n):
-            if f in tp:
-                out.append(FrameResult(
-                    f, Annotation(f, True, truth_box), BoundingBox(0.2, 0.2, 0.4, 0.4, 0.9), "TP", 1.0
-                ))
-            else:
-                out.append(FrameResult(f, Annotation(f, False), None, "TN", None))
-        return out
+        annotations = [Annotation(f, f in tp, truth_box if f in tp else None) for f in range(n)]
+        predictions = [(f, BoundingBox(0.2, 0.2, 0.4, 0.4, 0.9) if f in tp else None) for f in range(n)]
+        return classify_frames(annotations, predictions, 0.5)
 
     merged = track_statistics(
         results_for(list(range(10)) + list(range(40, 50)), 50), fps=10.0

@@ -268,6 +268,31 @@ def test_eval_names_the_file_that_holds_a_bad_row(eval_files, capsys):
     assert str(ann_path) not in err
 
 
+@pytest.mark.parametrize("mode", [["--threshold", "0.5"], ["--auto-threshold"]])
+@pytest.mark.parametrize("empty", ["annotations", "predictions", "both"])
+def test_eval_refuses_an_input_with_no_frame_rows_by_its_name(tmp_path, capsys, mode, empty):
+    ann_path, pred_path = _write_eval_pair(tmp_path, [(0, True), (1, False)])
+    if empty in ("annotations", "both"):
+        ann_path.write_text("frame,present,x,y,w,h\n")
+    if empty in ("predictions", "both"):
+        pred_path.write_text("frame,confidence,x,y,w,h\n\n")
+    argv = ["eval", "--annotations", str(ann_path), "--predictions", str(pred_path)]
+    assert run_cli(argv + mode) == 2
+    out, err = capsys.readouterr()
+    named = pred_path if empty == "predictions" else ann_path
+    assert (out, err) == ("", f"error: {named}: no frame rows\n")
+
+
+def test_eval_reads_a_confidence_of_minus_zero_as_zero(tmp_path, capsys):
+    ann_path, pred_path = _write_eval_pair(tmp_path, [(0, True), (1, True)])
+    pred_path.write_text(
+        "frame,confidence,x,y,w,h\n0,-0.0,0.2,0.2,0.4,0.4\n1,-0.000000,0.2,0.2,0.4,0.4\n"
+    )
+    argv = ["eval", "--annotations", str(ann_path), "--predictions", str(pred_path)]
+    assert run_cli(argv + ["--auto-threshold"]) == 0
+    assert capsys.readouterr().out.startswith("selected threshold: 0.000000\n")
+
+
 @pytest.mark.parametrize("flag", ["--config", "--annotations", "--predictions"])
 def test_byte_that_is_not_utf8_names_the_input_and_its_line(eval_files, tmp_path, capsys, flag):
     ann_path, pred_path = eval_files

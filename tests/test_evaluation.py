@@ -11,7 +11,9 @@ from uwconvoy import evaluation
 from uwconvoy.geometry import Annotation, BoundingBox
 from uwconvoy.evaluation import (
     AREA_EDGES,
-    FrameResult,
+    DURATION_EDGES,
+    TRACK_MAX_GAP,
+    FrameLabels,
     ThresholdNotFoundError,
     classify_frames,
     histogram_report,
@@ -22,6 +24,10 @@ from uwconvoy.evaluation import (
 
 from oracles import (
     brute_force_threshold,
+    per_frame_histograms,
+    per_frame_labels,
+    per_frame_metrics,
+    per_frame_tracks,
     per_true_positive_biases,
     random_box_tuple,
     random_prediction_set,
@@ -56,22 +62,52 @@ def confusion_fixture():
     return annotations, predictions
 
 
+def labelled(frames, labels, tp_iou=None):
+    """FrameLabels of the given frames and labels, every truth box TRUTH; a
+    TP's IOU is 1 unless given, and its bias 0."""
+    n_tp = labels.count("TP")
+    return FrameLabels(
+        frame=np.array(frames, dtype=np.int64),
+        label=np.array(labels, dtype="<U2"),
+        truth_area=np.array([0.16 if lab in ("TP", "FN") else np.nan for lab in labels]),
+        tp_iou=np.ones(n_tp) if tp_iou is None else np.array(tp_iou, dtype=float),
+        tp_bias=np.zeros(n_tp),
+    )
+
+
 def test_classify_empty_inputs():
-    assert classify_frames([], [], 0.5) == []
+    results = classify_frames([], [], 0.5)
+    for column in (results.frame, results.label, results.truth_area, results.tp_iou, results.tp_bias):
+        assert column.shape == (0,)
 
 
 def test_classify_below_threshold_is_fn():
     results = classify_frames([ann(0)], [(0, boxed(0.3))], 0.5)
-    assert results[0].classification == "FN"
-    assert results[0].iou is None
+    assert results.label.tolist() == ["FN"]
+    assert results.tp_iou.size == 0
 
 
 def test_classify_confusion_fixture_labels():
     annotations, predictions = confusion_fixture()
     results = classify_frames(annotations, predictions, 0.5)
-    labels = [r.classification for r in results]
-    assert labels == ["TP"] * 5 + ["TN"] * 2 + ["FN", "FN", "FP"]
-    assert all(r.iou == 1.0 for r in results[:5])
+    assert results.frame.tolist() == list(range(10))
+    assert results.label.tolist() == ["TP"] * 5 + ["TN"] * 2 + ["FN", "FN", "FP"]
+    assert results.tp_iou.tolist() == [1.0] * 5
+    assert results.tp_bias.tolist() == [0.0] * 5
+    present = [0, 1, 2, 3, 4, 7, 8]
+    assert results.truth_area[present].tolist() == [0.4 * 0.4] * 7
+    assert np.isnan(np.delete(results.truth_area, present)).all()
+
+
+def test_classify_joins_frames_given_out_of_order():
+    annotations, predictions = confusion_fixture()
+    ordered = classify_frames(annotations, predictions, 0.5)
+    for shuffled in (
+        classify_frames(annotations[::-1], predictions[3:] + predictions[:3], 0.5),
+        classify_frames(annotations[::-1], predictions[::-1], 0.5),
+    ):
+        for name in ("frame", "label", "tp_iou", "tp_bias"):
+            assert getattr(shuffled, name).tolist() == getattr(ordered, name).tolist()
 
 
 def test_classify_rejects_mismatched_frames():
@@ -89,6 +125,8 @@ def test_classify_rejects_mismatched_frames():
         ([0, 0], [0], "duplicate annotation frame 0"),
         ([0], [0, 0], "duplicate prediction frame 0"),
         (range(10), range(10, 20), "annotation/prediction frame mismatch at frames [0, 1, 2, 3, 4]"),
+        # the same frames in the same order, but not strictly increasing
+        ([1, 1], [1, 1], "duplicate annotation frame 1"),
     ],
 )
 def test_classification_and_sweep_refuse_bad_frame_sets_alike(frames, predicted, message):
@@ -123,18 +161,14 @@ def test_metrics_all_true_negative():
 
 
 def test_metrics_lfr_fixture():
-    results = [
-        FrameResult(i, ann(i), boxed(0.9), "TP", overlap)
-        for i, overlap in enumerate([0.6, 0.4, 0.55])
-    ]
-    report = metrics_summary(results)
+    report = metrics_summary(labelled(range(3), ["TP"] * 3, tp_iou=[0.6, 0.4, 0.55]))
     assert report.lfr == pytest.approx(1 / 3, abs=1e-12)
     assert report.avg_iou == pytest.approx((0.6 + 0.4 + 0.55) / 3, abs=1e-12)
 
 
 def test_metrics_empty_rejected():
-    with pytest.raises(ValueError):
-        metrics_summary([])
+    with pytest.raises(ValueError, match="^no frame results to summarize$"):
+        metrics_summary(classify_frames([], [], 0.5))
 
 
 def test_select_threshold_single_perfect_prediction():
@@ -209,28 +243,24 @@ def test_select_threshold_matches_oracle_under_ties(frames, min_precision):
             assert select_threshold(annotations, predictions) == expected
 
 
-def test_select_threshold_builds_no_frame_result_and_no_iou(monkeypatch):
+def test_select_threshold_computes_no_iou_and_classification_one_per_tp(monkeypatch):
     # the sweep needs only each boxed frame's confidence and presence
-    calls = {"iou": 0, "FrameResult": 0}
+    calls = []
+    original = evaluation.iou
 
-    def counted(name):
-        original = getattr(evaluation, name)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(evaluation, name, counted(name))
+    monkeypatch.setattr(evaluation, "iou", counted)
     annotations, predictions = random_prediction_set(np.random.default_rng(5))
-    assert any(a.present and b is not None for a, (_, b) in zip(annotations, predictions))
+    n_tp = sum(a.present and b is not None for a, (_, b) in zip(annotations, predictions))
+    assert n_tp > 0
     select_threshold(annotations, predictions)
-    assert calls == {"iou": 0, "FrameResult": 0}
-    # the counters see the calls that classify_frames makes
+    assert calls == []
+    # the counter sees the calls that classify_frames makes
     classify_frames(annotations, predictions, 0.0)
-    assert calls["iou"] > 0 and calls["FrameResult"] == len(annotations)
+    assert len(calls) == n_tp
 
 
 def test_select_threshold_counts_a_confidence_within_round_off_below_zero():
@@ -250,18 +280,56 @@ def test_recall_monotone_in_threshold():
     assert all(b <= a + 1e-12 for a, b in zip(recalls, recalls[1:]))
 
 
+def _varied(rng, annotations, predictions):
+    """The draw with random gaps between frames, a random truth box on each
+    present frame, and on each boxed frame a box near the truth, or anywhere
+    when the target is absent; every confidence kept."""
+    frames = np.cumsum(rng.integers(1, 40, len(annotations))).tolist()
+    varied_annotations, varied_predictions = [], []
+    for frame, a, (_, box) in zip(frames, annotations, predictions):
+        truth = BoundingBox(*random_box_tuple(rng, 0.05, 0.9)) if a.present else None
+        varied_annotations.append(Annotation(frame, a.present, truth))
+        if box is not None:
+            x, y, w, h = random_box_tuple(rng, 0.05, 0.9)
+            if truth is not None and rng.uniform() < 0.8:
+                dx, dy, dw, dh = rng.uniform(-0.1, 0.1, 4)
+                x, y = min(max(truth.x + dx, 0.0), 0.95), min(max(truth.y + dy, 0.0), 0.95)
+                w, h = min(max(truth.w + dw, 0.01), 1.0 - x), min(max(truth.h + dh, 0.01), 1.0 - y)
+            box = BoundingBox(x, y, w, h, box.p)
+        varied_predictions.append((frame, box))
+    return varied_annotations, varied_predictions
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    threshold=st.sampled_from((0.0, 0.5, 0.75, 1.0)) | st.floats(0.0, 1.0),
+    fps=st.sampled_from((1.0, 10.0, 15.0)) | st.floats(0.05, 60.0),
+    shuffled=st.booleans(),
+)
+def test_columnar_reports_equal_the_per_frame_reference(seed, threshold, fps, shuffled):
+    rng = np.random.default_rng(seed)
+    annotations, predictions = _varied(
+        rng, *random_prediction_set(rng, n_frames=int(rng.integers(1, 150)))
+    )
+    records = per_frame_labels(annotations, predictions, threshold)
+    if shuffled:  # the join sorts what the parsers would give in order
+        predictions = [predictions[i] for i in rng.permutation(len(predictions))]
+    results = classify_frames(annotations, predictions, threshold)
+    assert metrics_summary(results) == per_frame_metrics(records)
+    assert track_statistics(results, fps) == per_frame_tracks(records, fps, TRACK_MAX_GAP)
+    assert histogram_report(results) == per_frame_histograms(records, AREA_EDGES, DURATION_EDGES)
+
+
 # ---------------------------------------------------------------------------
 # tracks
 
 def _tp_results(frames, all_frames):
-    out = []
+    """Classification of all_frames: a TP at each of frames, a TN elsewhere."""
     tp_set = set(frames)
-    for f in all_frames:
-        if f in tp_set:
-            out.append(FrameResult(f, ann(f), boxed(0.9), "TP", 1.0))
-        else:
-            out.append(FrameResult(f, ann(f, present=False), None, "TN", None))
-    return out
+    annotations = [ann(f, present=f in tp_set) for f in all_frames]
+    predictions = [(f, boxed(0.9) if f in tp_set else None) for f in all_frames]
+    return classify_frames(annotations, predictions, 0.5)
 
 
 def test_track_gap_exactly_three_seconds_merges():
@@ -291,7 +359,7 @@ def test_track_no_true_positives():
 
 def test_track_invariant_to_tn_frames_inside_small_gap():
     with_gap = _tp_results([0, 1, 2, 10, 11], range(12))
-    dense = [r for r in with_gap if r.classification == "TP"]
+    dense = _tp_results([0, 1, 2, 10, 11], [0, 1, 2, 10, 11])
     assert track_statistics(with_gap, 10.0) == track_statistics(dense, 10.0)
 
 
@@ -303,8 +371,8 @@ def test_track_rejects_fps_not_positive_and_finite(fps):
 
 
 def test_track_rejects_unordered_results():
-    results = list(reversed(_tp_results([0, 1, 2], range(3))))
-    with pytest.raises(ValueError):
+    results = labelled([2, 1, 0], ["TP"] * 3)
+    with pytest.raises(ValueError, match="^results must be in increasing frame order$"):
         track_statistics(results, 10.0)
 
 
@@ -313,7 +381,7 @@ def test_track_rejects_unordered_results():
 
 def test_histogram_single_tp():
     truth = Annotation(0, True, BoundingBox(0.1, 0.1, 0.6, 0.5))  # area 0.3
-    results = [FrameResult(0, truth, boxed(0.9, 0.1, 0.1, 0.6, 0.5), "TP", 1.0)]
+    results = classify_frames([truth], [(0, boxed(0.9, 0.1, 0.1, 0.6, 0.5))], 0.5)
     hist = histogram_report(results)
     # area bins are tenths of the image; 0.3 opens the fourth
     assert hist.tp_by_area == (0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
@@ -343,7 +411,7 @@ def test_histogram_biases_equal_the_per_true_positive_form():
     # truth boxes, so the bin's mean and std carry that one bias to the bit
     rng = np.random.default_rng(8)
     for _ in range(30):
-        results, off_centre = [], set()
+        annotations, predictions, off_centre = [], [], set()
         for frame in range(100):
             side = math.sqrt(rng.uniform(0.01, 0.99))
             truth = BoundingBox(rng.uniform(0, 1 - side), rng.uniform(0, 1 - side), side, side)
@@ -352,15 +420,16 @@ def test_histogram_biases_equal_the_per_true_positive_form():
             if area_bin not in off_centre:
                 off_centre.add(area_bin)
                 prediction = BoundingBox(*random_box_tuple(rng, 0.05, 0.95), 0.9)
-            results.append(FrameResult(frame, Annotation(frame, True, truth), prediction, "TP"))
-        hist = histogram_report(results)
+            annotations.append(Annotation(frame, True, truth))
+            predictions.append((frame, prediction))
+        hist = histogram_report(classify_frames(annotations, predictions, 0.5))
         assert (list(hist.bias_mean), list(hist.bias_std)) == per_true_positive_biases(
-            results, AREA_EDGES
+            [(box, a.truth_box) for a, (_, box) in zip(annotations, predictions)], AREA_EDGES
         )
 
 
 def test_histogram_empty_results_all_zero():
-    hist = histogram_report([])
+    hist = histogram_report(classify_frames([], [], 0.5))
     assert hist.tp_by_area == (0,) * 10
     assert hist.fn_by_area == (0,) * 10
     assert set(hist.tn_runs) == {0}

@@ -34,7 +34,12 @@ from uwconvoy.geometry import Annotation, BoundingBox
 from uwconvoy.servo import ControlCommand, ServoConfig
 from uwconvoy.sim import ConvoyConfig, Pose, SimTrace, depth_script, run_convoy
 
-from oracles import one_line_write_pgm, trace_row_cells
+from oracles import (
+    one_line_write_pgm,
+    reference_parse_annotations,
+    reference_parse_predictions,
+    trace_row_cells,
+)
 
 
 def test_parse_annotations_header_only():
@@ -234,6 +239,108 @@ def test_csv_corrupted_cell_parses_or_names_its_line(predictions, rows, junk, da
         )
     else:
         assert junk not in PYTHON_ONLY_NUMBERS
+
+
+# rewrites of a number cell that keep it plain (the first five) or that a
+# reader refuses or reads differently
+_CELL_EDITS = {
+    "leading zero": lambda cell: "0" + cell,
+    "exponent": lambda cell: cell + "e0",
+    "EXPONENT": lambda cell: cell + "0E-1",
+    "minus zero": lambda cell: "-0.000000",
+    "short minus zero": lambda cell: "-0",
+    "plus": lambda cell: "+" + cell,
+    "underscore": lambda cell: cell[:1] + "_" + cell[1:],
+    "space": lambda cell: cell + " ",
+    "arabic-indic digit": lambda cell: "\u0661" + cell,
+    "inf": lambda cell: "inf",
+    "nan": lambda cell: "nan",
+    "past the float range": lambda cell: "1e999",
+}
+# rewrites of a whole row
+_ROW_EDITS = {
+    "bad flag": lambda cells: [cells[0], "2", *cells[2:]],
+    "missing field": lambda cells: cells[:-1],
+    "box past the edge": lambda cells: [*cells[:2], "0.9", "0.1", "0.5", "0.5"],
+    "empty box cell": lambda cells: [*cells[:5], ""],
+    "blank line": lambda cells: [""],
+    "spaces line": lambda cells: [" \t"],
+}
+
+
+def _read(parse, text):
+    """The rows that parse reads, each box value as float.hex, so that -0
+    and 0 differ; or the message of the error that it raises."""
+    def hexed(box):
+        return None if box is None else tuple(map(float.hex, (box.x, box.y, box.w, box.h, box.p)))
+
+    try:
+        rows = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return [
+        (row.frame_index, row.present, hexed(row.truth_box)) if isinstance(row, Annotation)
+        else (row[0], hexed(row[1]))
+        for row in rows
+    ]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    predictions=st.booleans(),
+    rows=_increasing_frames(st.none() | _boxes(st.just(1.0) | st.floats(0.0, 1.0))),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from([*_CELL_EDITS, *_ROW_EDITS, "frame out of order"]),
+            st.integers(0, 10**6),
+            st.integers(0, 5),
+        ),
+        max_size=3,
+    ),
+    crlf=st.booleans(),
+    bom=st.booleans(),
+)
+def test_frame_csv_readers_equal_the_first_written_reader(predictions, rows, edits, crlf, bom):
+    if predictions:
+        text = format_predictions(rows)
+        parse, reference = parse_predictions, reference_parse_predictions
+    else:
+        text = format_annotations([Annotation(f, box is not None, box) for f, box in rows])
+        parse, reference = parse_annotations, reference_parse_annotations
+    lines = text.split("\n")
+    for edit, at, column in edits:
+        if len(lines) < 3:
+            break
+        i = 1 + at % (len(lines) - 2)
+        cells = lines[i].split(",")
+        if edit in _ROW_EDITS:
+            cells = _ROW_EDITS[edit](cells)
+        elif edit == "frame out of order":
+            cells[0] = lines[1 + (at + 1) % (len(lines) - 2)].split(",")[0]
+        elif column < len(cells) and (column != 1 or predictions):
+            cells[column] = _CELL_EDITS[edit](cells[column])
+        lines[i] = ",".join(cells)
+    text = ("\r\n" if crlf else "\n").join(lines)
+    if bom:
+        text = "\ufeff" + text
+    if predictions:
+        # the first reader kept the sign of a confidence of -0
+        first_written = reference
+
+        def reference(text):
+            return [(f, b and replace(b, p=b.p + 0.0)) for f, b in first_written(text)]
+
+    assert _read(parse, text) == _read(reference, text)
+
+
+@pytest.mark.parametrize("cell", ["-0.0", "-0.000000", "-0", "-0e5"])
+@pytest.mark.parametrize("crlf", [False, True])
+def test_a_confidence_of_minus_zero_reads_as_zero(cell, crlf):
+    text = f"frame,confidence,x,y,w,h\n0,{cell},0.2,0.2,0.4,0.4\n1,{cell},,,,\n"
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    (_, box), _ = parse_predictions(text)
+    assert math.copysign(1.0, box.p) == 1.0
 
 
 # ---------------------------------------------------------------------------
