@@ -138,7 +138,10 @@ def _cmd_eval(args) -> int:
     report = evaluation.metrics_summary(results)
     tracks = None
     if args.fps is not None:
-        tracks = evaluation.track_statistics(results, args.fps)
+        try:
+            tracks = evaluation.track_statistics(results, args.fps)
+        except ValueError as exc:
+            raise ValueError(f"--fps {args.fps:g}: {exc}") from None
     if args.report_dir:
         # made before anything is printed, so a refused directory prints nothing
         Path(args.report_dir).mkdir(parents=True, exist_ok=True)

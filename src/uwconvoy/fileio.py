@@ -20,15 +20,15 @@ from .evaluation import AREA_EDGES, DURATION_EDGES, HistogramReport, MetricsRepo
 from .geometry import Annotation, BoundingBox
 from .servo import ServoConfig
 from .sim import (
+    DEFAULT_SCRIPT,
+    SCRIPT_PRESETS,
     CameraModel,
     ConvoyConfig,
     DetectorNoise,
     Pose,
     SimTrace,
     TargetModel,
-    depth_script,
-    forward_script,
-    turn_script,
+    TrajectoryScript,
 )
 
 ANNOTATION_HEADER = "frame,present,x,y,w,h"
@@ -256,11 +256,12 @@ def _parse_occlusions(raw: str, key: str) -> tuple[tuple[float, float], ...]:
     return tuple(intervals)
 
 
-# leader script kind -> (builder, its argument, the config key that sets it)
+# leader script kind -> (the field of its preset velocity that a config key
+# sets, that key)
 _SCRIPTS = {
-    "forward": (forward_script, "speed", "sim.script_speed"),
-    "turn_in_place": (turn_script, "rate", "sim.script_rate"),
-    "depth_change": (depth_script, "speed", "sim.script_speed"),
+    "forward": ("forward_speed", "sim.script_speed"),
+    "turn_in_place": ("yaw_rate", "sim.script_rate"),
+    "depth_change": ("vertical_speed", "sim.script_speed"),
 }
 
 
@@ -338,12 +339,10 @@ def _build_config(values: dict[str, object]) -> ConvoyConfig:
             if c is cls and key in values
         }
 
-    default = _DEFAULT_CONFIG
-    builder, arg, arg_key = _SCRIPTS[values.get("sim.script", default.script.kind)]
-    script = builder(
-        start_pose=_pose(values, "leader", default.script.start_pose),
-        **({arg: values[arg_key]} if arg_key in values else {}),
-    )
+    kind = values.get("sim.script", DEFAULT_SCRIPT)
+    name, key = _SCRIPTS[kind]
+    velocity = replace(SCRIPT_PRESETS[kind], **({name: values[key]} if key in values else {}))
+    script = TrajectoryScript(velocity, _pose(values, "leader", _DEFAULT_CONFIG.script.start_pose))
     noise = (
         DetectorNoise.noiseless()
         if values.get("sim.noiseless") == "1"
@@ -351,13 +350,13 @@ def _build_config(values: dict[str, object]) -> ConvoyConfig:
     )
     return ConvoyConfig(
         script=script,
-        initial_follower=_pose(values, "follower", default.initial_follower),
+        initial_follower=_pose(values, "follower", _DEFAULT_CONFIG.initial_follower),
         servo=ServoConfig(**set_fields(ServoConfig)),
         camera=CameraModel(**set_fields(CameraModel)),
         target=TargetModel(**set_fields(TargetModel)),
         detector_noise=noise,
         current=tuple(
-            values.get(f"sim.current_{axis}", v) for axis, v in zip("xyz", default.current)
+            values.get(f"sim.current_{axis}", v) for axis, v in zip("xyz", _DEFAULT_CONFIG.current)
         ),
         **set_fields(ConvoyConfig),
     )
@@ -392,10 +391,10 @@ def parse_config(text: str) -> ConvoyConfig:
         except ValueError as exc:
             raise DataFormatError(f"line {line_no}: {exc}") from None
 
-    kind = values.get("sim.script", _DEFAULT_CONFIG.script.kind)
+    kind = values.get("sim.script", DEFAULT_SCRIPT)
     noiseless = values.get("sim.noiseless") == "1"
     for key, line_no in lines.items():
-        if key.startswith("sim.script_") and key != _SCRIPTS[kind][2]:
+        if key.startswith("sim.script_") and key != _SCRIPTS[kind][1]:
             raise DataFormatError(f"line {line_no}: {key} has no effect with sim.script = {kind}")
         if key.startswith("detector_noise.") and noiseless:
             raise DataFormatError(f"line {line_no}: {key} has no effect with sim.noiseless = 1")

@@ -8,10 +8,11 @@ camera looks along the body forward axis; image coordinates are normalized
 with y growing downward, and bearing/elevation angles map linearly onto the
 image (angular camera), so no calibration matrix is involved anywhere.
 
-The leader follows closed-form trajectory scripts; the follower integrates
-velocity commands. A billboard rectangle stands in for the leader's body to
-produce ground-truth boxes, synthetic grayscale footage with an oscillating
-flipper region, and field-statistics-shaped noisy detections.
+The leader moves at a constant velocity from its start pose; the follower
+integrates velocity commands. A billboard rectangle stands in for the
+leader's body to produce ground-truth boxes, synthetic grayscale footage
+with an oscillating flipper region, and field-statistics-shaped noisy
+detections.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -129,49 +130,46 @@ class TargetModel:
 # ---------------------------------------------------------------------------
 # leader trajectory scripts
 
+# Each script kind's leader velocity: yaw rate in rad/s, speed in m/s along
+# the start heading, and climb in m/s.
+SCRIPT_PRESETS = {
+    "forward": ControlCommand(forward_speed=0.6),
+    "turn_in_place": ControlCommand(yaw_rate=0.3),
+    "depth_change": ControlCommand(vertical_speed=-0.1),
+}
+DEFAULT_SCRIPT = "forward"
+
+
+def _unsigned(pose: Pose) -> Pose:
+    # pose with each -0 coordinate read as 0, and its yaw as it is: a new Pose
+    # would wrap the yaw again, and a yaw that one wrap left at -pi turns to pi
+    unsigned = object.__new__(Pose)
+    object.__setattr__(unsigned, "position", tuple(c + 0.0 for c in pose.position))
+    object.__setattr__(unsigned, "yaw", pose.yaw)
+    return unsigned
+
+
 @dataclass(frozen=True)
 class TrajectoryScript:
-    """Closed-form leader motion: forward, turn_in_place or depth_change."""
+    """A start pose, whose -0 coordinates read as 0, and the leader's velocity."""
 
-    kind: str
-    speed: float = 0.0  # m/s for forward, m/s vertical for depth_change
-    rate: float = 0.0  # rad/s for turn_in_place
-    start_pose: Pose = field(default_factory=Pose)
+    velocity: ControlCommand = SCRIPT_PRESETS[DEFAULT_SCRIPT]
+    start_pose: Pose = Pose((2.0, 0.0, 0.0))
 
     def __post_init__(self):
-        if self.kind not in ("forward", "turn_in_place", "depth_change"):
-            raise ValueError(f"unknown trajectory script {self.kind!r}")
-
-
-def forward_script(speed: float = 0.6, start_pose: Pose = Pose()) -> TrajectoryScript:
-    return TrajectoryScript("forward", speed=speed, start_pose=start_pose)
-
-
-def turn_script(rate: float = 0.3, start_pose: Pose = Pose()) -> TrajectoryScript:
-    return TrajectoryScript("turn_in_place", rate=rate, start_pose=start_pose)
-
-
-def depth_script(speed: float = -0.1, start_pose: Pose = Pose()) -> TrajectoryScript:
-    return TrajectoryScript("depth_change", speed=speed, start_pose=start_pose)
+        object.__setattr__(self, "start_pose", _unsigned(self.start_pose))
 
 
 def leader_trajectory(script: TrajectoryScript, t: float) -> Pose:
-    """Leader pose at time t >= 0."""
+    """Leader pose at time t >= 0, moving along its start heading as its yaw turns."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    start = script.start_pose
+    start, velocity = script.start_pose, script.velocity
     x, y, z = start.position
-    if script.kind == "forward":
-        d = script.speed
-        # 0.0 * d, the level heading's z term, gives a -0.0 height the sign traces pin
-        position = (
-            x + math.cos(start.yaw) * d * t, y + math.sin(start.yaw) * d * t, z + 0.0 * d
-        )
-        return Pose(position, start.yaw)
-    if script.kind == "turn_in_place":
-        return Pose(start.position, wrap_angle(start.yaw + script.rate * t))
-    # depth_change, the one kind left that TrajectoryScript admits
-    return Pose((x, y, z + script.speed * t), start.yaw)
+    v, c = velocity.forward_speed, velocity.vertical_speed
+    position = (x + math.cos(start.yaw) * v * t, y + math.sin(start.yaw) * v * t, z + c * t)
+    # wrapped here and once more by Pose, as step_follower's yaw is
+    return Pose(position, wrap_angle(start.yaw + velocity.yaw_rate * t))
 
 
 def step_follower(
@@ -536,9 +534,7 @@ class ConvoyConfig:
     # rate at which trace_footage samples the trace into footage
     frame_rate: float = 15.0
     seed: int = 0
-    script: TrajectoryScript = field(
-        default_factory=lambda: forward_script(start_pose=Pose(position=(2.0, 0.0, 0.0)))
-    )
+    script: TrajectoryScript = field(default_factory=TrajectoryScript)
     initial_follower: Pose = field(default_factory=Pose)
     servo: ServoConfig = field(default_factory=ServoConfig)
     camera: CameraModel = field(default_factory=CameraModel)
@@ -550,6 +546,8 @@ class ConvoyConfig:
     current: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        # a start coordinate of -0 reads as 0, as the leader's does
+        object.__setattr__(self, "initial_follower", _unsigned(self.initial_follower))
         if not 0.0 <= self.duration < math.inf:
             raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
         for name in ("physics_rate", "detector_rate", "frame_rate"):
@@ -587,7 +585,8 @@ class ConvoyConfig:
         # servo's speed_clamps; the margin covers rounding over up to
         # MAX_TICKS steps
         forward, vertical = self.servo.speed_clamps
-        speed = 2.0 * (abs(self.script.speed) + forward) + abs(self.script.rate) + vertical
+        rate, speed, climb = map(abs, astuple(self.script.velocity))
+        speed = 2.0 * (speed + climb + forward) + rate + vertical
         reach = (speed + sum(map(abs, self.current))) * (round(ticks) / self.physics_rate)
         reach += sum(map(abs, self.script.start_pose.position + self.initial_follower.position))
         reach += self.target.body_length + self.target.body_height

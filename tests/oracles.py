@@ -530,6 +530,40 @@ def _wrap(a: float) -> float:
     return math.pi - (math.pi - a) % (2.0 * math.pi)
 
 
+# the first leader scripts' builders: kind -> (the argument its config key
+# set, that argument's default)
+_THREE_BRANCH_ARGUMENTS = {
+    "forward": ("speed", 0.6),
+    "turn_in_place": ("rate", 0.3),
+    "depth_change": ("speed", -0.1),
+}
+
+
+def three_branch_leader_trajectory(start, t: float, kind: str, value=None):
+    """The leader pose at time t >= 0 as first written, one branch per
+    script kind: `forward` moves along the start heading at speed,
+    `turn_in_place` turns at rate, and `depth_change` climbs at speed.
+
+    value sets the kind's argument, or None leaves its default. start is a
+    Pose. Returns the (position, yaw) of the pose; each pose that version
+    built wrapped its yaw once more.
+    """
+    name, default = _THREE_BRANCH_ARGUMENTS[kind]
+    args = {"speed": 0.0, "rate": 0.0, name: default if value is None else value}
+    speed, rate = args["speed"], args["rate"]
+    x, y, z = start.position
+    if kind == "forward":
+        position = (
+            x + math.cos(start.yaw) * speed * t,
+            y + math.sin(start.yaw) * speed * t,
+            z + 0.0 * speed,
+        )
+        return position, _wrap(start.yaw)
+    if kind == "turn_in_place":
+        return start.position, _wrap(_wrap(start.yaw + rate * t))
+    return (x, y, z + speed * t), _wrap(start.yaw)
+
+
 def vector_step_follower(pose, cmd, dt: float, drift=(0.0, 0.0, 0.0)):
     """One follower step as first written, as numpy vector sums, with the
     current's drift added to the stepped position as a last vector sum.

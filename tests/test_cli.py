@@ -293,6 +293,15 @@ def test_eval_reads_a_confidence_of_minus_zero_as_zero(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("selected threshold: 0.000000\n")
 
 
+def test_eval_names_the_fps_flag_it_refuses(eval_files, capsys):
+    ann_path, pred_path = eval_files
+    argv = ["eval", "--annotations", str(ann_path), "--predictions", str(pred_path)]
+    assert run_cli(argv + ["--threshold", "0.5", "--fps", "0"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --fps 0: fps must be positive and finite, got 0.0\n"
+    )
+
+
 @pytest.mark.parametrize("flag", ["--config", "--annotations", "--predictions"])
 def test_byte_that_is_not_utf8_names_the_input_and_its_line(eval_files, tmp_path, capsys, flag):
     ann_path, pred_path = eval_files
@@ -713,6 +722,27 @@ def test_sim_trace_golden_hash(tmp_path, run):
         ["sim", "--config", str(config), "--out", str(trace), "--seed", "3"]
     ) == 0
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256[run]
+
+
+def _trace_rows(tmp_path, text: str) -> list[dict[str, str]]:
+    """The rows of the trace of a `sim` run of config text, cell by column."""
+    config, trace = tmp_path / "run.cfg", tmp_path / "trace.csv"
+    config.write_text(text)
+    assert run_cli(["sim", "--config", str(config), "--out", str(trace)]) == 0
+    header, *rows = trace.read_text().splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+@pytest.mark.parametrize("script", ["forward", "turn_in_place", "depth_change"])
+def test_sim_reads_a_leader_start_coordinate_of_minus_zero_as_zero(tmp_path, script):
+    text = f"sim.duration = 0.1\nsim.script = {script}\nsim.leader_y = -0\n"
+    assert {row["leader_y"] for row in _trace_rows(tmp_path, text)} == {"0.000000"}
+
+
+def test_sim_reads_a_follower_start_coordinate_of_minus_zero_as_zero(tmp_path):
+    text = "sim.duration = 0.1\nsim.follower_y = -0\nsim.follower_z = -0\n"
+    first = _trace_rows(tmp_path, text)[0]
+    assert (first["follower_y"], first["follower_z"]) == ("0.000000", "0.000000")
 
 
 def _portability_outputs(directory: Path, run) -> dict[str, bytes | str]:

@@ -32,7 +32,7 @@ from uwconvoy.fileio import (
 )
 from uwconvoy.geometry import Annotation, BoundingBox
 from uwconvoy.servo import ControlCommand, ServoConfig
-from uwconvoy.sim import ConvoyConfig, Pose, SimTrace, depth_script, run_convoy
+from uwconvoy.sim import ConvoyConfig, Pose, SimTrace, run_convoy
 
 from oracles import (
     one_line_write_pgm,
@@ -464,9 +464,8 @@ def test_parse_config_absent_keys_take_dataclass_defaults():
 
 
 def test_parse_config_depth_change_keeps_its_own_default_speed():
-    script = parse_config("sim.script = depth_change\n").script
-    assert script.kind == "depth_change"
-    assert script.speed == depth_script().speed
+    velocity = parse_config("sim.script = depth_change\n").script.velocity
+    assert velocity == ControlCommand(vertical_speed=-0.1)
 
 
 def test_parse_config_rejects_mdpm_keys():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import uwconvoy
 from uwconvoy import sim
+from uwconvoy.fileio import parse_config
 from uwconvoy.geometry import Annotation, BoundingBox, box_area, box_center, iou
 from uwconvoy.mdpm import MdpmConfig
 from uwconvoy.servo import ControlCommand, STOP_COMMAND, ServoConfig
@@ -27,18 +28,16 @@ from uwconvoy.sim import (
     FootageScene,
     MAX_IMAGE_SIDE,
     MAX_TICKS,
+    SCRIPT_PRESETS,
     Pose,
     TargetModel,
     TrajectoryScript,
-    depth_script,
-    forward_script,
     leader_trajectory,
     noisy_detector,
     project_bbox,
     run_convoy,
     step_follower,
     trace_footage,
-    turn_script,
     wrap_angle,
 )
 
@@ -49,6 +48,7 @@ from oracles import (
     record_walk_samples,
     reference_dft_amplitude,
     serial_footage,
+    three_branch_leader_trajectory,
     vector_step_follower,
 )
 
@@ -61,39 +61,80 @@ TARGET = TargetModel()
 
 def test_forward_script_advances_along_heading():
     start = Pose(position=(1.0, 2.0, -3.0), yaw=0.5)
-    pose = leader_trajectory(forward_script(0.6, start), 10.0)
+    pose = leader_trajectory(TrajectoryScript(ControlCommand(forward_speed=0.6), start), 10.0)
     expected = np.array([1.0, 2.0, -3.0]) + pose_axes(start)[0] * 6.0
     assert pose.position == pytest.approx(tuple(expected), abs=1e-12)
     assert pose.yaw == start.yaw
 
 
 def test_forward_script_matches_the_vector_formula_bit_for_bit():
-    # the level heading's 0.0 * speed keeps the z sum's signed zero
+    # a start coordinate of -0 reads as 0, whatever the sign of the speed
     for speed in (0.6, -0.6, 0.0, -0.0):
         for z in (0.0, -0.0, 1.5):
             start = Pose(position=(-0.0, 2.0, z), yaw=-2.5)
+            script = TrajectoryScript(ControlCommand(forward_speed=speed), start)
             for t in (0.0, 1.5):
-                pose = leader_trajectory(forward_script(speed, start), t)
-                expected = np.asarray(start.position) + pose_axes(start)[0] * speed * t
+                pose = leader_trajectory(script, t)
+                expected = np.asarray(start.position) + 0.0 + pose_axes(start)[0] * speed * t
                 assert np.array(pose.position).tobytes() == expected.tobytes()
 
 
 def test_turn_script_identity_at_time_zero():
     start = Pose(position=(0.0, 1.0, 0.0), yaw=-0.3)
-    assert leader_trajectory(turn_script(0.3, start), 0.0) == start
+    assert leader_trajectory(TrajectoryScript(ControlCommand(yaw_rate=0.3), start), 0.0) == start
 
 
 def test_depth_script_changes_only_z():
     start = Pose(position=(4.0, 5.0, 0.0))
-    pose = leader_trajectory(depth_script(-0.1, start), 5.0)
+    pose = leader_trajectory(TrajectoryScript(ControlCommand(vertical_speed=-0.1), start), 5.0)
     assert pose.position == pytest.approx((4.0, 5.0, -0.5), abs=1e-12)
 
 
-def test_unknown_script_rejected():
+def test_leader_trajectory_rejects_negative_time():
     with pytest.raises(ValueError):
-        TrajectoryScript("sideways")
-    with pytest.raises(ValueError):
-        leader_trajectory(forward_script(0.5), -1.0)
+        leader_trajectory(TrajectoryScript(ControlCommand(forward_speed=0.5)), -1.0)
+
+
+# the config key that sets each preset's one velocity
+_PRESET_KEYS = {
+    "forward": "sim.script_speed",
+    "turn_in_place": "sim.script_rate",
+    "depth_change": "sim.script_speed",
+}
+# pi and -pi, one ulp past each, where one wrap gives -pi and only a second
+# gives pi, and both zeros
+_EDGE_YAWS = (
+    math.pi, -math.pi, math.nextafter(math.pi, 4.0), math.nextafter(-math.pi, -4.0), 0.0, -0.0
+)
+_start_coordinate = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=1000, deadline=None)
+@example(kind="turn_in_place", value=None, position=(-0.0, -0.0, -0.0),
+         yaw=math.nextafter(math.pi, 4.0), t=0.02)
+@example(kind="forward", value=-0.0, position=(0.0, -0.0, -0.0), yaw=-math.pi, t=0.0)
+# a turn to one ulp above pi, which only a second wrap takes to pi
+@example(kind="turn_in_place", value=2.0**-51, position=(2.0, 0.0, 0.0), yaw=math.pi, t=1.0)
+@example(kind="depth_change", value=0.0, position=(-0.0, -0.0, -0.0), yaw=math.pi, t=1.5)
+@given(
+    kind=st.sampled_from(sorted(_PRESET_KEYS)),
+    value=st.one_of(st.none(), st.sampled_from((0.0, -0.0)), st.floats(-10.0, 10.0)),
+    position=st.tuples(_start_coordinate, _start_coordinate, _start_coordinate),
+    yaw=st.one_of(st.sampled_from(_EDGE_YAWS), st.floats(-10.0, 10.0)),
+    t=st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+)
+def test_leader_motion_equals_the_three_branch_scripts_bit_for_bit(kind, value, position, yaw, t):
+    # the script as a config file builds it: the kind, its key if given, the start
+    lines = [f"sim.script = {kind}", f"sim.leader_yaw = {yaw!r}"]
+    lines += [f"sim.leader_{axis} = {c!r}" for axis, c in zip("xyz", position)]
+    if value is not None:
+        lines.append(f"{_PRESET_KEYS[kind]} = {value!r}")
+    pose = leader_trajectory(parse_config("\n".join(lines)).script, t)
+    # a start with a -0 coordinate moves as the start with +0 there did
+    start = Pose(tuple(c + 0.0 for c in position), yaw)
+    expected_position, expected_yaw = three_branch_leader_trajectory(start, t, kind, value)
+    assert [c.hex() for c in pose.position] == [c.hex() for c in expected_position]
+    assert pose.yaw.hex() == expected_yaw.hex()
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +524,7 @@ def _numbers(value):
 
 def test_trace_holds_plain_floats_after_a_false_positive():
     # the follower loses a turning leader, so the detector fires on nothing
-    script = turn_script(start_pose=Pose(position=(2.0, 0.0, 0.0)))
+    script = TrajectoryScript(SCRIPT_PRESETS["turn_in_place"])
     records = run_convoy(ConvoyConfig(duration=60.0, seed=3, script=script)).records
     assert any(r.true_box is None and r.detection is not None for r in records)
     assert {type(v) for r in records for v in _numbers(r)} == {float}
@@ -534,8 +575,14 @@ def _setpoint_distance(desired: float = 0.5) -> float:
         ({"duration": (MAX_TICKS + 1) / 50.0}, "duration 20000 s gives 1e[+]06 ticks"),
         ({"frame_rate": 1e9}, "frame_rate 1e[+]09 Hz exceeds physics_rate 50 Hz"),
         ({"current": (1e308, 0.0, 0.0)}, "over duration 60 s the positions and turns"),
-        ({"script": forward_script(1e308)}, "may add up to inf, past the float range"),
-        ({"script": turn_script(1e308), "duration": 4.0}, "over duration 4 s"),
+        (
+            {"script": TrajectoryScript(ControlCommand(forward_speed=1e308), Pose())},
+            "may add up to inf, past the float range",
+        ),
+        (
+            {"script": TrajectoryScript(ControlCommand(yaw_rate=1e308), Pose()), "duration": 4.0},
+            "over duration 4 s",
+        ),
         (
             {"servo": ServoConfig(speed_gain=1e308, forward_speed_limit=1e308)},
             "may add up to inf",
@@ -543,7 +590,9 @@ def _setpoint_distance(desired: float = 0.5) -> float:
         (
             {
                 "target": TargetModel(body_length=1e308),
-                "script": turn_script(start_pose=Pose(position=(1e308, 0.0, 0.0))),
+                "script": TrajectoryScript(
+                    SCRIPT_PRESETS["turn_in_place"], Pose(position=(1e308, 0.0, 0.0))
+                ),
             },
             "may add up to inf",
         ),
@@ -570,7 +619,7 @@ def test_config_refuses_motion_only_at_the_top_of_the_float_range():
     # a coordinate near the float range, and gains past it that the servo clamps
     config = ConvoyConfig(
         duration=4.0,
-        script=forward_script(start_pose=Pose(position=(1.7e308, 0.0, 0.0))),
+        script=TrajectoryScript(start_pose=Pose(position=(1.7e308, 0.0, 0.0))),
         servo=ServoConfig(speed_gain=1e308, depth_gain=1e308),
     )
     assert run_convoy(config).records[-1].leader.position[0] == 1.7e308
@@ -580,7 +629,7 @@ def test_pose_takes_finite_values_whose_sum_is_not_finite():
     # the pose check sums the coordinates and the yaw first; a sum past the
     # float range must not refuse a pose, nor hide the value at fault
     assert Pose((1e308, 1e308, -0.0), 1e308).position == (1e308, 1e308, -0.0)
-    assert Pose((-1e308, -1e308, 0.0, 5.0)).position == (-1e308, -1e308, 0.0, 5.0)
+    assert Pose((-1e308, -1e308, 0.0), 5.0).position == (-1e308, -1e308, 0.0)
     with pytest.raises(ValueError, match=r"^position \(1e\+308, 1e\+308, inf\) has an element"):
         Pose((1e308, 1e308, math.inf))
     with pytest.raises(ValueError, match="^yaw nan is not finite$"):
@@ -622,7 +671,7 @@ def test_convoy_equilibrium_with_static_leader():
     d_star = _setpoint_distance()
     cfg = ConvoyConfig(
         duration=10.0,
-        script=forward_script(0.0, Pose(position=(d_star, 0.0, 0.0))),
+        script=TrajectoryScript(STOP_COMMAND, Pose(position=(d_star, 0.0, 0.0))),
         detector_noise=DetectorNoise.noiseless(),
     )
     trace = run_convoy(cfg)
